@@ -99,11 +99,3 @@ class BitReader:
         if pos > self._limit:
             raise CorruptStreamError("bit stream truncated")
         self._pos = pos
-
-    def read_bits(self, count: int) -> int:
-        """peek_bits then consume, erroring if the data runs out."""
-        if self._pos + count > self._limit:
-            raise CorruptStreamError("bit stream truncated")
-        v = self.peek_bits(count)
-        self._pos += count
-        return v

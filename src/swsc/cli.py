@@ -11,13 +11,9 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import analysis, coder, corpus
 from .errors import CorruptStreamError, ParameterError
 from .params import derive_params
-
-_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4"}
 
 
 def _symbol_bytes(sigma: int, forced) -> int:
@@ -46,18 +42,6 @@ def _write_bytes(path: str, data: bytes) -> None:
             fh.write(data)
 
 
-def _read_raw_symbols(path: str, sigma: int, sym_bytes: int) -> list[int]:
-    data = _read_bytes(path)
-    if len(data) % sym_bytes:
-        raise ParameterError(
-            f"raw input length {len(data)} is not a multiple of {sym_bytes} bytes")
-    arr = np.frombuffer(data, dtype=_DTYPES[sym_bytes])
-    if arr.size and int(arr.max()) >= sigma:
-        raise ParameterError(
-            f"symbol {int(arr.max())} out of range for sigma {sigma}")
-    return arr.tolist()
-
-
 def _emit_report(doc: dict, text_lines, args, stream) -> None:
     if args.json:
         print(json.dumps(doc), file=stream)
@@ -75,7 +59,7 @@ def _params_doc(params) -> dict:
 def _cmd_encode(args) -> int:
     params = derive_params(args.sigma, args.lam, args.c)
     sym_bytes = _symbol_bytes(args.sigma, args.symbol_bytes)
-    symbols = _read_raw_symbols(args.input, args.sigma, sym_bytes)
+    symbols = coder.read_symbols(_read_bytes(args.input), args.sigma, sym_bytes)
     out = io.BytesIO()
     report = coder.encode_stream(params, symbols, out, backend=args.backend,
                                  seed=args.hash_seed)
@@ -107,8 +91,7 @@ def _cmd_decode(args) -> int:
                 f"--{name} {given} contradicts the stream header ({actual})")
     symbols, report = coder.decode_stream(data)
     sym_bytes = _symbol_bytes(params.sigma, args.symbol_bytes)
-    arr = np.asarray(symbols, dtype=_DTYPES[sym_bytes])
-    _write_bytes(args.output, arr.tobytes())
+    _write_bytes(args.output, coder.write_symbols(symbols, params.sigma, sym_bytes))
     doc = {"command": "decode", "params": _params_doc(params), "backend": backend,
            "report": report.to_dict()}
     _emit_report(doc, report.lines(), args, sys.stderr)
@@ -117,7 +100,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_stats(args) -> int:
     sym_bytes = _symbol_bytes(args.sigma, args.symbol_bytes)
-    symbols = _read_raw_symbols(args.input, args.sigma, sym_bytes)
+    symbols = coder.read_symbols(_read_bytes(args.input), args.sigma, sym_bytes)
     stats = analysis.EntropyStats.from_symbols(symbols)
     doc = {"command": "stats", "sigma": args.sigma, "stats": stats.to_dict()}
     _emit_report(doc, stats.lines(), args, sys.stdout)
@@ -128,7 +111,7 @@ def _cmd_gen(args) -> int:
     arr = corpus.generate(args.dist, args.sigma, args.n, args.seed, s=args.s,
                           states=args.states, stickiness=args.stickiness)
     sym_bytes = _symbol_bytes(args.sigma, args.symbol_bytes)
-    _write_bytes(args.output, arr.astype(_DTYPES[sym_bytes]).tobytes())
+    _write_bytes(args.output, coder.write_symbols(arr, args.sigma, sym_bytes))
     return 0
 
 
@@ -164,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("output", nargs="?", default="-")
     _add_coder_args(enc, required=True)
     enc.add_argument("--backend", choices=("trie", "hashed"), default="trie",
-                     help="dictionary backend (never changes the output bytes)")
+                     help="dictionary backend (the payload is identical either way; "
+                          "only the informational header byte differs)")
     enc.add_argument("--hash-seed", type=int, default=0,
                      help="seed for the hashed backend (never changes the output)")
     enc.add_argument("--symbol-bytes", type=int, choices=(1, 2, 4), default=None,

@@ -31,8 +31,10 @@ import io
 import struct
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .bitio import BitReader, BitWriter
-from .codebook import Codebook, codeword_length
+from .codebook import Codebook
 from .dictionary import CodeRecord, make_dictionary, symbol_model_bytes
 from .errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from .params import CoderParams
@@ -45,8 +47,8 @@ HEADER_BYTES = _HEADER.size
 _BACKEND_FLAGS = {"trie": 0, "hashed": 1}
 _BACKEND_NAMES = {0: "trie", 1: "hashed"}
 
-# distinct from None so a cached dictionary miss is also usable
-_NO_CACHE = object()
+_WRITE_BATCH = 63  # most bits per write_bits call; batches fit a signed 64-bit int
+_READ_BYTES = 16  # payload bytes the decoder loads into its bit window at a time
 
 
 class CoderState:
@@ -64,10 +66,9 @@ class CoderState:
         self._len = 0
         self._head = 0
         self.position = 0  # symbols processed
-        # plain-int copies of the per-step constants, off the frozen dataclass
-        self._ell = params.ell
-        self._threshold = params.threshold
-        self._l_max = params.l_max
+        # report counters carried across chunks: literals, the worst
+        # single-step partial-sums touches, the largest coded-symbol set
+        self._literals = self._max_step = self._max_size = 0
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
@@ -80,119 +81,208 @@ class CoderState:
     def window_len(self) -> int:
         return self._len
 
-    def step_update(self, a: int, rec_a=_NO_CACHE) -> None:
-        """Slide the window over symbol a and repair dictionary and codebook.
+    def step_update(self, a: int) -> None:
+        """Slide the window over symbol a, coding nothing."""
+        self._steps([a], 1)
 
-        The order below is fixed; both ends of the stream must replay it
-        identically for codebook offsets to agree. When the evicted symbol is
-        a itself, the same steps run and cancel arithmetically.
+    def encode_chunk(self, symbols, writer: BitWriter) -> "EncodeReport":
+        """Encode symbols to writer; returns the report of all encoded so far.
 
-        rec_a may carry the result of a dictionary lookup of a (a record, or
-        None for a miss) done just before the call; it is a cache only and
-        never changes the outcome.
+        Any split of a sequence into chunks gives the same bits and report.
         """
-        ell = self._ell
-        threshold = self._threshold
+        self._steps(symbols, len(symbols), writer=writer)
+        bits = writer.bit_length
+        return self._report(EncodeReport, bits, payload_bytes=(bits + 7) // 8,
+                            max_code_size=self._max_size)
+
+    def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "DecodeReport"]:
+        """Decode count symbols from reader; returns them and the report so far."""
+        out = self._steps(None, count, reader=reader)
+        return out, self._report(DecodeReport, reader.position,
+                                 payload_bytes=len(reader._data))
+
+    def _report(self, cls, payload_bits, **io_fields):
+        # a step costs 1 + its codeword length: its bits, less a literal's index width
+        return cls(n=self.position, payload_bits=payload_bits,
+                   literal_count=self._literals,
+                   coded_count=self.position - self._literals,
+                   ps_touches=self.codebook.kraft.touches,
+                   ps_touches_max_step=self._max_step,
+                   cost_units=payload_bits - self._literals * self.params.width,
+                   **io_fields)
+
+    def _steps(self, symbols, count, writer=None, reader=None):
+        """The one coding loop behind encode_chunk, decode_chunk and step_update.
+
+        Each step takes symbols[i] and, given a writer, emits it, or decodes
+        the symbol from reader. Then the window slides over it in a fixed
+        order, which both ends of the stream must replay identically for
+        codebook offsets to agree: ring, evicted symbol, incoming symbol,
+        Kraft check. When the evicted symbol is the incoming one, the same
+        steps run and cancel arithmetically.
+
+        Ring, bit window and counters live in locals and are written back
+        when the chunk ends; codeword_length is inlined. Returns the decoded
+        symbols when decoding.
+        """
+        p = self.params
+        sigma, width, l_max = p.sigma, p.width, p.l_max
+        ell, threshold = p.ell, p.threshold
+        w1 = width + 1  # a literal: flag 0 then the plain index
         d = self.dictionary
+        lookup, put, delete = d.lookup, d.put, d.delete
         cb = self.codebook
-        # 1. rotate the ring
-        if self._len < ell:
-            self._buf[self._len] = a
-            self._len += 1
-            evicted = None
+        insert, remove, move, kraft = cb.insert, cb.remove, cb.move, cb.kraft
+        buf, ln, head = self._buf, self._len, self._head
+        literals, max_step, max_size = self._literals, self._max_step, self._max_size
+        t_prev = kraft.touches
+        decoding, encoding = reader is not None, writer is not None
+        out = [] if decoding else None
+        if decoding:
+            append, cb_decode = out.append, cb.decode
+            data, pos, limit = reader._data, reader._pos, reader._limit
+            win = hi = 0  # win holds the payload bits [hi - 8 * _READ_BYTES, hi)
+            half, lit_mask = 1 << width, (1 << w1) - 1
+            b_shift, b_mask = width - l_max, (1 << l_max) - 1
         else:
-            h = self._head
-            evicted = self._buf[h]
-            self._buf[h] = a
-            h += 1
-            self._head = h if h < ell else 0
-        # 2. + 3. the evicted symbol loses one occurrence
-        if evicted is not None:
-            rec = d.get(evicted)
-            if rec is None:
-                raise InternalInconsistencyError(f"evicted symbol {evicted} untracked")
-            f_new = rec.freq - 1
-            rec.freq = f_new
-            if f_new == 0:
-                d.delete(evicted)
-                if evicted == a:
-                    rec_a = _NO_CACHE  # the cached record was just dropped
-            if rec.length is not None:
-                if f_new < threshold:
-                    cb.remove(evicted, rec, d)
+            if isinstance(symbols, np.ndarray):  # range-checked before the list copy
+                bad = symbols.size and (symbols.min() < 0 or symbols.max() >= sigma)
+                symbols = symbols.tolist()
+            else:
+                bad = len(symbols) and (min(symbols) < 0 or max(symbols) >= sigma)
+            if bad:  # the chunk is rejected before any of it is coded
+                i = next(i for i, a in enumerate(symbols) if not 0 <= a < sigma)
+                raise ParameterError(f"symbol {symbols[i]} at position "
+                                     f"{self.position + i} out of range for sigma {sigma}")
+            if encoding:
+                codeword, write = cb.codeword, writer.write_bits
+                wacc = wbits = 0
+        i = 0
+        try:
+            for i in range(count):
+                if decoding:
+                    if hi - pos < w1:
+                        q = pos >> 3
+                        chunk = data[q:q + _READ_BYTES]
+                        hi = 8 * (q + _READ_BYTES)  # bits past the data read as zeros
+                        win = int.from_bytes(chunk, "big") << (hi - 8 * (q + len(chunk)))
+                    v = (win >> (hi - pos - w1)) & lit_mask
+                    if v < half:
+                        a, k, touched = v, w1, False
+                        literals += 1
+                    else:
+                        a, j = cb_decode((v >> b_shift) & b_mask)
+                        k, touched = j + 1, True
+                    pos += k
+                    if pos > limit:
+                        raise CorruptStreamError("bit stream truncated")
+                    if a >= sigma:
+                        raise CorruptStreamError(
+                            f"literal {a} out of range for sigma {sigma}")
+                    append(a)
+                    rec = lookup(a)
                 else:
-                    new_len = codeword_length(ell, f_new)
-                    if new_len > rec.length:
-                        if new_len > self._l_max:
-                            raise InternalInconsistencyError(
-                                "frequent symbol demoted past l_max")
-                        cb.move(evicted, rec, rec.length + 1, d)
-        # 4. + 5. the incoming symbol gains one
-        rec = d.get(a) if rec_a is _NO_CACHE else rec_a
-        if rec is None:
-            rec = CodeRecord(1)
-            d.put(a, rec)
-            f = 1
-        else:
-            f = rec.freq + 1
-            rec.freq = f
-        if f >= threshold:
-            if rec.length is None:
-                cb.insert(a, codeword_length(ell, f), rec)
-            elif codeword_length(ell, f) < rec.length:
-                cb.move(a, rec, rec.length - 1, d)
-        # 6. the code must stay complete-or-under
-        if cb.kraft_total > cb.capacity:
-            raise InternalInconsistencyError("Kraft budget exceeded after update")
-        self.position += 1
+                    a = symbols[i]
+                    rec = lookup(a)
+                    touched = False
+                    if encoding:
+                        if rec is not None and rec.length is not None:
+                            value, j = codeword(rec.length, rec.index + 1)
+                            v, k, touched = (1 << j) | value, j + 1, True  # flag 1 first
+                        else:
+                            v, k = a, w1
+                            literals += 1
+                        if wbits + k > _WRITE_BATCH:
+                            write(wacc, wbits)
+                            wacc, wbits = v, k
+                        else:
+                            wacc = (wacc << k) | v
+                            wbits += k
+                # 1. rotate the ring
+                if ln < ell:
+                    buf[ln] = a
+                    ln += 1
+                else:
+                    e = buf[head]
+                    buf[head] = a
+                    head += 1
+                    if head == ell:
+                        head = 0
+                    # 2. + 3. the evicted symbol loses one occurrence
+                    erec = rec if e == a else lookup(e)
+                    if erec is None:
+                        raise InternalInconsistencyError(
+                            f"evicted symbol {e} untracked")
+                    f = erec.freq - 1
+                    erec.freq = f
+                    if f == 0:
+                        delete(e)
+                        if e == a:
+                            rec = None  # the record was just dropped
+                    length = erec.length
+                    if length is not None:
+                        if f < threshold:
+                            remove(e, erec, d)
+                            touched = True
+                        else:
+                            new_len = ((ell + f - 1) // f - 1).bit_length()
+                            if new_len > length:
+                                if new_len > l_max:
+                                    raise InternalInconsistencyError(
+                                        "frequent symbol demoted past l_max")
+                                move(e, erec, length + 1, d)
+                                touched = True
+                # 4. + 5. the incoming symbol gains one
+                if rec is None:
+                    rec = CodeRecord(0)
+                    put(a, rec)
+                f = rec.freq + 1
+                rec.freq = f
+                if f >= threshold:
+                    new_len = ((ell + f - 1) // f - 1).bit_length()
+                    length = rec.length
+                    if length is None:
+                        insert(a, new_len, rec)
+                        touched = True
+                    elif new_len < length:
+                        move(a, rec, length - 1, d)
+                        touched = True
+                # 6. the code must stay complete-or-under; only codebook
+                # events and coded symbols change the Kraft sums or touches
+                if touched:
+                    if cb.kraft_total > cb.capacity:
+                        raise InternalInconsistencyError(
+                            "Kraft budget exceeded after update")
+                    t = kraft.touches
+                    if t - t_prev > max_step:
+                        max_step = t - t_prev
+                    t_prev = t
+                    if cb.size > max_size:
+                        max_size = cb.size
+        except CorruptStreamError as exc:
+            raise CorruptStreamError(f"symbol {self.position + i}: {exc}") from exc
+        self._len, self._head = ln, head
+        self.position += count
+        self._literals, self._max_step, self._max_size = literals, max_step, max_size
+        if decoding:
+            reader._pos = pos
+        elif encoding and wbits:
+            write(wacc, wbits)
+        return out
 
-    def _encode_symbol_ex(self, a: int, writer: BitWriter) -> tuple[int, int]:
-        """Encode one symbol; returns (bits written, codeword length or -1)."""
-        p = self.params
-        if not 0 <= a < p.sigma:
-            raise ParameterError(
-                f"symbol {a} at position {self.position} out of range for sigma {p.sigma}")
-        rec = self.dictionary.get(a)
-        if rec is not None and rec.length is not None:
-            value, j = self.codebook.codeword(rec.length, rec.index + 1)
-            writer.write_bits((1 << j) | value, j + 1)
-            bits = j + 1
-        else:
-            writer.write_bits(a, p.width + 1)  # flag 0 then the plain index
-            bits = p.width + 1
-            j = -1
-        self.step_update(a, rec)
-        return bits, j
 
-    def encode_symbol(self, a: int, writer: BitWriter) -> int:
-        """Encode one symbol and update the window; returns bits written."""
-        return self._encode_symbol_ex(a, writer)[0]
+class _Report:
+    """lines()/to_dict() over a report dataclass's fields."""
 
-    def _decode_symbol_ex(self, reader: BitReader) -> tuple[int, int]:
-        """Decode one symbol; returns (symbol, codeword length or -1)."""
-        p = self.params
-        v = reader.peek_bits(1 + p.width)
-        if v >> p.width == 0:
-            reader.consume(1 + p.width)
-            a = v & ((1 << p.width) - 1)
-            if a >= p.sigma:
-                raise CorruptStreamError(f"literal {a} out of range for sigma {p.sigma}")
-            j = -1
-        else:
-            b = (v >> (p.width - p.l_max)) & ((1 << p.l_max) - 1)
-            reader.consume(1)
-            a, j = self.codebook.decode(b)
-            reader.consume(j)
-        self.step_update(a)
-        return a, j
+    def lines(self):
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
-    def decode_symbol(self, reader: BitReader) -> int:
-        """Decode one symbol and update the window."""
-        return self._decode_symbol_ex(reader)[0]
+    def to_dict(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
-class EncodeReport:
+class EncodeReport(_Report):
     """Counters from one encoding run."""
 
     n: int
@@ -205,15 +295,9 @@ class EncodeReport:
     ps_touches_max_step: int  # worst single-symbol touch count
     cost_units: int  # sum of 1 + handled codeword length
 
-    def lines(self):
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
-class DecodeReport:
+class DecodeReport(_Report):
     """Counters from one decoding run."""
 
     n: int
@@ -224,12 +308,6 @@ class DecodeReport:
     ps_touches: int
     ps_touches_max_step: int
     cost_units: int
-
-    def lines(self):
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def write_header(out, params: CoderParams, backend: str, n: int) -> None:
@@ -263,38 +341,11 @@ def read_header(data: bytes) -> tuple[CoderParams, str, int]:
 def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
                   seed: int = 0) -> EncodeReport:
     """Encode a symbol sequence to the binary sink out; returns the report."""
-    n = len(symbols)
-    write_header(out, params, backend, n)
-    state = CoderState(params, backend=backend, seed=seed)
+    write_header(out, params, backend, len(symbols))
     writer = BitWriter()
-    encode_ex = state._encode_symbol_ex
-    kraft = state.codebook.kraft
-    codebook = state.codebook
-    literals = 0
-    cost = 0
-    max_step = 0
-    max_size = 0
-    t_prev = kraft.touches
-    for a in symbols:
-        bits, j = encode_ex(a, writer)
-        t = kraft.touches
-        dt = t - t_prev
-        t_prev = t
-        if dt > max_step:
-            max_step = dt
-        if j < 0:
-            literals += 1
-            cost += 1
-        else:
-            cost += 1 + j
-        if codebook.size > max_size:
-            max_size = codebook.size
-    payload = writer.finish()
-    out.write(payload)
-    return EncodeReport(n=n, payload_bits=writer.bit_length, payload_bytes=len(payload),
-                        literal_count=literals, coded_count=n - literals,
-                        max_code_size=max_size, ps_touches=kraft.touches,
-                        ps_touches_max_step=max_step, cost_units=cost)
+    report = CoderState(params, backend=backend, seed=seed).encode_chunk(symbols, writer)
+    out.write(writer.finish())
+    return report
 
 
 def encode_to_bytes(params: CoderParams, symbols, backend: str = "trie",
@@ -316,53 +367,22 @@ def decode_stream(data, backend: str | None = None,
         data = data.read()
     params, header_backend, n = read_header(data)
     state = CoderState(params, backend=backend or header_backend, seed=seed)
-    reader = BitReader(data[HEADER_BYTES:])
-    decode_ex = state._decode_symbol_ex
-    kraft = state.codebook.kraft
-    out = []
-    append = out.append
-    literals = 0
-    cost = 0
-    max_step = 0
-    t_prev = kraft.touches
-    for i in range(n):
-        try:
-            a, j = decode_ex(reader)
-        except CorruptStreamError as e:
-            raise CorruptStreamError(f"symbol {i}: {e}") from e
-        t = kraft.touches
-        dt = t - t_prev
-        t_prev = t
-        if dt > max_step:
-            max_step = dt
-        if j < 0:
-            literals += 1
-            cost += 1
-        else:
-            cost += 1 + j
-        append(a)
-    return out, DecodeReport(n=n, payload_bits=reader.position,
-                             payload_bytes=len(data) - HEADER_BYTES,
-                             literal_count=literals, coded_count=n - literals,
-                             ps_touches=kraft.touches, ps_touches_max_step=max_step,
-                             cost_units=cost)
+    return state.decode_chunk(BitReader(data[HEADER_BYTES:]), n)
 
 
-def write_symbols(symbols, sigma: int) -> bytes:
-    """Pack symbols in the raw fixed-width little-endian format."""
-    sb = symbol_model_bytes(sigma)
-    buf = bytearray(len(symbols) * sb)
-    pos = 0
-    for a in symbols:
-        buf[pos:pos + sb] = int(a).to_bytes(sb, "little")
-        pos += sb
-    return bytes(buf)
+def write_symbols(symbols, sigma: int, sym_bytes: int | None = None) -> bytes:
+    """Pack symbols as raw little-endian integers of sym_bytes (default: smallest fit)."""
+    sb = sym_bytes or symbol_model_bytes(sigma)
+    return np.asarray(symbols, dtype=f"<u{sb}").tobytes()
 
 
-def read_symbols(data: bytes, sigma: int) -> list[int]:
-    """Unpack a raw fixed-width little-endian symbol file."""
-    sb = symbol_model_bytes(sigma)
+def read_symbols(data: bytes, sigma: int, sym_bytes: int | None = None) -> list[int]:
+    """Unpack a raw fixed-width little-endian symbol file, checking the range."""
+    sb = sym_bytes or symbol_model_bytes(sigma)
     if len(data) % sb:
         raise ParameterError(
             f"raw input length {len(data)} is not a multiple of {sb} bytes")
-    return [int.from_bytes(data[i:i + sb], "little") for i in range(0, len(data), sb)]
+    arr = np.frombuffer(data, dtype=f"<u{sb}")
+    if arr.size and int(arr.max()) >= sigma:
+        raise ParameterError(f"symbol {int(arr.max())} out of range for sigma {sigma}")
+    return arr.tolist()

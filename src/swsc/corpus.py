@@ -8,6 +8,7 @@ stream vectorizes. Generation is single-pass.
 
 import numpy as np
 
+from .dictionary import symbol_model_bytes
 from .errors import ParameterError
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -26,15 +27,6 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _out_dtype(sigma: int):
-    width = (sigma - 1).bit_length()
-    if width <= 8:
-        return np.uint8
-    if width <= 16:
-        return np.uint16
-    return np.uint32
-
-
 def _check_common(sigma, n):
     if sigma < 2:
         raise ParameterError("sigma must be >= 2")
@@ -46,7 +38,7 @@ def gen_uniform(sigma: int, n: int, seed: int) -> np.ndarray:
     """n i.i.d. symbols uniform over [0, sigma)."""
     _check_common(sigma, n)
     z = splitmix64(seed, n)
-    return (z % np.uint64(sigma)).astype(_out_dtype(sigma))
+    return (z % np.uint64(sigma)).astype(f"u{symbol_model_bytes(sigma)}")
 
 
 def gen_zipf(sigma: int, n: int, s: float, seed: int) -> np.ndarray:
@@ -61,7 +53,7 @@ def gen_zipf(sigma: int, n: int, s: float, seed: int) -> np.ndarray:
     u = (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
     idx = np.searchsorted(cdf, u * cdf[-1], side="right")
     # u * cdf[-1] can round up onto cdf[-1] itself for u just under 1
-    return np.minimum(idx, sigma - 1).astype(_out_dtype(sigma))
+    return np.minimum(idx, sigma - 1).astype(f"u{symbol_model_bytes(sigma)}")
 
 
 def gen_markov(sigma: int, n: int, states: int, stickiness: float,
@@ -80,7 +72,7 @@ def gen_markov(sigma: int, n: int, states: int, stickiness: float,
     if not 0.0 <= stickiness <= 1.0:
         raise ParameterError("stickiness must lie in [0, 1]")
     if n == 0:
-        return np.zeros(0, dtype=_out_dtype(sigma))
+        return np.zeros(0, dtype=f"u{symbol_model_bytes(sigma)}")
     stay = min(int(stickiness * 2.0 ** 64), 2 ** 64 - 1)
     z_switch = splitmix64(seed, n)
     z_state = splitmix64(seed, n, offset=n)
@@ -94,7 +86,7 @@ def gen_markov(sigma: int, n: int, states: int, stickiness: float,
     base = state * block
     widths = np.where(state == states - 1, sigma - (states - 1) * block, block)
     sym = base + (z_emit % widths.astype(np.uint64)).astype(np.int64)
-    return sym.astype(_out_dtype(sigma))
+    return sym.astype(f"u{symbol_model_bytes(sigma)}")
 
 
 def generate(dist: str, sigma: int, n: int, seed: int, *, s: float = 1.0,

@@ -3,7 +3,8 @@
 Two interchangeable backends keep the per-symbol bookkeeping (window
 frequency plus codebook position) for exactly the symbols currently in the
 window: a fixed-height trie over the symbol's bits and an open-addressed hash
-table. Both expose get/put/delete plus a deterministic memory report.
+table. Both expose get/put/delete plus a deterministic memory report, and
+lookup: get without the range check, for callers that checked the symbol.
 
 Reported bytes follow a packed layout model (what a careful C implementation
 would allocate), so audits are platform-independent: 8 bytes per trie table
@@ -44,10 +45,6 @@ class CodeRecord:
         self.length = length
         self.index = index
 
-    @property
-    def is_coded(self) -> bool:
-        return self.length is not None
-
     def __eq__(self, other):
         return (isinstance(other, CodeRecord)
                 and (self.freq, self.length, self.index)
@@ -85,6 +82,13 @@ class TrieDictionary:
         self._levels = levels
         self._nav = tuple((shift, mask) for shift, mask, _ in levels)
         self._root = self._new_table(levels[0][2])
+        if self.height == 2:  # every sigma > 2 at eps_prime 0.5: navigation unrolled
+            root, ((top, _), (_, low)) = self._root, self._nav  # a < 2**width: no top mask
+
+            def lookup(a):
+                node = root[a >> top]
+                return None if node is None else node[a & low]
+            self.lookup = lookup  # shadows the generic method; the root is never freed
         self._n = 0
         self._table_count = 0
         self._slot_total = 0
@@ -111,6 +115,10 @@ class TrieDictionary:
         """Record for symbol a, or None."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
+        return self.lookup(a)
+
+    def lookup(self, a: int):
+        """get without the range check: a must lie in [0, sigma)."""
         node = self._root
         for shift, mask in self._nav:
             node = node[(a >> shift) & mask]
@@ -226,9 +234,13 @@ class HashedDictionary:
         """Record for symbol a, or None."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
+        return self.lookup(a)
+
+    def lookup(self, a: int):
+        """get without the range check: a must lie in [0, sigma)."""
         keys = self._keys
         mask = self._cap - 1
-        i = self._home(a)
+        i = ((a * self._mult) & 0xFFFFFFFFFFFFFFFF) >> self._shift  # _home inlined
         while True:
             k = keys[i]
             if k == a:

@@ -60,12 +60,8 @@ class PartialSums:
         self.touches += n
         return s
 
-    def search(self, b: int) -> int:
-        """Largest i in [0, k] with prefix(i) <= b; ties resolve to the largest i."""
-        return self.search_with_prefix(b)[0]
-
     def search_with_prefix(self, b: int) -> tuple[int, int]:
-        """Like search, but also returns prefix(i) accumulated during the descent."""
+        """(i, prefix(i)) for the largest i in [0, k] with prefix(i) <= b."""
         if b < 0:
             raise ValueError("search bound must be nonnegative")
         tree = self._tree

@@ -113,7 +113,7 @@ def instrumented_walk():
     mismatches = 0
     kraft_overruns = 0
     for a in syms:
-        state.encode_symbol(a, writer)
+        state.encode_chunk([a], writer)
         oracle = oracle_state(state.window_contents(), params)
         live = dict(state.dictionary.items())
         lengths = {s: r.length for s, r in live.items()
@@ -208,7 +208,7 @@ def test_08_memory_stays_sublinear_in_alphabet(capsys):
         state = CoderState(params, backend="hashed")
         writer = BitWriter()
         for a in syms:
-            state.encode_symbol(a, writer)
+            state.encode_chunk([a], writer)
         audits[sigma] = memory_audit(state)
     big = audits[65536].total_bytes
     small = audits[4096].total_bytes

@@ -197,7 +197,7 @@ def test_memory_audit_counts_coded_symbols():
     base = memory_audit(state).codebook_bytes
     writer = BitWriter()
     for a in [3] * 200:  # drives symbol 3 over the threshold
-        state.encode_symbol(a, writer)
+        state.encode_chunk([a], writer)
     grown = memory_audit(state).codebook_bytes
     assert grown == base + 1  # one coded symbol at one model byte
 

@@ -103,11 +103,12 @@ def test_consume_rejects_negative():
         BitReader(b"\x00").consume(-1)
 
 
-def test_read_bits_checks_the_limit_before_advancing():
+def test_consume_checks_the_limit_before_advancing():
     r = BitReader(b"\xf0")
-    assert r.read_bits(4) == 0xF
+    assert r.peek_bits(4) == 0xF
+    r.consume(4)
     with pytest.raises(CorruptStreamError):
-        r.read_bits(5)
+        r.consume(5)
     assert r.position == 4  # unchanged by the failed read
 
 
@@ -132,7 +133,8 @@ def test_roundtrip_chunks(chunks):
     assert len(payload) == (total + 7) // 8
     r = BitReader(payload)
     for value, count in chunks:
-        assert r.read_bits(count) == value
+        assert r.peek_bits(count) == value
+        r.consume(count)
     # whatever padding remains must read as zeros
     assert r.peek_bits(r.remaining) == 0
 

@@ -1,7 +1,9 @@
 """Stream coder: frozen bytes, lockstep state, corruption handling."""
 
+import hashlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from swsc.analysis import oracle_state
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import codeword_length
-from swsc.coder import (HEADER_BYTES, CoderState, decode_stream,
-                        encode_stream, encode_to_bytes, read_header,
+from swsc.coder import (HEADER_BYTES, CoderState, DecodeReport, EncodeReport,
+                        decode_stream, encode_stream, encode_to_bytes, read_header,
                         read_symbols, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.errors import CorruptStreamError, ParameterError
@@ -48,6 +50,27 @@ def test_literal_stream_frozen_bytes():
     p = derive_params(256, 2.0, 10)
     blob, _ = encode_to_bytes(p, [65])
     assert blob.hex() == LITERAL_STREAM_HEX
+
+
+# reports frozen from the per-symbol coder the chunk loop replaced, which
+# did the touch and Kraft bookkeeping on every step
+@pytest.mark.parametrize("knobs,digest,enc,dec", [
+    ((64, 2.0, 2, 1.0), "549c86426078f4ed",
+     (18754, 2345, 2285, 715, 3, 1789, 7, 5044), (2605, 9)),
+    ((256, 1.0, 1, 1.2), "96a8bd218dc760c3",
+     (20624, 2578, 839, 2161, 34, 4088, 11, 13912), (8454, 14)),
+])
+def test_reports_frozen(knobs, digest, enc, dec):
+    sigma, lam, c, s = knobs
+    syms = generate("zipf", sigma=sigma, n=3000, seed=21, s=s).tolist()
+    blob, ereport = encode_to_bytes(derive_params(sigma, lam, c), syms)
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+    bits, nbytes, literals, coded, size, touches, step, cost = enc
+    assert ereport == EncodeReport(3000, bits, nbytes, literals, coded, size,
+                                   touches, step, cost)
+    out, dreport = decode_stream(blob)
+    assert out == syms
+    assert dreport == DecodeReport(3000, bits, nbytes, literals, coded, *dec, cost)
 
 
 def test_distinct_literals_cost_width_plus_flag():
@@ -130,6 +153,96 @@ def test_encode_rejects_out_of_range_symbol_with_position():
         encode_to_bytes(p, [-1])
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("bad", [-1, 256, 10**6])
+def test_encode_chunk_rejects_out_of_range_symbol_mid_chunk(as_array, bad):
+    p = derive_params(256, 2.0, 10)
+    state = CoderState(p)
+    writer = BitWriter()
+    state.encode_chunk([1, 2, 3, 4, 5], writer)
+    chunk = [6, 7, bad, 8]
+    if as_array:
+        chunk = np.array(chunk, dtype=np.int64)
+    with pytest.raises(ParameterError, match=f"symbol {bad} at position 7"):
+        state.encode_chunk(chunk, writer)
+    # the chunk is rejected before any of it is coded
+    assert state.position == 5
+    assert writer.bit_length == 45
+    assert state.window_contents() == [1, 2, 3, 4, 5]
+
+
+def snapshot(state):
+    """Everything a coder state carries from one chunk to the next."""
+    cb = state.codebook
+    return (state.position, state.window_contents(), sorted(state.dictionary.items()),
+            cb.lists, cb.kraft_total, cb.kraft.touches)
+
+
+def split(seq, sizes):
+    """seq cut into pieces of the given sizes, the rest in one last piece."""
+    pieces, lo = [], 0
+    for size in sizes:
+        pieces.append(seq[lo:lo + size])
+        lo += size
+    return pieces + [seq[lo:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunk_splits_match_one_call(data):
+    sigma = data.draw(st.sampled_from([2, 5, 64, 300]), label="sigma")
+    p = derive_params(sigma, data.draw(st.sampled_from([1.0, 2.0])), 1)
+    syms = data.draw(st.lists(st.integers(0, sigma - 1), max_size=400), label="syms")
+    sizes = st.lists(st.one_of(st.just(1), st.integers(0, 60)), max_size=40)
+    blobs = {}
+    for backend in ("trie", "hashed"):
+        blob, report = encode_to_bytes(p, syms, backend=backend)
+        blobs[backend] = blob
+        one = CoderState(p, backend=backend)
+        one.encode_chunk(syms, BitWriter())
+        state = CoderState(p, backend=backend)
+        writer = BitWriter()
+        for piece in split(syms, data.draw(sizes, label="encode sizes")):
+            if data.draw(st.booleans(), label="as array"):
+                piece = np.array(piece, dtype=np.int64)
+            chunked = state.encode_chunk(piece, writer)
+        assert writer.finish() == blob[HEADER_BYTES:]
+        assert chunked == report
+        assert snapshot(state) == snapshot(one)
+
+        want, want_report = decode_stream(blob)
+        one = CoderState(p, backend=backend)
+        one.decode_chunk(BitReader(blob[HEADER_BYTES:]), len(syms))
+        state = CoderState(p, backend=backend)
+        reader = BitReader(blob[HEADER_BYTES:])
+        got = []
+        for piece in split(range(len(syms)), data.draw(sizes, label="decode sizes")):
+            out, chunked = state.decode_chunk(reader, len(piece))
+            got += out
+        assert got == want == syms
+        assert chunked == want_report
+        assert snapshot(state) == snapshot(one)
+    # the backend shows only in the informational header byte
+    trie, hashed = blobs["trie"], blobs["hashed"]
+    assert (trie[5], hashed[5]) == (0, 1)
+    assert trie[:5] + trie[6:] == hashed[:5] + hashed[6:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=300), st.sampled_from([1.0, 1.5]))
+def test_worst_step_touches_match_a_per_step_count(syms, lam):
+    p = derive_params(6, lam, 1)
+    _, report = encode_to_bytes(p, syms)
+    state = CoderState(p)
+    writer = BitWriter()
+    worst = 0
+    for a in syms:
+        before = state.codebook.kraft.touches
+        state.encode_chunk([a], writer)
+        worst = max(worst, state.codebook.kraft.touches - before)
+    assert report.ps_touches_max_step == worst
+
+
 def test_per_symbol_bits_match_window_recount():
     # every emitted length must follow from the frequency in the previous
     # ell-symbol window: flagged Shannon codeword above threshold, literal below
@@ -142,7 +255,7 @@ def test_per_symbol_bits_match_window_recount():
         f = window.count(a)
         want = 1 + (codeword_length(p.ell, f) if f >= p.threshold else p.width)
         before = writer.bit_length
-        state.encode_symbol(a, writer)
+        state.encode_chunk([a], writer)
         assert writer.bit_length - before == want, f"step {i}"
 
 
@@ -154,10 +267,10 @@ def test_encoder_and_decoder_states_stay_in_lockstep():
     dec = CoderState(p, backend="hashed", seed=9)
     writer = BitWriter()
     for i, a in enumerate(syms):
-        enc.encode_symbol(a, writer)
+        enc.encode_chunk([a], writer)
     reader = BitReader(writer.finish())
     for a in syms:
-        assert dec.decode_symbol(reader) == a
+        assert dec.decode_chunk(reader, 1)[0] == [a]
     assert enc.window_contents() == dec.window_contents()
     assert enc.window_len == dec.window_len
     assert sorted(enc.dictionary.items()) == sorted(dec.dictionary.items())
@@ -175,11 +288,11 @@ def test_intermediate_states_match_stepwise():
     writer = BitWriter()
     done = []
     for a in syms:
-        enc.encode_symbol(a, writer)
+        enc.encode_chunk([a], writer)
         done.append(writer.bit_length)
     reader = BitReader(writer.finish())
     for i, a in enumerate(syms):
-        assert dec.decode_symbol(reader) == a
+        assert dec.decode_chunk(reader, 1)[0] == [a]
         assert reader.position == done[i]
         assert dec.window_contents() == enc_window_after(p, syms, i)
 
@@ -195,7 +308,7 @@ def test_window_oracle_tracks_the_live_state():
     state = CoderState(p)
     writer = BitWriter()
     for i, a in enumerate(syms):
-        state.encode_symbol(a, writer)
+        state.encode_chunk([a], writer)
         if i % 97 == 0:
             oracle = oracle_state(state.window_contents(), p)
             live = dict(state.dictionary.items())

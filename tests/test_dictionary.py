@@ -25,9 +25,9 @@ def test_symbol_model_bytes(sigma, expected):
 def test_code_record_basics():
     r = CodeRecord(3)
     assert (r.freq, r.length, r.index) == (3, None, None)
-    assert not r.is_coded
+    assert r.length is None
     r.length, r.index = 2, 0
-    assert r.is_coded
+    assert r.length is not None
     assert r == CodeRecord(3, 2, 0)
     assert r != CodeRecord(4, 2, 0)
     assert "freq=3" in repr(r)

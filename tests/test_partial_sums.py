@@ -27,18 +27,18 @@ def test_values_and_prefixes():
 
 def test_search_picks_largest_prefix_not_exceeding():
     ps = build_example()
-    assert ps.search(7) == 1
-    assert ps.search(14) == 4
-    assert ps.search(16) == 5
-    assert ps.search(10**9) == 5
-    assert ps.search(0) == 1  # prefix(1) = 0 <= 0 < prefix(2)
+    assert ps.search_with_prefix(7)[0] == 1
+    assert ps.search_with_prefix(14)[0] == 4
+    assert ps.search_with_prefix(16)[0] == 5
+    assert ps.search_with_prefix(10**9)[0] == 5
+    assert ps.search_with_prefix(0)[0] == 1  # prefix(1) = 0 <= 0 < prefix(2)
 
 
 def test_search_ties_resolve_to_the_largest_index():
     ps = build_example()
     # prefix(3) = prefix(4) = 12: the zero-width entry 4 is skipped over
-    assert ps.search(12) == 4
-    assert ps.search(8) == 2
+    assert ps.search_with_prefix(12)[0] == 4
+    assert ps.search_with_prefix(8)[0] == 2
 
 
 def test_search_with_prefix_returns_the_accumulated_sum():
@@ -51,7 +51,7 @@ def test_search_with_prefix_returns_the_accumulated_sum():
 
 def test_search_on_all_zero_entries_reaches_the_end():
     ps = PartialSums(7)
-    assert ps.search(0) == 7
+    assert ps.search_with_prefix(0)[0] == 7
     assert ps.search_with_prefix(5) == (7, 0)
 
 
@@ -76,7 +76,7 @@ def test_index_guards():
     with pytest.raises(IndexError):
         ps.prefix(-1)
     with pytest.raises(ValueError):
-        ps.search(-1)
+        ps.search_with_prefix(-1)
     with pytest.raises(ValueError):
         PartialSums(0)
 
@@ -107,7 +107,7 @@ def test_per_operation_touches_within_log_bound(k):
         else:
             b = rng.randrange(0, ps.total() + 10)
             before = ps.touches
-            ps.search(b)
+            ps.search_with_prefix(b)
         assert ps.touches - before <= bound
 
 
@@ -147,7 +147,7 @@ def test_matches_flat_reference(k, data):
         elif op == 1:
             assert ps.prefix(i) == ref.prefix(i)
         else:
-            assert ps.search(x) == ref.search(x)
+            assert ps.search_with_prefix(x)[0] == ref.search(x)
             pos, acc = ps.search_with_prefix(x)
             assert acc == ref.prefix(pos)
     assert ps.total() == ref.prefix(k)
