@@ -2,7 +2,7 @@
 
 The writer pads the final byte with zero bits; the reader mirrors that by
 letting peeks past the end read as zeros, while consuming past the end is a
-corrupt-stream error.
+corrupt-stream error, and so is anything but that padding after the end.
 """
 
 from .errors import CorruptStreamError
@@ -34,11 +34,12 @@ class BitWriter:
             raise ValueError(f"value {value} does not fit in {count} bits")
         acc = (self._acc << count) | value
         n = self._nbits + count
-        buf = self._buf
-        while n >= 8:
-            n -= 8
-            buf.append((acc >> n) & 0xFF)
-        self._acc = acc & ((1 << n) - 1)
+        if n >= 8:  # emit the whole bytes at once, keep the n % 8 low bits
+            rest = n & 7
+            self._buf += (acc >> rest).to_bytes(n >> 3, "big")
+            acc &= (1 << rest) - 1
+            n = rest
+        self._acc = acc
         self._nbits = n
         self._total += count
 
@@ -99,3 +100,12 @@ class BitReader:
         if pos > self._limit:
             raise CorruptStreamError("bit stream truncated")
         self._pos = pos
+
+    def finish(self) -> None:
+        """Check that only the writer's zero padding follows the cursor."""
+        pos = self._pos
+        extra = len(self._data) - ((pos + 7) >> 3)
+        if extra:
+            raise CorruptStreamError(f"{extra} trailing bytes after the payload")
+        if pos & 7 and self._data[pos >> 3] & ((1 << (8 - (pos & 7))) - 1):
+            raise CorruptStreamError("nonzero pad bits after the payload")

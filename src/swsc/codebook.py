@@ -110,7 +110,7 @@ class Codebook:
             if k >= len(lst):
                 raise InternalInconsistencyError(f"stale index {k} for symbol {a}")
             lst[k] = last
-            other = d.get(last)
+            other = d.lookup(last)  # last came from our own list: in range
             if other is None:
                 raise InternalInconsistencyError(f"no record for coded symbol {last}")
             other.index = k

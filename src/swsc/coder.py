@@ -21,7 +21,9 @@ zero-padded to a byte boundary.
     lambda     u64      IEEE-754 bits of lambda (informational)
     c          u32      window scale knob (informational)
 
-The decoder trusts the frozen header fields; it never re-derives them.
+The decoder trusts the frozen header fields; it never re-derives them. A
+stream must end with the payload's zero padding: trailing bytes or a set pad
+bit are corrupt.
 
 Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 4 bytes per symbol, the smallest width covering sigma - 1.
@@ -367,7 +369,10 @@ def decode_stream(data, backend: str | None = None,
         data = data.read()
     params, header_backend, n = read_header(data)
     state = CoderState(params, backend=backend or header_backend, seed=seed)
-    return state.decode_chunk(BitReader(data[HEADER_BYTES:]), n)
+    reader = BitReader(data[HEADER_BYTES:])
+    symbols, report = state.decode_chunk(reader, n)
+    reader.finish()
+    return symbols, report
 
 
 def write_symbols(symbols, sigma: int, sym_bytes: int | None = None) -> bytes:

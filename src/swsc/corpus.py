@@ -10,6 +10,7 @@ import numpy as np
 
 from .dictionary import symbol_model_bytes
 from .errors import ParameterError
+from .params import check_sigma
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -28,8 +29,7 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 
 def _check_common(sigma, n):
-    if sigma < 2:
-        raise ParameterError("sigma must be >= 2")
+    check_sigma(sigma)  # symbols are written at most 4 bytes wide
     if n < 0:
         raise ParameterError("n must be nonnegative")
 

@@ -82,17 +82,60 @@ class TrieDictionary:
         self._levels = levels
         self._nav = tuple((shift, mask) for shift, mask, _ in levels)
         self._root = self._new_table(levels[0][2])
-        if self.height == 2:  # every sigma > 2 at eps_prime 0.5: navigation unrolled
-            root, ((top, _), (_, low)) = self._root, self._nav  # a < 2**width: no top mask
+        # records stored, tables allocated, slots over those tables; a list the
+        # height-2 closures can update without holding self, since a cycle
+        # through self would keep a dropped trie alive until the gc runs
+        self._tally = [0, 1, levels[0][2]]
+        if self.height == 2:  # every sigma > 2 at eps_prime 0.5
+            self._bind_height_two()
 
-            def lookup(a):
-                node = root[a >> top]
-                return None if node is None else node[a & low]
-            self.lookup = lookup  # shadows the generic method; the root is never freed
-        self._n = 0
-        self._table_count = 0
-        self._slot_total = 0
-        self._account(levels[0][2])
+    def _bind_height_two(self):
+        # Straight-line lookup/put/delete shadow the generic methods: no level
+        # loop, no path list, table accounting inline. The root is never freed.
+        root, ((top, _), (_, low)) = self._root, self._nav  # a < 2**width: no top mask
+        sigma, rsize, csize = self.sigma, self._levels[0][2], self._levels[1][2]
+        tally = self._tally
+
+        def lookup(a):
+            node = root[a >> top]
+            return None if node is None else node[a & low]
+
+        def put(a, record):
+            if not 0 <= a < sigma:
+                raise ParameterError(f"symbol {a} out of range for sigma {sigma}")
+            hi = a >> top
+            node = root[hi]
+            if node is None:
+                node = [None] * (csize + 1)
+                node[csize] = 0
+                root[hi] = node
+                root[rsize] += 1
+                tally[1] += 1
+                tally[2] += csize
+            lo = a & low
+            if node[lo] is None:
+                node[csize] += 1
+                tally[0] += 1
+            node[lo] = record
+
+        def delete(a):
+            if not 0 <= a < sigma:
+                raise ParameterError(f"symbol {a} out of range for sigma {sigma}")
+            hi, lo = a >> top, a & low
+            node = root[hi]
+            if node is None or node[lo] is None:
+                raise InternalInconsistencyError(f"delete of absent symbol {a}")
+            node[lo] = None
+            tally[0] -= 1
+            left = node[csize] - 1
+            node[csize] = left
+            if left == 0:
+                root[hi] = None
+                root[rsize] -= 1
+                tally[1] -= 1
+                tally[2] -= csize
+
+        self.lookup, self.put, self.delete = lookup, put, delete
 
     def _new_table(self, size):
         # slots 0..size-1 are children or records; the trailing cell counts them
@@ -101,15 +144,15 @@ class TrieDictionary:
         return t
 
     def _account(self, size, sign=1):
-        self._table_count += sign
-        self._slot_total += sign * size
+        self._tally[1] += sign
+        self._tally[2] += sign * size
 
     def __len__(self):
-        return self._n
+        return self._tally[0]
 
     @property
     def table_count(self) -> int:
-        return self._table_count
+        return self._tally[1]
 
     def get(self, a: int):
         """Record for symbol a, or None."""
@@ -147,7 +190,7 @@ class TrieDictionary:
         idx = (a >> shift) & mask
         if node[idx] is None:
             node[size] += 1
-            self._n += 1
+            self._tally[0] += 1
         node[idx] = record
 
     def delete(self, a: int) -> None:
@@ -162,7 +205,7 @@ class TrieDictionary:
             node = node[idx]
             if node is None:
                 raise InternalInconsistencyError(f"delete of absent symbol {a}")
-        self._n -= 1
+        self._tally[0] -= 1
         # clear the leaf slot, then free emptied tables bottom-up (not the root)
         for depth in range(len(path) - 1, -1, -1):
             node, idx, size = path[depth]
@@ -190,7 +233,8 @@ class TrieDictionary:
 
     def report_memory(self) -> int:
         """Modeled bytes: all allocated table slots plus stored records."""
-        return self._slot_total * SLOT_MODEL_BYTES + self._n * RECORD_MODEL_BYTES
+        n, _, slots = self._tally
+        return slots * SLOT_MODEL_BYTES + n * RECORD_MODEL_BYTES
 
 
 class HashedDictionary:
@@ -255,7 +299,7 @@ class HashedDictionary:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
         keys = self._keys
         mask = self._cap - 1
-        i = self._home(a)
+        i = ((a * self._mult) & 0xFFFFFFFFFFFFFFFF) >> self._shift  # _home inlined
         while True:
             k = keys[i]
             if k == a:
@@ -282,7 +326,8 @@ class HashedDictionary:
         keys = self._keys
         vals = self._vals
         mask = self._cap - 1
-        i = self._home(a)
+        mult, shift = self._mult, self._shift
+        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
         while True:
             k = keys[i]
             if k == a:
@@ -299,7 +344,7 @@ class HashedDictionary:
             k = keys[j]
             if k < 0:
                 break
-            home = self._home(k)
+            home = ((k * mult) & 0xFFFFFFFFFFFFFFFF) >> shift
             if (j - home) & mask >= (j - i) & mask:
                 keys[i] = k
                 vals[i] = vals[j]

@@ -14,6 +14,16 @@ from .errors import ParameterError
 
 # window lengths are carried as unsigned 32-bit header fields
 MAX_ELL = 2**31 - 1
+# so is sigma: larger alphabets cannot be written down in a stream
+MAX_SIGMA = 2**32 - 1
+
+
+def check_sigma(sigma: int) -> None:
+    """Reject alphabet sizes outside [2, MAX_SIGMA]."""
+    if sigma < 2:
+        raise ParameterError("sigma must be >= 2")
+    if sigma > MAX_SIGMA:
+        raise ParameterError(f"sigma {sigma} exceeds the stream limit {MAX_SIGMA}")
 
 
 def _frozen_ceil(x: float) -> int:
@@ -45,8 +55,7 @@ class CoderParams:
     width: int
 
     def validate(self) -> None:
-        if self.sigma < 2:
-            raise ParameterError("sigma must be >= 2")
+        check_sigma(self.sigma)
         if not math.isfinite(self.lam) or self.lam < 1:
             raise ParameterError("lambda must be a finite real >= 1")
         if not isinstance(self.c, int) or self.c < 1:
@@ -83,8 +92,7 @@ def derive_params(sigma: int, lam: float, c: int) -> CoderParams:
     ceil(log2(sigma)). If float rounding ever leaves threshold too low for the
     l_max cap, threshold is bumped until the cap holds again.
     """
-    if sigma < 2:
-        raise ParameterError("sigma must be >= 2")
+    check_sigma(sigma)
     if not math.isfinite(lam) or lam < 1:
         raise ParameterError("lambda must be a finite real >= 1")
     if isinstance(c, float):

@@ -1,12 +1,14 @@
 """Command-line interface: outputs, exit codes, file and stdio pipelines."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import swsc
 from swsc import corpus
 from swsc.cli import run
 from swsc.coder import HEADER_BYTES
@@ -131,6 +133,19 @@ def test_exit_code_for_corrupt_stream(tmp_path, capsys):
     assert "corrupt stream" in capsys.readouterr().err
 
 
+def test_exit_code_for_sigma_past_the_header_limit(tmp_path, capsys):
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(bytes(8))
+    assert run(["encode", str(raw), str(tmp_path / "p.swsc"),
+                "--sigma", str(2**32)]) == 5
+    assert "exceeds the stream limit" in capsys.readouterr().err
+    out = tmp_path / "corpus.bin"
+    assert run(["gen", str(out), "--dist", "uniform", "--sigma", str(2**40),
+                "--n", "10"]) == 5
+    assert "exceeds the stream limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_for_symbol_out_of_range(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes([200]))
@@ -174,15 +189,19 @@ def test_wider_symbol_bytes_accepted(tmp_path):
 
 def test_stdio_pipeline_roundtrip():
     base = [sys.executable, "-m", "swsc"]
+    # the children import the swsc under test, installed or not
+    src = os.path.dirname(os.path.dirname(swsc.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     gen = subprocess.run(
         base + ["gen", "--dist", "zipf", "--sigma", "1000", "--n", "2000",
                 "--seed", "77"],
-        capture_output=True, check=True)
+        capture_output=True, check=True, env=env)
     raw = gen.stdout
     assert len(raw) == 4000
     enc = subprocess.run(base + ["encode", "--sigma", "1000"], input=raw,
-                         capture_output=True, check=True)
+                         capture_output=True, check=True, env=env)
     assert b"payload_bits=" in enc.stderr
     dec = subprocess.run(base + ["decode"], input=enc.stdout,
-                         capture_output=True, check=True)
+                         capture_output=True, check=True, env=env)
     assert dec.stdout == raw

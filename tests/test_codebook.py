@@ -44,10 +44,16 @@ def test_codeword_length_rejects_nonpositive(ell, f):
         codeword_length(ell, f)
 
 
+class Records(dict):
+    """A plain dict standing in for a dictionary backend (get and lookup)."""
+
+    lookup = dict.get
+
+
 def build_example():
     """Codebook with counts [0, 1, 1, 0, 4] at l_max 4, records in a dict."""
     cb = Codebook(4)
-    d = {}
+    d = Records()
     for a, j in [(10, 1), (20, 2), (30, 4), (40, 4), (50, 4), (60, 4)]:
         d[a] = CodeRecord(1)
         cb.insert(a, j, d[a])
@@ -142,7 +148,7 @@ def test_insert_guards():
 
 def test_insert_past_kraft_capacity_is_internal_error():
     cb = Codebook(1)  # capacity 2
-    d = {}
+    d = Records()
     for a in (1, 2):
         d[a] = CodeRecord(1)
         cb.insert(a, 1, d[a])
@@ -215,7 +221,7 @@ def test_codewords_are_prefix_free_under_random_mutation():
     for _ in range(60):
         l_max = rng.randrange(1, 6)
         cb = Codebook(l_max)
-        d = {}
+        d = Records()
         next_sym = 0
         for _ in range(rng.randrange(5, 60)):
             coded = [a for a, r in d.items() if r.length is not None]

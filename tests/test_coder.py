@@ -103,6 +103,13 @@ def test_header_roundtrip():
     assert n == 12345
 
 
+def test_header_holds_the_largest_sigma():
+    p = derive_params(2**32 - 1, 2.0, 10)
+    buf = io.BytesIO()
+    write_header(buf, p, "trie", 0)
+    assert read_header(buf.getvalue()) == (p, "trie", 0)
+
+
 @pytest.mark.parametrize("mangle,message", [
     (lambda b: b"XWSC" + b[4:], "bad magic"),
     (lambda b: b[:4] + b"\x02" + b[5:], "unsupported version"),
@@ -125,6 +132,26 @@ def test_truncated_payload_names_the_failing_symbol():
     blob, _ = encode_to_bytes(p, syms)
     with pytest.raises(CorruptStreamError, match="symbol"):
         decode_stream(blob[:HEADER_BYTES + 40])
+
+
+def _stream_with_partial_last_byte():
+    p = derive_params(256, 2.0, 10)
+    blob, report = encode_to_bytes(p, [5, 7, 5])  # three 9-bit literals
+    assert report.payload_bits % 8 == 3
+    return blob
+
+
+def test_trailing_bytes_after_the_payload_are_corrupt():
+    blob = _stream_with_partial_last_byte()
+    assert decode_stream(blob)[0] == [5, 7, 5]
+    with pytest.raises(CorruptStreamError, match="8 trailing bytes"):
+        decode_stream(blob + bytes(8))
+
+
+def test_nonzero_pad_bit_is_corrupt():
+    blob = _stream_with_partial_last_byte()
+    with pytest.raises(CorruptStreamError, match="pad bits"):
+        decode_stream(blob[:-1] + bytes([blob[-1] | 1]))
 
 
 def test_coded_flag_with_empty_codebook_is_corrupt():

@@ -156,6 +156,10 @@ def test_zero_length_outputs():
     lambda: gen_markov(16, 10, states=4, stickiness=-0.1, seed=0),
     lambda: gen_markov(16, 10, states=4, stickiness=1.1, seed=0),
     lambda: generate("laplace", sigma=16, n=10, seed=0),
+    # symbols are written at most 4 bytes wide: no silent wrap past 2**32 - 1
+    lambda: gen_uniform(2**32, 10, seed=0),
+    lambda: gen_zipf(2**40, 10, s=1.0, seed=0),
+    lambda: gen_markov(2**40, 10, states=4, stickiness=0.5, seed=0),
 ])
 def test_parameter_errors(call):
     with pytest.raises(ParameterError):

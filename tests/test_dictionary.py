@@ -1,6 +1,8 @@
 """Dictionary backends: contract tests, memory model values, oracle fuzz."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -149,6 +151,70 @@ def test_trie_memory_model_frozen_values():
     assert small.report_memory() == 128  # 16-slot root
     small.put(7, CodeRecord(1))
     assert small.report_memory() == 263
+
+
+def _recount_trie(d):
+    """(tables, slots, records) found by walking d's tables from the root."""
+    tables = slots = records = 0
+    stack = [(d._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        size = d._levels[depth][2]
+        tables += 1
+        slots += size
+        filled = [x for x in node[:size] if x is not None]
+        assert node[size] == len(filled)  # the table's own occupancy cell
+        if depth == d.height - 1:
+            records += len(filled)
+        else:
+            assert filled or depth == 0  # emptied child tables are freed
+            stack.extend((child, depth + 1) for child in filled)
+    return tables, slots, records
+
+
+@pytest.mark.parametrize("eps,height", [(1.0, 1), (0.5, 2), (0.25, 4)])
+def test_trie_accounting_matches_a_recount(eps, height):
+    d = TrieDictionary(65536, eps_prime=eps)
+    assert d.height == height
+    rng = random.Random(31337)
+    live = set()
+    # clustered keys share child tables, so tables both fill and empty
+    pool = [rng.randrange(65536) & ~0x0F0F for _ in range(300)] + list(range(64))
+    for _ in range(20_000):
+        a = pool[rng.randrange(len(pool))]
+        if a in live and rng.randrange(2):
+            d.delete(a)
+            live.discard(a)
+        else:
+            d.put(a, CodeRecord(1))
+            live.add(a)
+
+    def check():
+        tables, slots, records = _recount_trie(d)
+        assert len(d) == records == len(live)
+        assert d.table_count == tables
+        assert d.report_memory() == slots * 8 + records * 7
+
+    check()
+    for a in sorted(live):  # then empty it: only the root table remains
+        d.delete(a)
+    live.clear()
+    check()
+    assert (d.table_count, len(d)) == (1, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dropped_dictionary_is_freed_at_once(backend):
+    # no reference cycle: a coder's dictionary goes when its last user does
+    gc.disable()
+    try:
+        d = make(backend, 65536)
+        d.put(7, CodeRecord(1))
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("eps,expected_height", [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from swsc.codebook import codeword_length
 from swsc.errors import ParameterError
-from swsc.params import MAX_ELL, CoderParams, derive_params
+from swsc.params import MAX_ELL, MAX_SIGMA, CoderParams, derive_params
 
 # (sigma, lam, c) -> (ell, threshold, l_max, width),
 # computed independently with exact arithmetic
@@ -76,6 +76,18 @@ def test_window_length_overflow_boundary():
     assert p.ell == 2047 * 65536 * 16 <= MAX_ELL
     with pytest.raises(ParameterError):
         derive_params(65536, 1.0, 2048)
+
+
+def test_sigma_limit_is_the_u32_header_field():
+    assert MAX_SIGMA == 2**32 - 1
+    p = derive_params(MAX_SIGMA, 2.0, 10)
+    assert (p.sigma, p.width) == (MAX_SIGMA, 32)
+    for sigma in (MAX_SIGMA + 1, 2**40):
+        with pytest.raises(ParameterError, match="exceeds the stream limit"):
+            derive_params(sigma, 2.0, 10)
+        with pytest.raises(ParameterError, match="exceeds the stream limit"):
+            dataclasses.replace(p, sigma=sigma,
+                                width=(sigma - 1).bit_length()).validate()
 
 
 def test_from_frozen_roundtrip():
