@@ -22,9 +22,8 @@ from .analysis import (
 from .bitio import BitReader, BitWriter
 from .codebook import Codebook, codeword_length
 from .coder import (
+    CoderReport,
     CoderState,
-    DecodeReport,
-    EncodeReport,
     decode_stream,
     encode_stream,
     encode_to_bytes,
@@ -59,11 +58,10 @@ __all__ = [
     "Codebook",
     "CodeRecord",
     "CoderParams",
+    "CoderReport",
     "CoderState",
     "CorruptStreamError",
     "DISTRIBUTIONS",
-    "DecodeReport",
-    "EncodeReport",
     "EntropyStats",
     "HashedDictionary",
     "InternalInconsistencyError",

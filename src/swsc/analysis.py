@@ -13,7 +13,7 @@ encoder a 1e-6 * n guard band against float rounding of the bound itself.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .codebook import codeword_length
 from .dictionary import symbol_model_bytes
@@ -60,9 +60,6 @@ class EntropyStats:
     def distinct(self) -> int:
         return len(self.counts)
 
-    def lines(self):
-        return [f"n={self.n}", f"distinct={self.distinct}", f"h0={self.h0:.6f}"]
-
     def to_dict(self):
         return {"n": self.n, "distinct": self.distinct, "h0": self.h0}
 
@@ -81,18 +78,6 @@ class BoundReport:
     measured_bits: int | None = None
     slack: float | None = None
     passed: bool | None = None
-
-    def lines(self):
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            out.append(f"{f.name}={v:.6f}" if isinstance(v, float) else f"{f.name}={v}")
-        return out
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def delta_term(lam: float, c: int) -> float:
@@ -167,12 +152,6 @@ class MemoryAudit:
     codebook_bytes: int
     partial_sums_bytes: int
     total_bytes: int
-
-    def lines(self):
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def memory_audit(state) -> MemoryAudit:

@@ -10,6 +10,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import analysis, coder, corpus
 from .errors import CorruptStreamError, ParameterError
@@ -42,6 +43,12 @@ def _write_bytes(path: str, data: bytes) -> None:
             fh.write(data)
 
 
+def _text_lines(section: dict) -> list[str]:
+    """name=value for each key in order; floats as .6f, None values skipped."""
+    return [f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in section.items() if v is not None]
+
+
 def _emit_report(doc: dict, text_lines, args, stream) -> None:
     if args.json:
         print(json.dumps(doc), file=stream)
@@ -65,17 +72,17 @@ def _cmd_encode(args) -> int:
                                  seed=args.hash_seed)
     _write_bytes(args.output, out.getvalue())
     doc = {"command": "encode", "params": _params_doc(params),
-           "report": report.to_dict()}
-    lines = report.lines()
+           "report": asdict(report)}
+    lines = _text_lines(doc["report"])
     if args.verify_bound:
         stats = analysis.EntropyStats.from_symbols(symbols)
         bound = analysis.check_bound(report, stats, params)
         doc["stats"] = stats.to_dict()
-        doc["bound"] = bound.to_dict()
-        lines += stats.lines() + bound.lines()
+        doc["bound"] = asdict(bound)
+        lines += _text_lines(doc["stats"]) + _text_lines(doc["bound"])
         lines.append(f"bound_check={'PASS' if bound.passed else 'FAIL'}")
     _emit_report(doc, lines, args, sys.stderr)
-    if args.verify_bound and not doc["bound"]["passed"]:
+    if args.verify_bound and not bound.passed:
         return 1
     return 0
 
@@ -93,8 +100,8 @@ def _cmd_decode(args) -> int:
     sym_bytes = _symbol_bytes(params.sigma, args.symbol_bytes)
     _write_bytes(args.output, coder.write_symbols(symbols, params.sigma, sym_bytes))
     doc = {"command": "decode", "params": _params_doc(params), "backend": backend,
-           "report": report.to_dict()}
-    _emit_report(doc, report.lines(), args, sys.stderr)
+           "report": asdict(report)}
+    _emit_report(doc, _text_lines(doc["report"]), args, sys.stderr)
     return 0
 
 
@@ -103,7 +110,7 @@ def _cmd_stats(args) -> int:
     symbols = coder.read_symbols(_read_bytes(args.input), args.sigma, sym_bytes)
     stats = analysis.EntropyStats.from_symbols(symbols)
     doc = {"command": "stats", "sigma": args.sigma, "stats": stats.to_dict()}
-    _emit_report(doc, stats.lines(), args, sys.stdout)
+    _emit_report(doc, _text_lines(doc["stats"]), args, sys.stdout)
     return 0
 
 

@@ -18,7 +18,7 @@ zero-padded to a byte boundary.
     l_max      u8       frozen maximum codeword length
     width      u8       frozen literal width
     n          u64      number of symbols
-    lambda     u64      IEEE-754 bits of lambda (informational)
+    lambda     f64      lambda (informational)
     c          u32      window scale knob (informational)
 
 The decoder trusts the frozen header fields; it never re-derives them. A
@@ -31,7 +31,7 @@ Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 
 import io
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .params import CoderParams
 
 MAGIC = b"SWSC"
 VERSION = 1
-_HEADER = struct.Struct("<4sBBIIIBBQQI")
+_HEADER = struct.Struct("<4sBBIIIBBQdI")
 HEADER_BYTES = _HEADER.size
 
 _BACKEND_FLAGS = {"trie": 0, "hashed": 1}
@@ -60,7 +60,6 @@ class CoderState:
                  eps_prime: float = 0.5):
         params.validate()
         self.params = params
-        self.backend = backend
         self.dictionary = make_dictionary(backend, params.sigma, seed=seed,
                                           eps_prime=eps_prime)
         self.codebook = Codebook(params.l_max)
@@ -87,31 +86,30 @@ class CoderState:
         """Slide the window over symbol a, coding nothing."""
         self._steps([a], 1)
 
-    def encode_chunk(self, symbols, writer: BitWriter) -> "EncodeReport":
+    def encode_chunk(self, symbols, writer: BitWriter) -> "CoderReport":
         """Encode symbols to writer; returns the report of all encoded so far.
 
         Any split of a sequence into chunks gives the same bits and report.
         """
         self._steps(symbols, len(symbols), writer=writer)
         bits = writer.bit_length
-        return self._report(EncodeReport, bits, payload_bytes=(bits + 7) // 8,
-                            max_code_size=self._max_size)
+        return self._report(bits, (bits + 7) // 8)
 
-    def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "DecodeReport"]:
+    def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
         """Decode count symbols from reader; returns them and the report so far."""
         out = self._steps(None, count, reader=reader)
-        return out, self._report(DecodeReport, reader.position,
-                                 payload_bytes=len(reader._data))
+        return out, self._report(reader.position, len(reader._data))
 
-    def _report(self, cls, payload_bits, **io_fields):
+    def _report(self, payload_bits, payload_bytes):
         # a step costs 1 + its codeword length: its bits, less a literal's index width
-        return cls(n=self.position, payload_bits=payload_bits,
-                   literal_count=self._literals,
-                   coded_count=self.position - self._literals,
-                   ps_touches=self.codebook.kraft.touches,
-                   ps_touches_max_step=self._max_step,
-                   cost_units=payload_bits - self._literals * self.params.width,
-                   **io_fields)
+        return CoderReport(n=self.position, payload_bits=payload_bits,
+                           payload_bytes=payload_bytes,
+                           literal_count=self._literals,
+                           coded_count=self.position - self._literals,
+                           max_code_size=self._max_size,
+                           ps_touches=self.codebook.kraft.touches,
+                           ps_touches_max_step=self._max_step,
+                           cost_units=payload_bits - self._literals * self.params.width)
 
     def _steps(self, symbols, count, writer=None, reader=None):
         """The one coding loop behind encode_chunk, decode_chunk and step_update.
@@ -273,19 +271,9 @@ class CoderState:
         return out
 
 
-class _Report:
-    """lines()/to_dict() over a report dataclass's fields."""
-
-    def lines(self):
-        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 @dataclass
-class EncodeReport(_Report):
-    """Counters from one encoding run."""
+class CoderReport:
+    """Counters from one encoding or decoding run."""
 
     n: int
     payload_bits: int
@@ -298,25 +286,10 @@ class EncodeReport(_Report):
     cost_units: int  # sum of 1 + handled codeword length
 
 
-@dataclass
-class DecodeReport(_Report):
-    """Counters from one decoding run."""
-
-    n: int
-    payload_bits: int
-    payload_bytes: int
-    literal_count: int
-    coded_count: int
-    ps_touches: int
-    ps_touches_max_step: int
-    cost_units: int
-
-
 def write_header(out, params: CoderParams, backend: str, n: int) -> None:
-    lam_bits = struct.unpack("<Q", struct.pack("<d", params.lam))[0]
     out.write(_HEADER.pack(MAGIC, VERSION, _BACKEND_FLAGS[backend], params.sigma,
                            params.ell, params.threshold, params.l_max, params.width,
-                           n, lam_bits, params.c))
+                           n, params.lam, params.c))
 
 
 def read_header(data: bytes) -> tuple[CoderParams, str, int]:
@@ -324,14 +297,13 @@ def read_header(data: bytes) -> tuple[CoderParams, str, int]:
     if len(data) < HEADER_BYTES:
         raise CorruptStreamError("header truncated")
     (magic, version, backend_flag, sigma, ell, threshold, l_max, width,
-     n, lam_bits, c) = _HEADER.unpack_from(data)
+     n, lam, c) = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise CorruptStreamError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CorruptStreamError(f"unsupported version {version}")
     if backend_flag not in _BACKEND_NAMES:
         raise CorruptStreamError(f"unknown backend flag {backend_flag}")
-    lam = struct.unpack("<d", struct.pack("<Q", lam_bits))[0]
     try:
         params = CoderParams.from_frozen(sigma=sigma, lam=lam, c=c, ell=ell,
                                          threshold=threshold, l_max=l_max, width=width)
@@ -341,7 +313,7 @@ def read_header(data: bytes) -> tuple[CoderParams, str, int]:
 
 
 def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
-                  seed: int = 0) -> EncodeReport:
+                  seed: int = 0) -> CoderReport:
     """Encode a symbol sequence to the binary sink out; returns the report."""
     write_header(out, params, backend, len(symbols))
     writer = BitWriter()
@@ -351,7 +323,7 @@ def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
 
 
 def encode_to_bytes(params: CoderParams, symbols, backend: str = "trie",
-                    seed: int = 0) -> tuple[bytes, EncodeReport]:
+                    seed: int = 0) -> tuple[bytes, CoderReport]:
     """Convenience wrapper encoding to an in-memory stream."""
     out = io.BytesIO()
     report = encode_stream(params, symbols, out, backend=backend, seed=seed)
@@ -359,7 +331,7 @@ def encode_to_bytes(params: CoderParams, symbols, backend: str = "trie",
 
 
 def decode_stream(data, backend: str | None = None,
-                  seed: int = 0) -> tuple[list[int], DecodeReport]:
+                  seed: int = 0) -> tuple[list[int], CoderReport]:
     """Decode a complete stream (bytes or binary file) back to symbols.
 
     The dictionary backend defaults to the header's flag; passing backend

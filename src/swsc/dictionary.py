@@ -16,6 +16,7 @@ import math
 import random
 
 from .errors import InternalInconsistencyError, ParameterError
+from .params import check_sigma
 
 RECORD_MODEL_BYTES = 7  # freq u32 + length u8 + index u16
 SLOT_MODEL_BYTES = 8  # one pointer-sized trie table slot
@@ -63,8 +64,7 @@ class TrieDictionary:
     """
 
     def __init__(self, sigma: int, eps_prime: float = 0.5):
-        if sigma < 2:
-            raise ParameterError("sigma must be >= 2")
+        check_sigma(sigma)
         if not 0 < eps_prime <= 1:
             raise ParameterError("eps_prime must lie in (0, 1]")
         self.sigma = sigma
@@ -248,8 +248,7 @@ class HashedDictionary:
     MIN_CAPACITY = 8
 
     def __init__(self, sigma: int, seed: int = 0):
-        if sigma < 2:
-            raise ParameterError("sigma must be >= 2")
+        check_sigma(sigma)
         self.sigma = sigma
         self.seed = seed
         rng = random.Random(seed)

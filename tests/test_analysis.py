@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -10,7 +11,8 @@ from swsc.analysis import (GUARD_BAND_PER_SYMBOL, BoundReport, EntropyStats,
                            memory_audit, naive_table_bytes, oracle_state,
                            theorem1_bound)
 from swsc.bitio import BitWriter
-from swsc.coder import CoderState, EncodeReport
+from swsc.cli import _text_lines
+from swsc.coder import CoderReport, CoderState
 from swsc.params import derive_params
 
 approx = pytest.approx
@@ -51,7 +53,6 @@ def test_entropy_stats_from_symbols():
     assert stats.distinct == 2
     assert stats.counts == Counter({0: 3, 1: 1})
     assert stats.h0 == approx(0.8112781244591328, rel=1e-12)
-    assert "n=4" in stats.lines()
     assert stats.to_dict()["distinct"] == 2
 
 
@@ -110,9 +111,9 @@ def test_bound_rejects_negative_arguments():
 
 
 def _report_with_bits(bits):
-    return EncodeReport(n=0, payload_bits=bits, payload_bytes=0,
-                        literal_count=0, coded_count=0, max_code_size=0,
-                        ps_touches=0, ps_touches_max_step=0, cost_units=0)
+    return CoderReport(n=0, payload_bits=bits, payload_bytes=0,
+                       literal_count=0, coded_count=0, max_code_size=0,
+                       ps_touches=0, ps_touches_max_step=0, cost_units=0)
 
 
 def test_check_bound_passes_under_and_fails_over():
@@ -141,11 +142,12 @@ def test_check_bound_guard_band_absorbs_float_noise():
 def test_bound_report_lines_and_dict():
     p = derive_params(256, 2.0, 10)
     rep = theorem1_bound(100, 1.0, p)
-    assert any(line.startswith("delta=") for line in rep.lines())
-    assert rep.to_dict()["bound"] == rep.bound
-    assert rep.to_dict()["measured_bits"] is None
+    lines = _text_lines(asdict(rep))
+    assert f"delta={rep.delta:.6f}" in lines
+    assert asdict(rep)["bound"] == rep.bound
+    assert asdict(rep)["measured_bits"] is None
     # unmeasured fields stay out of the text form
-    assert not any(line.startswith("measured") for line in rep.lines())
+    assert not any(line.startswith("measured") for line in lines)
 
 
 def test_oracle_state_full_window_of_one_symbol():
@@ -187,8 +189,7 @@ def test_memory_audit_frozen_fresh_state():
     assert audit.partial_sums_bytes == 160
     assert audit.total_bytes == 81920 + 2048 + 72 + 160
     assert isinstance(audit, MemoryAudit)
-    assert audit.to_dict()["total_bytes"] == audit.total_bytes
-    assert any(line.startswith("window_bytes=") for line in audit.lines())
+    assert asdict(audit)["total_bytes"] == audit.total_bytes
 
 
 def test_memory_audit_counts_coded_symbols():

@@ -91,6 +91,28 @@ def test_verify_bound_text_line(tmp_path, capsys):
     assert "bound_check=PASS" in capsys.readouterr().err
 
 
+def test_text_report_renders_the_json_report(tmp_path, capsys):
+    raw = tmp_path / "raw.bin"
+    packed = tmp_path / "p.swsc"
+    run(["gen", str(raw), "--dist", "zipf", "--sigma", "4096", "--n", "5000",
+         "--seed", "4"])
+    capsys.readouterr()
+    args = ["encode", str(raw), str(packed), "--sigma", "4096", "--verify-bound"]
+    assert run(args) == 0
+    text = capsys.readouterr().err.splitlines()
+    assert run(args + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().err)
+    want = [f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
+            for section in ("report", "stats", "bound")
+            for k, v in doc[section].items() if v is not None]
+    assert text == want + ["bound_check=PASS"]
+    assert run(["decode", str(packed), str(tmp_path / "out.bin"), "--json"]) == 0
+    decoded = json.loads(capsys.readouterr().err)["report"]
+    for key in ("payload_bits", "payload_bytes", "literal_count", "coded_count",
+                "max_code_size", "cost_units"):
+        assert decoded[key] == doc["report"][key]
+
+
 def test_stats_command(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes([0, 0, 0, 1]))

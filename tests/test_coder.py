@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from swsc.analysis import oracle_state
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import codeword_length
-from swsc.coder import (HEADER_BYTES, CoderState, DecodeReport, EncodeReport,
-                        decode_stream, encode_stream, encode_to_bytes, read_header,
+from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_stream,
+                        encode_stream, encode_to_bytes, read_header,
                         read_symbols, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.errors import CorruptStreamError, ParameterError
@@ -66,11 +66,12 @@ def test_reports_frozen(knobs, digest, enc, dec):
     blob, ereport = encode_to_bytes(derive_params(sigma, lam, c), syms)
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
     bits, nbytes, literals, coded, size, touches, step, cost = enc
-    assert ereport == EncodeReport(3000, bits, nbytes, literals, coded, size,
-                                   touches, step, cost)
+    assert ereport == CoderReport(3000, bits, nbytes, literals, coded, size,
+                                  touches, step, cost)
     out, dreport = decode_stream(blob)
     assert out == syms
-    assert dreport == DecodeReport(3000, bits, nbytes, literals, coded, *dec, cost)
+    assert dreport == CoderReport(3000, bits, nbytes, literals, coded, size,
+                                  *dec, cost)
 
 
 def test_distinct_literals_cost_width_plus_flag():
@@ -362,6 +363,7 @@ def test_roundtrip(sigma, dist, kw):
         assert ereport.payload_bits == dreport.payload_bits
         assert ereport.literal_count == dreport.literal_count
         assert ereport.coded_count == dreport.coded_count
+        assert ereport.max_code_size == dreport.max_code_size
         assert ereport.cost_units == dreport.cost_units
 
 

@@ -294,3 +294,12 @@ def test_unknown_backend_rejected():
 def test_sigma_below_two_rejected(backend):
     with pytest.raises(ParameterError):
         make(backend, 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sigma_past_the_stream_limit_rejected(backend):
+    with pytest.raises(ParameterError, match="stream limit"):
+        make(backend, 2**32)
+    d = make(backend, 2**32 - 1)
+    d.put(2**32 - 2, CodeRecord(1))
+    assert d.get(2**32 - 2).freq == 1
