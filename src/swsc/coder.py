@@ -56,20 +56,18 @@ _READ_BYTES = 16  # payload bytes the decoder loads into its bit window at a tim
 class CoderState:
     """Window, dictionary and codebook evolving in encoder/decoder lockstep."""
 
-    def __init__(self, params: CoderParams, backend: str = "trie", seed: int = 0,
-                 eps_prime: float = 0.5):
+    def __init__(self, params: CoderParams, backend: str = "trie", seed: int = 0):
         params.validate()
         self.params = params
-        self.dictionary = make_dictionary(backend, params.sigma, seed=seed,
-                                          eps_prime=eps_prime)
+        self.dictionary = make_dictionary(backend, params.sigma, seed=seed)
         self.codebook = Codebook(params.l_max)
         self._buf = [0] * params.ell  # ring buffer, head = oldest when full
         self._len = 0
         self._head = 0
         self.position = 0  # symbols processed
-        # report counters carried across chunks: literals, the worst
-        # single-step partial-sums touches, the largest coded-symbol set
-        self._literals = self._max_step = self._max_size = 0
+        # report counters carried across chunks: payload bits, literals, the
+        # worst single-step partial-sums touches, the largest coded-symbol set
+        self._bits = self._literals = self._max_step = self._max_size = 0
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
@@ -83,43 +81,47 @@ class CoderState:
         return self._len
 
     def step_update(self, a: int) -> None:
-        """Slide the window over symbol a, coding nothing."""
-        self._steps([a], 1)
+        """Encode symbol a to a discarded writer; the report still counts it."""
+        self.encode_chunk([a], BitWriter())
 
     def encode_chunk(self, symbols, writer: BitWriter) -> "CoderReport":
         """Encode symbols to writer; returns the report of all encoded so far.
 
         Any split of a sequence into chunks gives the same bits and report.
         """
+        start = writer.bit_length
         self._steps(symbols, len(symbols), writer=writer)
-        bits = writer.bit_length
-        return self._report(bits, (bits + 7) // 8)
+        self._bits += writer.bit_length - start
+        return self._report()
 
     def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
         """Decode count symbols from reader; returns them and the report so far."""
+        start = reader.position
         out = self._steps(None, count, reader=reader)
-        return out, self._report(reader.position, len(reader._data))
+        self._bits += reader.position - start
+        return out, self._report()
 
-    def _report(self, payload_bits, payload_bytes):
+    def _report(self):
         # a step costs 1 + its codeword length: its bits, less a literal's index width
-        return CoderReport(n=self.position, payload_bits=payload_bits,
-                           payload_bytes=payload_bytes,
+        bits = self._bits
+        return CoderReport(n=self.position, payload_bits=bits,
+                           payload_bytes=(bits + 7) // 8,
                            literal_count=self._literals,
                            coded_count=self.position - self._literals,
                            max_code_size=self._max_size,
                            ps_touches=self.codebook.kraft.touches,
                            ps_touches_max_step=self._max_step,
-                           cost_units=payload_bits - self._literals * self.params.width)
+                           cost_units=bits - self._literals * self.params.width)
 
     def _steps(self, symbols, count, writer=None, reader=None):
-        """The one coding loop behind encode_chunk, decode_chunk and step_update.
+        """The one coding loop behind encode_chunk and decode_chunk.
 
-        Each step takes symbols[i] and, given a writer, emits it, or decodes
-        the symbol from reader. Then the window slides over it in a fixed
-        order, which both ends of the stream must replay identically for
-        codebook offsets to agree: ring, evicted symbol, incoming symbol,
-        Kraft check. When the evicted symbol is the incoming one, the same
-        steps run and cancel arithmetically.
+        Each step emits symbols[i] to writer, or decodes the symbol from
+        reader. Then the window slides over it in a fixed order, which both
+        ends of the stream must replay identically for codebook offsets to
+        agree: ring, evicted symbol, incoming symbol, Kraft check. When the
+        evicted symbol is the incoming one, the same steps run and cancel
+        arithmetically.
 
         Ring, bit window and counters live in locals and are written back
         when the chunk ends; codeword_length is inlined. Returns the decoded
@@ -136,7 +138,7 @@ class CoderState:
         buf, ln, head = self._buf, self._len, self._head
         literals, max_step, max_size = self._literals, self._max_step, self._max_size
         t_prev = kraft.touches
-        decoding, encoding = reader is not None, writer is not None
+        decoding = reader is not None
         out = [] if decoding else None
         if decoding:
             append, cb_decode = out.append, cb.decode
@@ -154,9 +156,8 @@ class CoderState:
                 i = next(i for i, a in enumerate(symbols) if not 0 <= a < sigma)
                 raise ParameterError(f"symbol {symbols[i]} at position "
                                      f"{self.position + i} out of range for sigma {sigma}")
-            if encoding:
-                codeword, write = cb.codeword, writer.write_bits
-                wacc = wbits = 0
+            codeword, write = cb.codeword, writer.write_bits
+            wacc = wbits = 0
         i = 0
         try:
             for i in range(count):
@@ -184,20 +185,18 @@ class CoderState:
                 else:
                     a = symbols[i]
                     rec = lookup(a)
-                    touched = False
-                    if encoding:
-                        if rec is not None and rec.length is not None:
-                            value, j = codeword(rec.length, rec.index + 1)
-                            v, k, touched = (1 << j) | value, j + 1, True  # flag 1 first
-                        else:
-                            v, k = a, w1
-                            literals += 1
-                        if wbits + k > _WRITE_BATCH:
-                            write(wacc, wbits)
-                            wacc, wbits = v, k
-                        else:
-                            wacc = (wacc << k) | v
-                            wbits += k
+                    if rec is not None and rec.length is not None:
+                        value, j = codeword(rec.length, rec.index + 1)
+                        v, k, touched = (1 << j) | value, j + 1, True  # flag 1 first
+                    else:
+                        v, k, touched = a, w1, False
+                        literals += 1
+                    if wbits + k > _WRITE_BATCH:
+                        write(wacc, wbits)
+                        wacc, wbits = v, k
+                    else:
+                        wacc = (wacc << k) | v
+                        wbits += k
                 # 1. rotate the ring
                 if ln < ell:
                     buf[ln] = a
@@ -266,7 +265,7 @@ class CoderState:
         self._literals, self._max_step, self._max_size = literals, max_step, max_size
         if decoding:
             reader._pos = pos
-        elif encoding and wbits:
+        elif wbits:
             write(wacc, wbits)
         return out
 

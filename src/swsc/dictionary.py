@@ -2,8 +2,8 @@
 
 Two interchangeable backends keep the per-symbol bookkeeping (window
 frequency plus codebook position) for exactly the symbols currently in the
-window: a fixed-height trie over the symbol's bits and an open-addressed hash
-table. Both expose get/put/delete plus a deterministic memory report, and
+window: a two-level radix trie over the symbol's bits and an open-addressed
+hash table. Both expose get/put/delete plus a deterministic memory report, and
 lookup: get without the range check, for callers that checked the symbol.
 
 Reported bytes follow a packed layout model (what a careful C implementation
@@ -12,7 +12,6 @@ slot, and per record 4 bytes of frequency + 1 byte of codeword length +
 2 bytes of list index; hashed slots add the key at the symbol's byte width.
 """
 
-import math
 import random
 
 from .errors import InternalInconsistencyError, ParameterError
@@ -56,103 +55,27 @@ class CodeRecord:
 
 
 class TrieDictionary:
-    """Fixed-height trie over the symbol's bits, branching 2**b per level.
+    """Two-level radix trie over the symbol's width-bit index.
 
-    b = ceil(eps_prime * width); every operation touches exactly height =
-    ceil(width / b) node tables. Child tables are allocated lazily and freed
-    eagerly when they empty, so the table count is O(stored keys).
+    The root table is indexed by the high ceil(width / 2) bits and each child
+    table by the low floor(width / 2) bits, so every operation touches at
+    most two tables. Child tables are allocated lazily and freed eagerly when
+    they empty, so the table count is O(stored keys).
     """
 
-    def __init__(self, sigma: int, eps_prime: float = 0.5):
+    def __init__(self, sigma: int):
         check_sigma(sigma)
-        if not 0 < eps_prime <= 1:
-            raise ParameterError("eps_prime must lie in (0, 1]")
         self.sigma = sigma
-        self.eps_prime = eps_prime
         width = (sigma - 1).bit_length()
-        b = max(1, math.ceil(eps_prime * width))
-        self.height = -(-width // b)
-        # top-first navigation; the last level takes the leftover bits
-        levels = []
-        used = 0
-        for lvl in range(self.height):
-            bits = b if lvl < self.height - 1 else width - (self.height - 1) * b
-            used += bits
-            levels.append((width - used, (1 << bits) - 1, 1 << bits))
-        self._levels = levels
-        self._nav = tuple((shift, mask) for shift, mask, _ in levels)
-        self._root = self._new_table(levels[0][2])
-        # records stored, tables allocated, slots over those tables; a list the
-        # height-2 closures can update without holding self, since a cycle
-        # through self would keep a dropped trie alive until the gc runs
-        self._tally = [0, 1, levels[0][2]]
-        if self.height == 2:  # every sigma > 2 at eps_prime 0.5
-            self._bind_height_two()
-
-    def _bind_height_two(self):
-        # Straight-line lookup/put/delete shadow the generic methods: no level
-        # loop, no path list, table accounting inline. The root is never freed.
-        root, ((top, _), (_, low)) = self._root, self._nav  # a < 2**width: no top mask
-        sigma, rsize, csize = self.sigma, self._levels[0][2], self._levels[1][2]
-        tally = self._tally
-
-        def lookup(a):
-            node = root[a >> top]
-            return None if node is None else node[a & low]
-
-        def put(a, record):
-            if not 0 <= a < sigma:
-                raise ParameterError(f"symbol {a} out of range for sigma {sigma}")
-            hi = a >> top
-            node = root[hi]
-            if node is None:
-                node = [None] * (csize + 1)
-                node[csize] = 0
-                root[hi] = node
-                root[rsize] += 1
-                tally[1] += 1
-                tally[2] += csize
-            lo = a & low
-            if node[lo] is None:
-                node[csize] += 1
-                tally[0] += 1
-            node[lo] = record
-
-        def delete(a):
-            if not 0 <= a < sigma:
-                raise ParameterError(f"symbol {a} out of range for sigma {sigma}")
-            hi, lo = a >> top, a & low
-            node = root[hi]
-            if node is None or node[lo] is None:
-                raise InternalInconsistencyError(f"delete of absent symbol {a}")
-            node[lo] = None
-            tally[0] -= 1
-            left = node[csize] - 1
-            node[csize] = left
-            if left == 0:
-                root[hi] = None
-                root[rsize] -= 1
-                tally[1] -= 1
-                tally[2] -= csize
-
-        self.lookup, self.put, self.delete = lookup, put, delete
-
-    def _new_table(self, size):
-        # slots 0..size-1 are children or records; the trailing cell counts them
-        t = [None] * (size + 1)
-        t[size] = 0
-        return t
-
-    def _account(self, size, sign=1):
-        self._tally[1] += sign
-        self._tally[2] += sign * size
+        self._shift = width // 2  # bits below the root index
+        self._low = (1 << self._shift) - 1
+        self._csize = 1 << self._shift
+        self._root = [None] * (1 << (width - self._shift))
+        self._n = 0  # records stored
+        self.table_count = 1  # the root plus the live child tables
 
     def __len__(self):
-        return self._tally[0]
-
-    @property
-    def table_count(self) -> int:
-        return self._tally[1]
+        return self._n
 
     def get(self, a: int):
         """Record for symbol a, or None."""
@@ -162,79 +85,58 @@ class TrieDictionary:
 
     def lookup(self, a: int):
         """get without the range check: a must lie in [0, sigma)."""
-        node = self._root
-        for shift, mask in self._nav:
-            node = node[(a >> shift) & mask]
-            if node is None:
-                return None
-        return node
+        node = self._root[a >> self._shift]
+        return None if node is None else node[a & self._low]
 
     def put(self, a: int, record: CodeRecord) -> None:
         """Insert or overwrite the record for symbol a."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        node = self._root
-        levels = self._levels
-        for depth in range(self.height - 1):
-            shift, mask, size = levels[depth]
-            idx = (a >> shift) & mask
-            child = node[idx]
-            if child is None:
-                child_size = levels[depth + 1][2]
-                child = self._new_table(child_size)
-                node[idx] = child
-                node[size] += 1
-                self._account(child_size)
-            node = child
-        shift, mask, size = levels[-1]
-        idx = (a >> shift) & mask
-        if node[idx] is None:
-            node[size] += 1
-            self._tally[0] += 1
-        node[idx] = record
+        hi = a >> self._shift
+        node = self._root[hi]
+        csize = self._csize
+        if node is None:
+            # slots 0..csize-1 hold records; the trailing cell counts them
+            node = [None] * (csize + 1)
+            node[csize] = 0
+            self._root[hi] = node
+            self.table_count += 1
+        lo = a & self._low
+        if node[lo] is None:
+            node[csize] += 1
+            self._n += 1
+        node[lo] = record
 
     def delete(self, a: int) -> None:
         """Remove symbol a; absence is an internal inconsistency."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        path = []
-        node = self._root
-        for shift, mask, size in self._levels:
-            idx = (a >> shift) & mask
-            path.append((node, idx, size))
-            node = node[idx]
-            if node is None:
-                raise InternalInconsistencyError(f"delete of absent symbol {a}")
-        self._tally[0] -= 1
-        # clear the leaf slot, then free emptied tables bottom-up (not the root)
-        for depth in range(len(path) - 1, -1, -1):
-            node, idx, size = path[depth]
-            node[idx] = None
-            node[size] -= 1
-            if node[size] > 0 or depth == 0:
-                break
-            self._account(size, -1)
+        hi, lo = a >> self._shift, a & self._low
+        node = self._root[hi]
+        if node is None or node[lo] is None:
+            raise InternalInconsistencyError(f"delete of absent symbol {a}")
+        node[lo] = None
+        self._n -= 1
+        csize = self._csize
+        left = node[csize] - 1
+        node[csize] = left
+        if left == 0:
+            self._root[hi] = None
+            self.table_count -= 1
 
     def items(self):
         """Yield (symbol, record) pairs in symbol order."""
-        yield from self._walk(self._root, 0, 0)
-
-    def _walk(self, node, depth, prefix):
-        shift, mask, size = self._levels[depth]
-        for idx in range(size):
-            child = node[idx]
-            if child is None:
-                continue
-            sym = prefix | (idx << shift)
-            if depth == self.height - 1:
-                yield sym, child
-            else:
-                yield from self._walk(child, depth + 1, sym)
+        shift = self._shift
+        for hi, node in enumerate(self._root):
+            if node is not None:
+                for lo, record in enumerate(node[:self._csize]):
+                    if record is not None:
+                        yield (hi << shift) | lo, record
 
     def report_memory(self) -> int:
         """Modeled bytes: all allocated table slots plus stored records."""
-        n, _, slots = self._tally
-        return slots * SLOT_MODEL_BYTES + n * RECORD_MODEL_BYTES
+        slots = len(self._root) + (self.table_count - 1) * self._csize
+        return slots * SLOT_MODEL_BYTES + self._n * RECORD_MODEL_BYTES
 
 
 class HashedDictionary:
@@ -250,7 +152,6 @@ class HashedDictionary:
     def __init__(self, sigma: int, seed: int = 0):
         check_sigma(sigma)
         self.sigma = sigma
-        self.seed = seed
         rng = random.Random(seed)
         self._mult = rng.getrandbits(64) | 1  # odd multiplier
         self._key_bytes = symbol_model_bytes(sigma)
@@ -381,10 +282,10 @@ class HashedDictionary:
         return self._cap * (self._key_bytes + RECORD_MODEL_BYTES)
 
 
-def make_dictionary(backend: str, sigma: int, seed: int = 0, eps_prime: float = 0.5):
+def make_dictionary(backend: str, sigma: int, seed: int = 0):
     """Construct the named backend ('trie' or 'hashed')."""
     if backend == "trie":
-        return TrieDictionary(sigma, eps_prime=eps_prime)
+        return TrieDictionary(sigma)
     if backend == "hashed":
         return HashedDictionary(sigma, seed=seed)
     raise ParameterError(f"unknown dictionary backend {backend!r}")

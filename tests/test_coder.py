@@ -84,6 +84,26 @@ def test_distinct_literals_cost_width_plus_flag():
     assert report.max_code_size == 0
 
 
+def test_stepped_symbols_count_in_a_later_report():
+    p = derive_params(256, 2.0, 10)
+    state = CoderState(p)
+    for a in (10, 20, 30):
+        state.step_update(a)
+    report = state.encode_chunk([40, 50], BitWriter())
+    assert (report.literal_count, report.coded_count) == (5, 0)
+    assert (report.payload_bits, report.cost_units) == (45, 5)
+
+
+def test_mid_stream_decode_reports_the_bytes_read_so_far():
+    p = derive_params(256, 2.0, 10)
+    syms = generate("zipf", sigma=256, n=1000, seed=5).tolist()
+    blob, _ = encode_to_bytes(p, syms)
+    _, dreport = CoderState(p).decode_chunk(BitReader(blob[HEADER_BYTES:]), 10)
+    ereport = CoderState(p).encode_chunk(syms[:10], BitWriter())
+    assert dreport == ereport
+    assert dreport.payload_bytes == (dreport.payload_bits + 7) // 8
+
+
 def test_empty_input_roundtrips():
     p = derive_params(256, 2.0, 10)
     blob, report = encode_to_bytes(p, [])

@@ -126,12 +126,12 @@ def test_matches_plain_dict_over_random_ops(backend):
 
 def test_trie_table_count_is_linear_in_keys():
     sigma = 65536
-    d = TrieDictionary(sigma)  # eps_prime 0.5: height 2
+    d = TrieDictionary(sigma)
     rng = random.Random(5)
     keys = {rng.randrange(sigma) for _ in range(512)}
     for a in keys:
         d.put(a, CodeRecord(1))
-    assert d.table_count <= d.height * len(keys) + 1
+    assert d.table_count <= len(keys) + 1
     for a in keys:
         d.delete(a)
     assert d.table_count == 1  # only the root survives
@@ -140,7 +140,7 @@ def test_trie_table_count_is_linear_in_keys():
 
 def test_trie_memory_model_frozen_values():
     d = TrieDictionary(65536)
-    assert (d.height, d.table_count) == (2, 1)
+    assert d.table_count == 1
     assert d.report_memory() == 2048  # 256-slot root at 8 bytes each
     d.put(1234, CodeRecord(1))
     assert d.report_memory() == 4103  # + 256-slot child + one 7-byte record
@@ -152,34 +152,51 @@ def test_trie_memory_model_frozen_values():
     small.put(7, CodeRecord(1))
     assert small.report_memory() == 263
 
+    binary = TrieDictionary(2)  # width 1 splits 1 + 0: 1-slot child tables
+    assert binary.report_memory() == 16
+    binary.put(1, CodeRecord(1))
+    assert binary.report_memory() == 31
+
+    odd = TrieDictionary(65537)  # width 17 splits 9 + 8
+    assert odd.report_memory() == 4096
+    odd.put(65536, CodeRecord(1))
+    assert odd.report_memory() == 6151
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 256, 65536, 65537])
+def test_trie_stores_both_ends_of_the_alphabet(sigma):
+    d = TrieDictionary(sigma)
+    d.put(sigma - 1, CodeRecord(2))
+    d.put(0, CodeRecord(3))
+    assert d.get(sigma - 1).freq == 2
+    assert d.get(0).freq == 3
+    assert [a for a, _ in d.items()] == [0, sigma - 1]
+
 
 def _recount_trie(d):
-    """(tables, slots, records) found by walking d's tables from the root."""
-    tables = slots = records = 0
-    stack = [(d._root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        size = d._levels[depth][2]
+    """(tables, slots, records) found by walking d's two levels of tables."""
+    root, csize = d._root, d._csize
+    tables, slots, records = 1, len(root), 0
+    for node in root:
+        if node is None:
+            continue
+        filled = sum(x is not None for x in node[:csize])
+        assert node[csize] == filled  # the table's own occupancy cell
+        assert filled  # emptied child tables are freed
         tables += 1
-        slots += size
-        filled = [x for x in node[:size] if x is not None]
-        assert node[size] == len(filled)  # the table's own occupancy cell
-        if depth == d.height - 1:
-            records += len(filled)
-        else:
-            assert filled or depth == 0  # emptied child tables are freed
-            stack.extend((child, depth + 1) for child in filled)
+        slots += csize
+        records += filled
     return tables, slots, records
 
 
-@pytest.mark.parametrize("eps,height", [(1.0, 1), (0.5, 2), (0.25, 4)])
-def test_trie_accounting_matches_a_recount(eps, height):
-    d = TrieDictionary(65536, eps_prime=eps)
-    assert d.height == height
+@pytest.mark.parametrize("sigma", [3, 256, 65536, 65537])
+def test_trie_accounting_matches_a_recount(sigma):
+    d = TrieDictionary(sigma)
     rng = random.Random(31337)
     live = set()
     # clustered keys share child tables, so tables both fill and empty
-    pool = [rng.randrange(65536) & ~0x0F0F for _ in range(300)] + list(range(64))
+    pool = [rng.randrange(sigma) & ~0x0F0F for _ in range(300)]
+    pool += list(range(min(64, sigma))) + [sigma - 1]
     for _ in range(20_000):
         a = pool[rng.randrange(len(pool))]
         if a in live and rng.randrange(2):
@@ -217,22 +234,30 @@ def test_dropped_dictionary_is_freed_at_once(backend):
         gc.enable()
 
 
-@pytest.mark.parametrize("eps,expected_height", [
+@pytest.mark.parametrize("eps,old_height", [
     (1.0, 1), (0.5, 2), (0.25, 4), (0.0625, 16),
 ])
-def test_trie_height_follows_eps_prime(eps, expected_height):
-    d = TrieDictionary(65536, eps_prime=eps)
-    assert d.height == expected_height
+def test_trie_height_follows_eps_prime(eps, old_height):
+    # eps_prime once set the trie's height (old_height); the knob is gone,
+    # and every setting now gets the two levels that eps_prime 0.5 gave
+    with pytest.raises(TypeError):
+        TrieDictionary(65536, eps_prime=eps)
+    d = TrieDictionary(65536)
     d.put(65535, CodeRecord(2))
     d.put(0, CodeRecord(3))
     assert d.get(65535).freq == 2
     assert d.get(0).freq == 3
+    assert d.table_count == 3  # the root plus one child table per key
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.5, 1.5])
-def test_trie_rejects_bad_eps_prime(eps):
-    with pytest.raises(ParameterError):
-        TrieDictionary(256, eps_prime=eps)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_operations_are_class_methods(backend):
+    # per-layer tracing patches the class; an instance attribute would hide
+    # the operation from it
+    d = make(backend, 65536)
+    for name in ("lookup", "get", "put", "delete"):
+        assert name not in vars(d)
+        assert callable(getattr(type(d), name))
 
 
 def test_hashed_memory_model_frozen_values():
