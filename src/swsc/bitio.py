@@ -71,10 +71,6 @@ class BitReader:
         """Bit cursor from the start of the data."""
         return self._pos
 
-    @property
-    def remaining(self) -> int:
-        return self._limit - self._pos
-
     def peek_bits(self, count: int) -> int:
         """Return the next count bits without advancing; zeros past the end."""
         if not 0 <= count <= _MAX_CHUNK:

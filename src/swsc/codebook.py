@@ -1,7 +1,8 @@
-"""Canonical Shannon codebook over per-length symbol lists.
+"""Canonical Shannon codebook over per-length lists of code records.
 
-Coded symbols live in lists A[0..l_max], one list per codeword length. The
-codeword of the k-th symbol of length j (1-based k) is the first j bits of
+The records of coded symbols live in lists A[0..l_max], one list per codeword
+length. Each record carries its symbol, so the codebook needs no dictionary.
+The codeword of the k-th symbol of length j (1-based k) is the first j bits of
 
     V = sum over lengths h < j of C[h] * 2**(l_max - h)  +  (k - 1) * 2**(l_max - j)
 
@@ -22,11 +23,11 @@ def codeword_length(ell: int, f: int) -> int:
 
 
 class Codebook:
-    """Per-length symbol lists plus the scaled Kraft sums that address them.
+    """Per-length lists of code records plus the scaled Kraft sums that address them.
 
-    Mutators keep the owning dictionary's records (length, index) in sync;
-    list removal is swap-with-last, so indices within a list are
-    history-dependent but always dense.
+    The codebook owns the slot of every record it holds: a record at
+    lists[j][k] has length j and index k. List removal is swap-with-last, so
+    indices within a list are history-dependent but always dense.
     """
 
     __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size")
@@ -35,7 +36,7 @@ class Codebook:
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
         self.l_max = l_max
-        self.lists: list[list[int]] = [[] for _ in range(l_max + 1)]
+        self.lists: list[list] = [[] for _ in range(l_max + 1)]
         self.kraft = PartialSums(l_max + 1)  # entry j+1 holds len(A[j]) * 2**(l_max-j)
         self.kraft_total = 0
         self.capacity = 1 << l_max
@@ -45,16 +46,16 @@ class Codebook:
         """C[j] = len(A[j]) for j = 0..l_max."""
         return [len(lst) for lst in self.lists]
 
-    def insert(self, a: int, j: int, record) -> None:
-        """Append symbol a to A[j] and mark its record coded at (j, end)."""
+    def insert(self, rec, j: int) -> None:
+        """Append the record rec to A[j] and mark it coded at (j, end)."""
         if not 0 <= j <= self.l_max:
             raise InternalInconsistencyError(f"length {j} out of range 0..{self.l_max}")
-        if record.length is not None:
-            raise InternalInconsistencyError(f"symbol {a} is already coded")
+        if rec.length is not None:
+            raise InternalInconsistencyError(f"symbol {rec.sym} is already coded")
         lst = self.lists[j]
-        lst.append(a)
-        record.length = j
-        record.index = len(lst) - 1
+        lst.append(rec)
+        rec.length = j
+        rec.index = len(lst) - 1
         w = 1 << (self.l_max - j)
         self.kraft.add(j + 1, w)
         self.kraft_total += w
@@ -64,35 +65,31 @@ class Codebook:
                 f"Kraft sum {self.kraft_total} exceeds capacity {self.capacity}"
             )
 
-    def remove(self, a: int, record, d) -> None:
-        """Swap-remove symbol a from its list and mark its record literal.
-
-        The record may already have been dropped from the dictionary (a symbol
-        leaving the window entirely); only the swapped-in survivor is looked up.
-        """
-        j = record.length
+    def remove(self, rec) -> None:
+        """Swap-remove the record rec from its list and mark it literal."""
+        j = rec.length
         if j is None:
-            raise InternalInconsistencyError(f"symbol {a} is not coded")
-        self._unlink(a, record, d)
+            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
+        self._unlink(rec)
         w = 1 << (self.l_max - j)
         self.kraft.add(j + 1, -w)
         self.kraft_total -= w
         self.size -= 1
-        record.length = None
-        record.index = None
+        rec.length = None
+        rec.index = None
 
-    def move(self, a: int, record, j_to: int, d) -> None:
-        """Move symbol a to the adjacent length class j_to."""
-        j = record.length
+    def move(self, rec, j_to: int) -> None:
+        """Move the record rec to the adjacent length class j_to."""
+        j = rec.length
         if j is None:
-            raise InternalInconsistencyError(f"symbol {a} is not coded")
+            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
         if j_to - j not in (-1, 1) or not 0 <= j_to <= self.l_max:
             raise InternalInconsistencyError(f"move from {j} to {j_to} is not one level")
-        self._unlink(a, record, d)
+        self._unlink(rec)
         dst = self.lists[j_to]
-        dst.append(a)
-        record.length = j_to
-        record.index = len(dst) - 1
+        dst.append(rec)
+        rec.length = j_to
+        rec.index = len(dst) - 1
         self.kraft.add(j + 1, -(1 << (self.l_max - j)))
         self.kraft.add(j_to + 1, 1 << (self.l_max - j_to))
         self.kraft_total += (1 << (self.l_max - j_to)) - (1 << (self.l_max - j))
@@ -101,19 +98,16 @@ class Codebook:
                 f"Kraft sum {self.kraft_total} exceeds capacity {self.capacity}"
             )
 
-    def _unlink(self, a, record, d):
-        # swap the last element of A[j] into a's slot; its record must follow
-        lst = self.lists[record.length]
-        k = record.index
+    def _unlink(self, rec):
+        # swap the last record of A[j] into rec's slot and renumber it
+        lst = self.lists[rec.length]
+        k = rec.index
         last = lst.pop()
-        if last != a:
+        if last is not rec:
             if k >= len(lst):
-                raise InternalInconsistencyError(f"stale index {k} for symbol {a}")
+                raise InternalInconsistencyError(f"stale index {k} for symbol {rec.sym}")
             lst[k] = last
-            other = d.lookup(last)  # last came from our own list: in range
-            if other is None:
-                raise InternalInconsistencyError(f"no record for coded symbol {last}")
-            other.index = k
+            last.index = k
 
     def codeword(self, j: int, k: int) -> tuple[int, int]:
         """Codeword (value, length) of the k-th symbol (1-based) in A[j]."""
@@ -124,8 +118,8 @@ class Codebook:
         scaled = self.kraft.prefix(j) + ((k - 1) << (self.l_max - j))
         return scaled >> (self.l_max - j), j
 
-    def decode(self, b: int) -> tuple[int, int]:
-        """Map l_max peeked bits b to (symbol, codeword length).
+    def decode(self, b: int) -> tuple:
+        """Map l_max peeked bits b to (record, codeword length).
 
         Finds the largest nonempty class j with prefix(j) <= b: a prefix-sum
         search, then a downward scan past empty classes. Raises
@@ -150,7 +144,7 @@ class Codebook:
         return lst[k], j
 
     def check(self, d) -> None:
-        """Validate internal consistency against the dictionary d (test hook)."""
+        """Validate internal consistency; d must hold each listed record (test hook)."""
         total = 0
         size = 0
         for j, lst in enumerate(self.lists):
@@ -159,10 +153,9 @@ class Codebook:
                 raise InternalInconsistencyError(f"Kraft entry {j} out of sync")
             total += len(lst) * w
             size += len(lst)
-            for k, a in enumerate(lst):
-                rec = d.get(a)
-                if rec is None or rec.length != j or rec.index != k:
-                    raise InternalInconsistencyError(f"record for {a} out of sync")
+            for k, rec in enumerate(lst):
+                if d.get(rec.sym) is not rec or rec.length != j or rec.index != k:
+                    raise InternalInconsistencyError(f"record for {rec.sym} out of sync")
         if total != self.kraft_total or total != self.kraft.total():
             raise InternalInconsistencyError("Kraft total out of sync")
         if size != self.size:

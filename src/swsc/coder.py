@@ -61,7 +61,7 @@ class CoderState:
         self.params = params
         self.dictionary = make_dictionary(backend, params.sigma, seed=seed)
         self.codebook = Codebook(params.l_max)
-        self._buf = [0] * params.ell  # ring buffer, head = oldest when full
+        self._buf = []  # ring buffer grown to ell, head = oldest when full
         self._len = 0
         self._head = 0
         self.position = 0  # symbols processed
@@ -172,16 +172,17 @@ class CoderState:
                         a, k, touched = v, w1, False
                         literals += 1
                     else:
-                        a, j = cb_decode((v >> b_shift) & b_mask)
-                        k, touched = j + 1, True
+                        rec, j = cb_decode((v >> b_shift) & b_mask)
+                        a, k, touched = rec.sym, j + 1, True
                     pos += k
                     if pos > limit:
                         raise CorruptStreamError("bit stream truncated")
-                    if a >= sigma:
-                        raise CorruptStreamError(
-                            f"literal {a} out of range for sigma {sigma}")
+                    if not touched:  # a literal: a codeword brought its record
+                        if a >= sigma:
+                            raise CorruptStreamError(
+                                f"literal {a} out of range for sigma {sigma}")
+                        rec = lookup(a)
                     append(a)
-                    rec = lookup(a)
                 else:
                     a = symbols[i]
                     rec = lookup(a)
@@ -199,7 +200,7 @@ class CoderState:
                         wbits += k
                 # 1. rotate the ring
                 if ln < ell:
-                    buf[ln] = a
+                    buf.append(a)
                     ln += 1
                 else:
                     e = buf[head]
@@ -221,7 +222,7 @@ class CoderState:
                     length = erec.length
                     if length is not None:
                         if f < threshold:
-                            remove(e, erec, d)
+                            remove(erec)
                             touched = True
                         else:
                             new_len = ((ell + f - 1) // f - 1).bit_length()
@@ -229,11 +230,11 @@ class CoderState:
                                 if new_len > l_max:
                                     raise InternalInconsistencyError(
                                         "frequent symbol demoted past l_max")
-                                move(e, erec, length + 1, d)
+                                move(erec, length + 1)
                                 touched = True
                 # 4. + 5. the incoming symbol gains one
                 if rec is None:
-                    rec = CodeRecord(0)
+                    rec = CodeRecord(0, a)
                     put(a, rec)
                 f = rec.freq + 1
                 rec.freq = f
@@ -241,10 +242,10 @@ class CoderState:
                     new_len = ((ell + f - 1) // f - 1).bit_length()
                     length = rec.length
                     if length is None:
-                        insert(a, new_len, rec)
+                        insert(rec, new_len)
                         touched = True
                     elif new_len < length:
-                        move(a, rec, length - 1, d)
+                        move(rec, length - 1)
                         touched = True
                 # 6. the code must stay complete-or-under; only codebook
                 # events and coded symbols change the Kraft sums or touches

@@ -32,26 +32,29 @@ def symbol_model_bytes(sigma: int) -> int:
 
 
 class CodeRecord:
-    """Mutable per-symbol state: window frequency and codebook slot.
+    """Mutable per-symbol state: the symbol, its window frequency and codebook slot.
 
-    length is None for a literal (uncoded) symbol; otherwise the record sits
-    at lists[length][index] in the codebook.
+    sym is set when the record is created and never changes. A new record is
+    literal (length None); the codebook sets length and index when it holds
+    the record at lists[length][index].
     """
 
-    __slots__ = ("freq", "length", "index")
+    __slots__ = ("freq", "length", "index", "sym")
 
-    def __init__(self, freq: int, length=None, index=None):
+    def __init__(self, freq: int, sym=None):
         self.freq = freq
-        self.length = length
-        self.index = index
+        self.length = None
+        self.index = None
+        self.sym = sym
 
     def __eq__(self, other):
         return (isinstance(other, CodeRecord)
-                and (self.freq, self.length, self.index)
-                == (other.freq, other.length, other.index))
+                and (self.freq, self.length, self.index, self.sym)
+                == (other.freq, other.length, other.index, other.sym))
 
     def __repr__(self):
-        return f"CodeRecord(freq={self.freq}, length={self.length}, index={self.index})"
+        return (f"CodeRecord(freq={self.freq}, length={self.length}, "
+                f"index={self.index}, sym={self.sym})")
 
 
 class TrieDictionary:

@@ -44,20 +44,23 @@ def test_codeword_length_rejects_nonpositive(ell, f):
         codeword_length(ell, f)
 
 
-class Records(dict):
-    """A plain dict standing in for a dictionary backend (get and lookup)."""
-
-    lookup = dict.get
+def rec_of(a):
+    """A fresh literal record of symbol a."""
+    return CodeRecord(1, a)
 
 
 def build_example():
-    """Codebook with counts [0, 1, 1, 0, 4] at l_max 4, records in a dict."""
+    """Codebook with counts [0, 1, 1, 0, 4] at l_max 4, records by symbol."""
     cb = Codebook(4)
-    d = Records()
+    d = {}
     for a, j in [(10, 1), (20, 2), (30, 4), (40, 4), (50, 4), (60, 4)]:
-        d[a] = CodeRecord(1)
-        cb.insert(a, j, d[a])
+        d[a] = rec_of(a)
+        cb.insert(d[a], j)
     return cb, d
+
+
+def syms(lst):
+    return [rec.sym for rec in lst]
 
 
 def test_counts_and_kraft_of_example():
@@ -78,34 +81,33 @@ def test_codewords_of_example():
 
 
 def test_decode_of_example():
-    cb, _ = build_example()
-    assert cb.decode(0) == (10, 1)
-    assert cb.decode(7) == (10, 1)
-    assert cb.decode(8) == (20, 2)
-    assert cb.decode(11) == (20, 2)
-    assert cb.decode(12) == (30, 4)
-    assert cb.decode(14) == (50, 4)
-    assert cb.decode(15) == (60, 4)
+    cb, d = build_example()
+    for b, a, j in [(0, 10, 1), (7, 10, 1), (8, 20, 2), (11, 20, 2),
+                    (12, 30, 4), (14, 50, 4), (15, 60, 4)]:
+        got, got_j = cb.decode(b)
+        assert got is d[a] and got_j == j
 
 
 def test_every_pad_completion_decodes_to_its_symbol():
     cb, d = build_example()
     seen = set()
-    for a, rec in d.items():
+    for rec in d.values():
         value, j = cb.codeword(rec.length, rec.index + 1)
         for pad in range(1 << (cb.l_max - j)):
             b = (value << (cb.l_max - j)) | pad
-            assert cb.decode(b) == (a, j)
+            got, got_j = cb.decode(b)
+            assert got is rec and got_j == j
             seen.add(b)
     assert seen == set(range(16))  # the example saturates the code space
 
 
 def test_decode_past_the_coded_range_is_corrupt():
     cb = Codebook(4)
-    d = {7: CodeRecord(1)}
-    cb.insert(7, 1, d[7])  # counts [0, 1, 0, 0, 0]
+    rec = rec_of(7)
+    cb.insert(rec, 1)  # counts [0, 1, 0, 0, 0]
     for b in range(8):
-        assert cb.decode(b) == (7, 1)
+        got, got_j = cb.decode(b)
+        assert got is rec and got_j == 1
     for b in range(8, 16):
         with pytest.raises(CorruptStreamError):
             cb.decode(b)
@@ -138,59 +140,68 @@ def test_codeword_validates_arguments():
 
 def test_insert_guards():
     cb = Codebook(2)
-    rec = CodeRecord(1)
-    cb.insert(5, 1, rec)
+    rec = rec_of(5)
+    cb.insert(rec, 1)
     with pytest.raises(InternalInconsistencyError):
-        cb.insert(5, 1, rec)  # already coded
+        cb.insert(rec, 1)  # already coded
     with pytest.raises(InternalInconsistencyError):
-        cb.insert(6, 3, CodeRecord(1))  # length out of range
+        cb.insert(rec_of(6), 3)  # length out of range
 
 
 def test_insert_past_kraft_capacity_is_internal_error():
     cb = Codebook(1)  # capacity 2
-    d = Records()
     for a in (1, 2):
-        d[a] = CodeRecord(1)
-        cb.insert(a, 1, d[a])
+        cb.insert(rec_of(a), 1)
     assert cb.kraft_total == 2
     with pytest.raises(InternalInconsistencyError):
-        cb.insert(3, 1, CodeRecord(1))
+        cb.insert(rec_of(3), 1)
 
 
 def test_remove_swaps_last_into_the_hole():
     cb, d = build_example()
     # A[4] is [30, 40, 50, 60]; removing 30 moves 60 into slot 0
-    cb.remove(30, d[30], d)
+    cb.remove(d[30])
     assert d[30].length is None and d[30].index is None
-    assert cb.lists[4] == [60, 40, 50]
+    assert syms(cb.lists[4]) == [60, 40, 50]
     assert d[60].index == 0
     assert cb.kraft_total == 15
     cb.check(d)
 
 
-def test_remove_accepts_a_record_already_dropped_from_the_dictionary():
+def test_remove_from_the_middle_renumbers_the_swapped_record():
     cb, d = build_example()
     rec = d.pop(40)
-    cb.remove(40, rec, d)  # survivor bookkeeping must not need 40's entry
-    assert cb.lists[4] == [30, 60, 50]
-    assert d[60].index == 1
+    cb.remove(rec)
+    assert syms(cb.lists[4]) == [30, 60, 50]
+    assert cb.lists[4][1] is d[60] and d[60].index == 1
     cb.check(d)
 
 
 def test_remove_uncoded_record_is_internal_error():
     cb = Codebook(2)
     with pytest.raises(InternalInconsistencyError):
-        cb.remove(9, CodeRecord(1), {})
+        cb.remove(rec_of(9))
+
+
+def test_check_detects_a_record_missing_from_the_dictionary():
+    cb, d = build_example()
+    del d[50]
+    with pytest.raises(InternalInconsistencyError):
+        cb.check(d)
+    d[50] = rec_of(50)  # an equal record that is not the listed one
+    d[50].length, d[50].index = cb.lists[4][2].length, cb.lists[4][2].index
+    with pytest.raises(InternalInconsistencyError):
+        cb.check(d)
 
 
 def test_move_shifts_one_level_and_renumbers():
     cb, d = build_example()
-    cb.move(20, d[20], 3, d)
+    cb.move(d[20], 3)
     assert cb.counts() == [0, 1, 0, 1, 4]
     assert d[20].length == 3 and d[20].index == 0
     assert cb.kraft_total == 16 - 4 + 2
     cb.check(d)
-    cb.move(20, d[20], 2, d)
+    cb.move(d[20], 2)
     assert cb.counts() == [0, 1, 1, 0, 4]
     cb.check(d)
 
@@ -198,15 +209,15 @@ def test_move_shifts_one_level_and_renumbers():
 def test_move_more_than_one_level_is_internal_error():
     cb, d = build_example()
     with pytest.raises(InternalInconsistencyError):
-        cb.move(20, d[20], 4, d)
+        cb.move(d[20], 4)
     with pytest.raises(InternalInconsistencyError):
-        cb.move(30, d[30], 6, d)  # also out of range
+        cb.move(d[30], 6)  # also out of range
 
 
 def test_move_past_kraft_capacity_is_internal_error():
     cb, d = build_example()  # already saturated at capacity
     with pytest.raises(InternalInconsistencyError):
-        cb.move(30, d[30], 3, d)  # halving one weight to a doubled one
+        cb.move(d[30], 3)  # halving one weight to a doubled one
 
 
 def test_check_detects_desync():
@@ -221,7 +232,7 @@ def test_codewords_are_prefix_free_under_random_mutation():
     for _ in range(60):
         l_max = rng.randrange(1, 6)
         cb = Codebook(l_max)
-        d = Records()
+        d = {}
         next_sym = 0
         for _ in range(rng.randrange(5, 60)):
             coded = [a for a, r in d.items() if r.length is not None]
@@ -230,13 +241,12 @@ def test_codewords_are_prefix_free_under_random_mutation():
                 j = rng.randrange(0, l_max + 1)
                 w = 1 << (l_max - j)
                 if cb.kraft_total + w <= cb.capacity:
-                    d[next_sym] = CodeRecord(1)
-                    cb.insert(next_sym, j, d[next_sym])
+                    d[next_sym] = rec_of(next_sym)
+                    cb.insert(d[next_sym], j)
                     next_sym += 1
             elif op == 1 and coded:
                 a = rng.choice(coded)
-                cb.remove(a, d[a], d)
-                del d[a]
+                cb.remove(d.pop(a))
             elif op == 2 and coded:
                 a = rng.choice(coded)
                 j = d[a].length
@@ -245,18 +255,19 @@ def test_codewords_are_prefix_free_under_random_mutation():
                 w_old = 1 << (l_max - j)
                 if (0 <= j_to <= l_max
                         and cb.kraft_total - w_old + w_new <= cb.capacity):
-                    cb.move(a, d[a], j_to, d)
+                    cb.move(d[a], j_to)
             cb.check(d)
             # canonical codewords must tile disjoint intervals
             spans = []
-            for a, r in d.items():
+            for r in d.values():
                 if r.length is None:
                     continue
                 v, j = cb.codeword(r.length, r.index + 1)
                 lo = v << (l_max - j)
                 spans.append((lo, lo + (1 << (l_max - j))))
                 for pad in range(1 << (l_max - j)):
-                    assert cb.decode(lo | pad) == (a, j)
+                    got, got_j = cb.decode(lo | pad)
+                    assert got is r and got_j == j
             spans.sort()
             for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
                 assert hi1 <= lo2  # no overlap means prefix-free

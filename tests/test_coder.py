@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_stream,
                         read_symbols, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.errors import CorruptStreamError, ParameterError
-from swsc.params import derive_params
+from swsc.params import CoderParams, derive_params
 
 TINY_STREAM_HEX = (
     "53575343010002000000020000000100000001010300000000000000"
@@ -153,6 +154,23 @@ def test_truncated_payload_names_the_failing_symbol():
     blob, _ = encode_to_bytes(p, syms)
     with pytest.raises(CorruptStreamError, match="symbol"):
         decode_stream(blob[:HEADER_BYTES + 40])
+
+
+def test_a_huge_window_header_allocates_no_window_up_front():
+    # consistent header fields with a 2**24-symbol window, one symbol and a
+    # one-byte payload: the window may cost O(symbols decoded), not O(ell)
+    p = CoderParams.from_frozen(sigma=256, lam=1.0, c=1, ell=2**24,
+                                threshold=2**16, l_max=8, width=8)
+    out = io.BytesIO()
+    write_header(out, p, "trie", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            decode_stream(out.getvalue() + b"\x00")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _stream_with_partial_last_byte():

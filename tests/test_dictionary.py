@@ -26,13 +26,13 @@ def test_symbol_model_bytes(sigma, expected):
 
 def test_code_record_basics():
     r = CodeRecord(3)
-    assert (r.freq, r.length, r.index) == (3, None, None)
-    assert r.length is None
+    assert (r.freq, r.length, r.index, r.sym) == (3, None, None, None)
+    r = CodeRecord(3, 7)
+    assert r == CodeRecord(3, 7)
+    assert r != CodeRecord(4, 7) and r != CodeRecord(3, 8)
     r.length, r.index = 2, 0
-    assert r.length is not None
-    assert r == CodeRecord(3, 2, 0)
-    assert r != CodeRecord(4, 2, 0)
-    assert "freq=3" in repr(r)
+    assert r != CodeRecord(3, 7)  # equality covers the codebook slot
+    assert "freq=3" in repr(r) and "sym=7" in repr(r)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
