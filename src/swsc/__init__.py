@@ -5,6 +5,9 @@ input.  Frequent symbols get Shannon-style codewords from a canonical
 codebook, rare ones fall back to fixed-width literals, and the working
 state (window, frequency dictionary, codebook, partial sums) stays
 sublinear in the alphabet size for windows shorter than the alphabet.
+
+`generate` and `splitmix64` come from `swsc.corpus`, the one module that
+needs numpy; it is imported on their first use, so coding never loads numpy.
 """
 
 from .analysis import (
@@ -24,15 +27,16 @@ from .codebook import Codebook, codeword_length
 from .coder import (
     CoderReport,
     CoderState,
+    decode_chunks,
     decode_stream,
     encode_stream,
     encode_to_bytes,
     read_header,
+    read_symbol_array,
     read_symbols,
     write_header,
     write_symbols,
 )
-from .corpus import DISTRIBUTIONS, generate, splitmix64
 from .dictionary import (
     CodeRecord,
     HashedDictionary,
@@ -46,7 +50,7 @@ from .errors import (
     ParameterError,
     SwscError,
 )
-from .params import CoderParams, derive_params
+from .params import DISTRIBUTIONS, CoderParams, derive_params
 from .partial_sums import PartialSums
 
 __version__ = "0.1.0"
@@ -72,6 +76,7 @@ __all__ = [
     "TrieDictionary",
     "check_bound",
     "codeword_length",
+    "decode_chunks",
     "decode_stream",
     "delta_term",
     "derive_params",
@@ -84,6 +89,7 @@ __all__ = [
     "naive_table_bytes",
     "oracle_state",
     "read_header",
+    "read_symbol_array",
     "read_symbols",
     "splitmix64",
     "symbol_model_bytes",
@@ -91,3 +97,11 @@ __all__ = [
     "write_header",
     "write_symbols",
 ]
+
+
+def __getattr__(name):
+    if name in ("generate", "splitmix64"):
+        from . import corpus
+
+        return getattr(corpus, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,19 +12,9 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import analysis, coder, corpus
+from . import analysis, coder
 from .errors import CorruptStreamError, ParameterError
-from .params import derive_params
-
-
-def _symbol_bytes(sigma: int, forced) -> int:
-    default = coder.symbol_model_bytes(sigma)
-    if forced is None:
-        return default
-    if forced < default:
-        raise ParameterError(
-            f"symbol width {forced} bytes cannot hold symbols up to {sigma - 1}")
-    return forced
+from .params import DISTRIBUTIONS, derive_params
 
 
 def _read_bytes(path: str) -> bytes:
@@ -65,8 +55,8 @@ def _params_doc(params) -> dict:
 
 def _cmd_encode(args) -> int:
     params = derive_params(args.sigma, args.lam, args.c)
-    sym_bytes = _symbol_bytes(args.sigma, args.symbol_bytes)
-    symbols = coder.read_symbols(_read_bytes(args.input), args.sigma, sym_bytes)
+    symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
+                                      args.symbol_bytes)
     out = io.BytesIO()
     report = coder.encode_stream(params, symbols, out, backend=args.backend,
                                  seed=args.hash_seed)
@@ -96,9 +86,10 @@ def _cmd_decode(args) -> int:
         if given is not None and given != actual:
             raise ParameterError(
                 f"--{name} {given} contradicts the stream header ({actual})")
-    symbols, report = coder.decode_stream(data)
-    sym_bytes = _symbol_bytes(params.sigma, args.symbol_bytes)
-    _write_bytes(args.output, coder.write_symbols(symbols, params.sigma, sym_bytes))
+    raw = bytearray()  # nothing is written unless the whole stream decodes
+    for symbols, report in coder.decode_chunks(data):
+        raw += coder.write_symbols(symbols, params.sigma, args.symbol_bytes)
+    _write_bytes(args.output, raw)
     doc = {"command": "decode", "params": _params_doc(params), "backend": backend,
            "report": asdict(report)}
     _emit_report(doc, _text_lines(doc["report"]), args, sys.stderr)
@@ -106,8 +97,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    sym_bytes = _symbol_bytes(args.sigma, args.symbol_bytes)
-    symbols = coder.read_symbols(_read_bytes(args.input), args.sigma, sym_bytes)
+    symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
+                                      args.symbol_bytes)
     stats = analysis.EntropyStats.from_symbols(symbols)
     doc = {"command": "stats", "sigma": args.sigma, "stats": stats.to_dict()}
     _emit_report(doc, _text_lines(doc["stats"]), args, sys.stdout)
@@ -115,10 +106,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import corpus  # numpy; the other commands never load it
+
     arr = corpus.generate(args.dist, args.sigma, args.n, args.seed, s=args.s,
                           states=args.states, stickiness=args.stickiness)
-    sym_bytes = _symbol_bytes(args.sigma, args.symbol_bytes)
-    _write_bytes(args.output, coder.write_symbols(arr, args.sigma, sym_bytes))
+    _write_bytes(args.output, coder.write_symbols(arr, args.sigma, args.symbol_bytes))
     return 0
 
 
@@ -179,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a reproducible test corpus")
     gen.add_argument("output", nargs="?", default="-")
-    gen.add_argument("--dist", choices=corpus.DISTRIBUTIONS, required=True)
+    gen.add_argument("--dist", choices=DISTRIBUTIONS, required=True)
     gen.add_argument("--sigma", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)

@@ -31,9 +31,9 @@ Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 
 import io
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bitio import BitReader, BitWriter
 from .codebook import Codebook
@@ -51,6 +51,9 @@ _BACKEND_NAMES = {0: "trie", 1: "hashed"}
 
 _WRITE_BATCH = 63  # most bits per write_bits call; batches fit a signed 64-bit int
 _READ_BYTES = 16  # payload bytes the decoder loads into its bit window at a time
+# symbols per encode_chunk/decode_chunk call in the whole-stream functions, so
+# a stream is coded holding O(ell + _CHUNK) Python objects, not O(n)
+_CHUNK = 1 << 14
 
 
 class CoderState:
@@ -147,12 +150,10 @@ class CoderState:
             half, lit_mask = 1 << width, (1 << w1) - 1
             b_shift, b_mask = width - l_max, (1 << l_max) - 1
         else:
-            if isinstance(symbols, np.ndarray):  # range-checked before the list copy
-                bad = symbols.size and (symbols.min() < 0 or symbols.max() >= sigma)
+            if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
                 symbols = symbols.tolist()
-            else:
-                bad = len(symbols) and (min(symbols) < 0 or max(symbols) >= sigma)
-            if bad:  # the chunk is rejected before any of it is coded
+            # the chunk is rejected before any of it is coded
+            if count and (min(symbols) < 0 or max(symbols) >= sigma):
                 i = next(i for i, a in enumerate(symbols) if not 0 <= a < sigma)
                 raise ParameterError(f"symbol {symbols[i]} at position "
                                      f"{self.position + i} out of range for sigma {sigma}")
@@ -314,10 +315,16 @@ def read_header(data: bytes) -> tuple[CoderParams, str, int]:
 
 def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
                   seed: int = 0) -> CoderReport:
-    """Encode a symbol sequence to the binary sink out; returns the report."""
+    """Encode a symbol sequence to the binary sink out; returns the report.
+
+    symbols is any sliceable sequence of ints: a list, array.array or numpy
+    array. It is coded _CHUNK symbols at a time.
+    """
     write_header(out, params, backend, len(symbols))
+    state = CoderState(params, backend=backend, seed=seed)
     writer = BitWriter()
-    report = CoderState(params, backend=backend, seed=seed).encode_chunk(symbols, writer)
+    for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
+        report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
     out.write(writer.finish())
     return report
 
@@ -330,6 +337,26 @@ def encode_to_bytes(params: CoderParams, symbols, backend: str = "trie",
     return out.getvalue(), report
 
 
+def decode_chunks(data, backend: str | None = None, seed: int = 0):
+    """Decode a complete stream chunk by chunk; yields (symbols, report so far).
+
+    Each chunk holds at most _CHUNK symbols; an empty stream yields one empty
+    chunk. The end of the stream is checked before the last chunk is
+    yielded, so its report is the whole stream's. backend and seed are as
+    for decode_stream.
+    """
+    if hasattr(data, "read"):
+        data = data.read()
+    params, header_backend, n = read_header(data)
+    state = CoderState(params, backend=backend or header_backend, seed=seed)
+    reader = BitReader(data[HEADER_BYTES:])
+    for lo in range(0, n or 1, _CHUNK):
+        symbols, report = state.decode_chunk(reader, min(_CHUNK, n - lo))
+        if lo + _CHUNK >= n:
+            reader.finish()
+        yield symbols, report
+
+
 def decode_stream(data, backend: str | None = None,
                   seed: int = 0) -> tuple[list[int], CoderReport]:
     """Decode a complete stream (bytes or binary file) back to symbols.
@@ -337,29 +364,56 @@ def decode_stream(data, backend: str | None = None,
     The dictionary backend defaults to the header's flag; passing backend
     overrides it, which never changes the result.
     """
-    if hasattr(data, "read"):
-        data = data.read()
-    params, header_backend, n = read_header(data)
-    state = CoderState(params, backend=backend or header_backend, seed=seed)
-    reader = BitReader(data[HEADER_BYTES:])
-    symbols, report = state.decode_chunk(reader, n)
-    reader.finish()
+    symbols = []
+    for chunk, report in decode_chunks(data, backend=backend, seed=seed):
+        symbols += chunk
     return symbols, report
+
+
+def _raw_typecode(sigma: int, sym_bytes: int | None) -> str:
+    """The array typecode of raw symbols sym_bytes wide (default: smallest fit)."""
+    fit = symbol_model_bytes(sigma)
+    sb = sym_bytes or fit
+    if sb not in (1, 2, 4):
+        raise ParameterError(f"symbol width {sb} bytes is not 1, 2 or 4")
+    if sb < fit:
+        raise ParameterError(
+            f"symbol width {sb} bytes cannot hold symbols up to {sigma - 1}")
+    return next(tc for tc in "BHIL" if array(tc).itemsize == sb)
 
 
 def write_symbols(symbols, sigma: int, sym_bytes: int | None = None) -> bytes:
     """Pack symbols as raw little-endian integers of sym_bytes (default: smallest fit)."""
-    sb = sym_bytes or symbol_model_bytes(sigma)
-    return np.asarray(symbols, dtype=f"<u{sb}").tobytes()
+    tc = _raw_typecode(sigma, sym_bytes)
+    if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
+        symbols = symbols.tolist()
+    if symbols and (min(symbols) < 0 or max(symbols) >= sigma):
+        bad = next(a for a in symbols if not 0 <= a < sigma)
+        raise ParameterError(f"symbol {bad} out of range for sigma {sigma}")
+    arr = array(tc, symbols)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
 
 
-def read_symbols(data: bytes, sigma: int, sym_bytes: int | None = None) -> list[int]:
-    """Unpack a raw fixed-width little-endian symbol file, checking the range."""
-    sb = sym_bytes or symbol_model_bytes(sigma)
-    if len(data) % sb:
+def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:
+    """Unpack a raw fixed-width little-endian symbol file into an array.array.
+
+    The array holds sym_bytes per symbol, not a Python int, and is checked
+    to lie in [0, sigma).
+    """
+    arr = array(_raw_typecode(sigma, sym_bytes))
+    if len(data) % arr.itemsize:
         raise ParameterError(
-            f"raw input length {len(data)} is not a multiple of {sb} bytes")
-    arr = np.frombuffer(data, dtype=f"<u{sb}")
-    if arr.size and int(arr.max()) >= sigma:
-        raise ParameterError(f"symbol {int(arr.max())} out of range for sigma {sigma}")
-    return arr.tolist()
+            f"raw input length {len(data)} is not a multiple of {arr.itemsize} bytes")
+    arr.frombytes(data)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    if arr and max(arr) >= sigma:
+        raise ParameterError(f"symbol {max(arr)} out of range for sigma {sigma}")
+    return arr
+
+
+def read_symbols(data, sigma: int, sym_bytes: int | None = None) -> list[int]:
+    """Unpack a raw fixed-width little-endian symbol file, checking the range."""
+    return read_symbol_array(data, sigma, sym_bytes).tolist()

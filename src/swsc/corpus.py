@@ -10,13 +10,11 @@ import numpy as np
 
 from .dictionary import symbol_model_bytes
 from .errors import ParameterError
-from .params import check_sigma
+from .params import DISTRIBUTIONS, check_sigma  # noqa: F401 (re-exported)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-DISTRIBUTIONS = ("uniform", "zipf", "markov")
 
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:

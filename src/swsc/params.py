@@ -17,6 +17,10 @@ MAX_ELL = 2**31 - 1
 # so is sigma: larger alphabets cannot be written down in a stream
 MAX_SIGMA = 2**32 - 1
 
+# the test sources swsc.corpus generates; named here, apart from its numpy
+# code, so the CLI can offer them without importing numpy
+DISTRIBUTIONS = ("uniform", "zipf", "markov")
+
 
 def check_sigma(sigma: int) -> None:
     """Reject alphabet sizes outside [2, MAX_SIGMA]."""

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, file and stdio pipelines."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import swsc
-from swsc import corpus
+from swsc import coder, corpus
+from swsc.bitio import BitWriter
 from swsc.cli import run
 from swsc.coder import HEADER_BYTES
+from swsc.errors import CorruptStreamError
 
 
 def test_params_command_prints_derived_constants(capsys):
@@ -227,3 +230,51 @@ def test_stdio_pipeline_roundtrip():
     dec = subprocess.run(base + ["decode"], input=enc.stdout,
                          capture_output=True, check=True, env=env)
     assert dec.stdout == raw
+
+
+def _multi_chunk_case():
+    """A zipf input longer than two coding chunks, whose edges miss ell's multiples."""
+    p = swsc.derive_params(256, 2.0, 10)
+    assert coder._CHUNK % p.ell
+    n = 2 * coder._CHUNK + p.ell // 3
+    return p, corpus.generate("zipf", 256, n, seed=8).tolist()
+
+
+def test_cli_codes_an_input_of_several_chunks(tmp_path, capsys):
+    p, syms = _multi_chunk_case()
+    raw, packed, restored = (tmp_path / f for f in ("raw.bin", "p.swsc", "out.bin"))
+    raw.write_bytes(coder.write_symbols(syms, 256))
+    assert run(["encode", str(raw), str(packed), "--sigma", "256"]) == 0
+    # one unchunked call gives the payload the chunked paths must reproduce
+    header = io.BytesIO()
+    coder.write_header(header, p, "trie", len(syms))
+    writer = BitWriter()
+    swsc.CoderState(p).encode_chunk(syms, writer)
+    want = header.getvalue() + writer.finish()
+    assert packed.read_bytes() == want == swsc.encode_to_bytes(p, syms)[0]
+    assert swsc.decode_stream(want)[0] == syms
+    capsys.readouterr()
+    assert run(["decode", str(packed), str(restored), "--json"]) == 0
+    assert json.loads(capsys.readouterr().err)["report"]["n"] == len(syms)
+    assert restored.read_bytes() == raw.read_bytes()
+
+
+def test_cli_decode_of_a_stream_cut_mid_way_writes_nothing(tmp_path, capsysbinary):
+    p, syms = _multi_chunk_case()
+    blob, _ = swsc.encode_to_bytes(p, syms)
+    cut = blob[:HEADER_BYTES + 2 * (len(blob) - HEADER_BYTES) // 3]
+    chunks = coder.decode_chunks(cut)
+    next(chunks)  # the first chunk still decodes: the cut is past it
+    with pytest.raises(CorruptStreamError, match="truncated"):
+        list(chunks)
+    whole, bad, out = tmp_path / "whole.swsc", tmp_path / "cut.swsc", tmp_path / "out.bin"
+    whole.write_bytes(blob)
+    bad.write_bytes(cut)
+    assert run(["decode", str(whole), "-"]) == 0  # stdout is captured
+    assert capsysbinary.readouterr().out == coder.write_symbols(syms, 256)
+    assert run(["decode", str(bad), str(out)]) == 4
+    assert not out.exists()
+    assert run(["decode", str(bad), "-"]) == 4
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"truncated" in captured.err

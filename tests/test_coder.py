@@ -461,3 +461,33 @@ def test_raw_symbol_file_roundtrip():
 def test_raw_symbol_file_length_must_divide():
     with pytest.raises(ParameterError):
         read_symbols(b"\x00\x01\x02", 4096)  # 2-byte symbols
+
+
+@pytest.mark.parametrize("sigma, syms, want", [
+    (256, [0, 1, 127, 255], "00017fff"),
+    (65536, [0, 1, 0x1234, 65535], "0000" "0100" "3412" "ffff"),
+    (2**32 - 1, [0, 65536, 0x12345678, 2**32 - 2],
+     "00000000" "00000100" "78563412" "feffffff"),
+])
+def test_raw_symbol_bytes_frozen(sigma, syms, want):
+    # little-endian, 1, 2 and 4 bytes per symbol, whatever the host
+    data = write_symbols(syms, sigma)
+    assert data.hex() == want
+    assert read_symbols(data, sigma) == syms
+
+
+@pytest.mark.parametrize("sigma, syms, bad", [
+    (256, [256], 256), (256, [-1], -1), (300, [300], 300),
+    (300, [5, -2, 7], -2), (2**32 - 1, [0, 2**32 - 1], 2**32 - 1),
+])
+def test_write_symbols_rejects_symbols_outside_the_alphabet(sigma, syms, bad):
+    with pytest.raises(ParameterError, match=f"symbol {bad} out of range"):
+        write_symbols(syms, sigma)
+
+
+def test_raw_symbol_width_must_hold_the_alphabet():
+    for sym_bytes in (1, 3):
+        with pytest.raises(ParameterError, match="symbol width"):
+            write_symbols([299], 300, sym_bytes)
+        with pytest.raises(ParameterError, match="symbol width"):
+            read_symbols(b"\x00" * 12, 300, sym_bytes)

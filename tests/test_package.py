@@ -1,6 +1,10 @@
 """The package surface: exported names and the README example."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import swsc
@@ -19,3 +23,44 @@ def test_readme_library_example_runs():
     assert len(blocks) == 1
     symbols = generate("zipf", sigma=4096, n=2000, seed=5).tolist()
     exec(compile(blocks[0], str(README), "exec"), {"symbols": symbols})
+
+
+def _fresh_interpreter(code, cwd):
+    """Run code in a new python that imports the swsc under test."""
+    src = os.path.dirname(os.path.dirname(swsc.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], check=True,
+                   cwd=cwd, env=env)
+
+
+def test_coding_never_imports_numpy(tmp_path):
+    _fresh_interpreter("""
+        import sys
+        import swsc, swsc.cli
+        assert 'numpy' not in sys.modules
+        open('raw.bin', 'wb').write(bytes(range(200)) * 30)
+        for argv in (['encode', 'raw.bin', 'p.swsc', '--sigma', '256'],
+                     ['decode', 'p.swsc', 'out.bin'],
+                     ['stats', 'raw.bin', '--sigma', '256']):
+            assert swsc.cli.run(argv) == 0
+        assert open('out.bin', 'rb').read() == open('raw.bin', 'rb').read()
+        assert 'numpy' not in sys.modules
+        """, tmp_path)
+
+
+def test_corpus_names_load_on_first_use(tmp_path):
+    _fresh_interpreter("""
+        import sys
+        import swsc, swsc.cli
+        assert swsc.DISTRIBUTIONS == ('uniform', 'zipf', 'markov')
+        assert 'numpy' not in sys.modules
+        from swsc import *
+        assert 'numpy' in sys.modules
+        assert generate('uniform', 16, 5, 1).tolist() == swsc.generate(
+            'uniform', 16, 5, 1).tolist()
+        assert len(splitmix64(1, 3)) == 3
+        assert swsc.cli.run(['gen', 'c.bin', '--dist', 'zipf', '--sigma', '300',
+                             '--n', '10']) == 0
+        assert len(open('c.bin', 'rb').read()) == 20
+        """, tmp_path)
