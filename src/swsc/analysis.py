@@ -157,9 +157,12 @@ class MemoryAudit:
 def memory_audit(state) -> MemoryAudit:
     """Modeled bytes held by a coder state, split per structure.
 
-    The window counts its full ring capacity; the codebook counts its current
-    list contents plus per-length list heads; the Kraft structure is two
-    machine-word arrays of l_max + 2 entries each.
+    The window counts its full ring capacity at the symbol's byte width. The
+    ring holds references to dictionary records, not symbols; a packed layout
+    stores a record index of ceil(log2 min(ell, sigma)) <= width bits per
+    slot instead, so the symbol width still bounds it. The codebook counts
+    its current list contents plus per-length list heads; the Kraft structure
+    is two machine-word arrays of l_max + 2 entries each.
     """
     p = state.params
     sb = symbol_model_bytes(p.sigma)

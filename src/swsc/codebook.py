@@ -22,6 +22,16 @@ def codeword_length(ell: int, f: int) -> int:
     return ((ell + f - 1) // f - 1).bit_length()
 
 
+def length_bounds(ell: int, l_max: int) -> tuple[list[int], list[int]]:
+    """Frequencies where the Shannon length crosses a class, for j = 0..l_max.
+
+    codeword_length(ell, f) > j iff f < down[j] = ceil(ell / 2**j), and
+    codeword_length(ell, f) < j iff f >= up[j] = down[j - 1] (up[0] = ell + 1).
+    """
+    down = [-(-ell >> j) for j in range(l_max + 1)]
+    return down, [ell + 1] + down[:-1]
+
+
 class Codebook:
     """Per-length lists of code records plus the scaled Kraft sums that address them.
 

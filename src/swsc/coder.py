@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass
 
 from .bitio import BitReader, BitWriter
-from .codebook import Codebook
+from .codebook import Codebook, codeword_length, length_bounds
 from .dictionary import CodeRecord, make_dictionary, symbol_model_bytes
 from .errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from .params import CoderParams
@@ -64,7 +64,7 @@ class CoderState:
         self.params = params
         self.dictionary = make_dictionary(backend, params.sigma, seed=seed)
         self.codebook = Codebook(params.l_max)
-        self._buf = []  # ring buffer grown to ell, head = oldest when full
+        self._buf = []  # ring of window records grown to ell, head = oldest when full
         self._len = 0
         self._head = 0
         self.position = 0  # symbols processed
@@ -74,10 +74,8 @@ class CoderState:
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
-        if self._len < self.params.ell:
-            return self._buf[: self._len]
         h = self._head
-        return self._buf[h:] + self._buf[:h]
+        return [rec.sym for rec in self._buf[h:] + self._buf[:h]]
 
     @property
     def window_len(self) -> int:
@@ -126,13 +124,17 @@ class CoderState:
         evicted symbol is the incoming one, the same steps run and cancel
         arithmetically.
 
-        Ring, bit window and counters live in locals and are written back
-        when the chunk ends; codeword_length is inlined. Returns the decoded
-        symbols when decoding.
+        Each ring slot holds its symbol's record, so the evicted record needs
+        no lookup; a record is dropped only when no slot holds it. A coded
+        record moves one length class when its frequency crosses a bound of
+        length_bounds, so codeword_length runs only on insert. Ring, bit
+        window and counters live in locals and are written back when the
+        chunk ends. Returns the decoded symbols when decoding.
         """
         p = self.params
         sigma, width, l_max = p.sigma, p.width, p.l_max
         ell, threshold = p.ell, p.threshold
+        down, up = length_bounds(ell, l_max)
         w1 = width + 1  # a literal: flag 0 then the plain index
         d = self.dictionary
         lookup, put, delete = d.lookup, d.put, d.delete
@@ -199,40 +201,27 @@ class CoderState:
                     else:
                         wacc = (wacc << k) | v
                         wbits += k
-                # 1. rotate the ring
-                if ln < ell:
-                    buf.append(a)
-                    ln += 1
-                else:
-                    e = buf[head]
-                    buf[head] = a
-                    head += 1
-                    if head == ell:
-                        head = 0
+                # 1. the ring slides: its oldest slot, when full, is evicted
+                if ln == ell:
                     # 2. + 3. the evicted symbol loses one occurrence
-                    erec = rec if e == a else lookup(e)
-                    if erec is None:
-                        raise InternalInconsistencyError(
-                            f"evicted symbol {e} untracked")
+                    erec = buf[head]
                     f = erec.freq - 1
                     erec.freq = f
                     if f == 0:
-                        delete(e)
-                        if e == a:
+                        delete(erec.sym)
+                        if erec is rec:
                             rec = None  # the record was just dropped
                     length = erec.length
                     if length is not None:
                         if f < threshold:
                             remove(erec)
                             touched = True
-                        else:
-                            new_len = ((ell + f - 1) // f - 1).bit_length()
-                            if new_len > length:
-                                if new_len > l_max:
-                                    raise InternalInconsistencyError(
-                                        "frequent symbol demoted past l_max")
-                                move(erec, length + 1)
-                                touched = True
+                        elif f < down[length]:
+                            if f < down[l_max]:  # needs more than l_max bits
+                                raise InternalInconsistencyError(
+                                    "frequent symbol demoted past l_max")
+                            move(erec, length + 1)
+                            touched = True
                 # 4. + 5. the incoming symbol gains one
                 if rec is None:
                     rec = CodeRecord(0, a)
@@ -240,14 +229,22 @@ class CoderState:
                 f = rec.freq + 1
                 rec.freq = f
                 if f >= threshold:
-                    new_len = ((ell + f - 1) // f - 1).bit_length()
                     length = rec.length
                     if length is None:
-                        insert(rec, new_len)
+                        insert(rec, codeword_length(ell, f))
                         touched = True
-                    elif new_len < length:
+                    elif f >= up[length]:
                         move(rec, length - 1)
                         touched = True
+                # the slot takes the incoming record, which 4. may have made
+                if ln < ell:
+                    buf.append(rec)
+                    ln += 1
+                else:
+                    buf[head] = rec
+                    head += 1
+                    if head == ell:
+                        head = 0
                 # 6. the code must stay complete-or-under; only codebook
                 # events and coded symbols change the Kraft sums or touches
                 if touched:

@@ -163,9 +163,10 @@ class HashedDictionary:
 
     def _alloc(self, capacity):
         self._cap = capacity
-        self._shift = 64 - capacity.bit_length() + 1
-        self._keys = [-1] * capacity
-        self._vals = [None] * capacity
+        # keys, values, multiplier, shift, mask: everything a probe reads, in
+        # one attribute load
+        self._probe = ([-1] * capacity, [None] * capacity, self._mult,
+                       64 - capacity.bit_length() + 1, capacity - 1)
 
     def __len__(self):
         return self._n
@@ -175,7 +176,8 @@ class HashedDictionary:
         return self._cap
 
     def _home(self, a):
-        return ((a * self._mult) & 0xFFFFFFFFFFFFFFFF) >> self._shift
+        _, _, mult, shift, _ = self._probe
+        return ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift
 
     def get(self, a: int):
         """Record for symbol a, or None."""
@@ -185,13 +187,12 @@ class HashedDictionary:
 
     def lookup(self, a: int):
         """get without the range check: a must lie in [0, sigma)."""
-        keys = self._keys
-        mask = self._cap - 1
-        i = ((a * self._mult) & 0xFFFFFFFFFFFFFFFF) >> self._shift  # _home inlined
+        keys, vals, mult, shift, mask = self._probe
+        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
         while True:
             k = keys[i]
             if k == a:
-                return self._vals[i]
+                return vals[i]
             if k < 0:
                 return None
             i = (i + 1) & mask
@@ -200,36 +201,31 @@ class HashedDictionary:
         """Insert or overwrite the record for symbol a."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        keys = self._keys
-        mask = self._cap - 1
-        i = ((a * self._mult) & 0xFFFFFFFFFFFFFFFF) >> self._shift  # _home inlined
+        keys, vals, mult, shift, mask = self._probe
+        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
         while True:
             k = keys[i]
             if k == a:
-                self._vals[i] = record
+                vals[i] = record
                 return
             if k < 0:
                 break
             i = (i + 1) & mask
         if 2 * (self._n + 1) > self._cap:  # grow only for a genuine insert
             self._rehash(self._cap * 2)
-            keys = self._keys
-            mask = self._cap - 1
+            keys, vals, _, _, mask = self._probe
             i = self._home(a)
             while keys[i] >= 0:
                 i = (i + 1) & mask
         keys[i] = a
-        self._vals[i] = record
+        vals[i] = record
         self._n += 1
 
     def delete(self, a: int) -> None:
         """Remove symbol a; absence is an internal inconsistency."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        keys = self._keys
-        vals = self._vals
-        mask = self._cap - 1
-        mult, shift = self._mult, self._shift
+        keys, vals, mult, shift, mask = self._probe
         i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
         while True:
             k = keys[i]
@@ -262,11 +258,9 @@ class HashedDictionary:
             self._rehash(new_cap)
 
     def _rehash(self, capacity):
-        old = [(k, v) for k, v in zip(self._keys, self._vals) if k >= 0]
+        old = list(self.items())
         self._alloc(capacity)
-        keys = self._keys
-        vals = self._vals
-        mask = capacity - 1
+        keys, vals, _, _, mask = self._probe
         for k, v in old:
             i = self._home(k)
             while keys[i] >= 0:
@@ -276,7 +270,8 @@ class HashedDictionary:
 
     def items(self):
         """Yield (symbol, record) pairs in table order."""
-        for k, v in zip(self._keys, self._vals):
+        keys, vals, _, _, _ = self._probe
+        for k, v in zip(keys, vals):
             if k >= 0:
                 yield k, v
 

@@ -2,13 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swsc.codebook import Codebook, codeword_length
+from swsc.codebook import Codebook, codeword_length, length_bounds
 from swsc.dictionary import CodeRecord
-from swsc.errors import CorruptStreamError, InternalInconsistencyError
+from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
+from swsc.params import CoderParams, derive_params
 
 
 @pytest.mark.parametrize("ell,f,expected", [
@@ -42,6 +44,38 @@ def test_codeword_length_is_smallest_covering_exponent(ell, f):
 def test_codeword_length_rejects_nonpositive(ell, f):
     with pytest.raises(ValueError):
         codeword_length(ell, f)
+
+
+def _smallest_threshold_header():
+    # ceil(1000 / 2**3) = 125 is the least threshold that codes in l_max = 3 bits
+    p = CoderParams.from_frozen(sigma=256, lam=2.0, c=1, ell=1000, threshold=125,
+                                l_max=3, width=8)
+    with pytest.raises(ParameterError, match="longer than l_max"):
+        CoderParams.from_frozen(sigma=256, lam=2.0, c=1, ell=1000, threshold=124,
+                                l_max=3, width=8)
+    return p
+
+
+def test_length_bounds_mark_every_class_crossing():
+    grid = [derive_params(sigma, lam, c) for sigma in (3, 256, 4096, 65536, 70000)
+            for lam in (1.0, 1.5, 2.0, 3.0) for c in (1, 10)]
+    for p in grid + [_smallest_threshold_header()]:
+        ell, l_max = p.ell, p.l_max
+        down, up = length_bounds(ell, l_max)
+        assert len(down) == len(up) == l_max + 1
+        # every f in [threshold, ell], in blocks; codeword_length's formula is
+        # vectorized here (bit_length is frexp's exponent), and checked
+        # against codeword_length itself at each block's ends and every bound
+        for lo in range(p.threshold, ell + 1, 1 << 20):
+            f = np.arange(lo, min(lo + (1 << 20), ell + 1), dtype=np.int64)
+            lengths = np.frexp((ell + f - 1) // f - 1)[1]
+            edges = [x for b in down + up for x in (b - 1, b)
+                     if f[0] <= x <= f[-1]] + [f[0], f[-1]]
+            for x in edges:
+                assert lengths[x - f[0]] == codeword_length(ell, int(x))
+            for j in range(l_max + 1):
+                assert np.array_equal(f >= up[j], lengths < j), (p, j)
+                assert np.array_equal(f < down[j], lengths > j), (p, j)
 
 
 def rec_of(a):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -238,7 +239,17 @@ def test_encode_chunk_rejects_out_of_range_symbol_mid_chunk(as_array, bad):
 
 
 def snapshot(state):
-    """Everything a coder state carries from one chunk to the next."""
+    """Everything a coder state carries from one chunk to the next.
+
+    Also checks that the ring and the dictionary agree: each slot holds its
+    symbol's live record, and a record's frequency is the number of slots
+    holding it.
+    """
+    slots = Counter(map(id, state._buf))
+    for rec in state._buf:
+        assert state.dictionary.lookup(rec.sym) is rec
+        assert rec.freq == slots[id(rec)]
+    assert len(state.dictionary) == len(slots)
     cb = state.codebook
     return (state.position, state.window_contents(), sorted(state.dictionary.items()),
             cb.lists, cb.kraft_total, cb.kraft.touches)

@@ -289,6 +289,36 @@ def test_hashed_seed_changes_layout_not_content():
             assert d.get(a).freq == a + 1
 
 
+def test_hashed_lookup_follows_every_resize():
+    d = HashedDictionary(65536, seed=3)
+    rng = random.Random(5)
+    keys = rng.sample(range(65536), 200)
+    absent = [a for a in range(65536) if a % 97 == 5 and a not in keys]
+    stored, caps = {}, [d.capacity]
+
+    def check():
+        for a, rec in stored.items():
+            assert d.lookup(a) is rec
+        for a in absent:
+            assert d.lookup(a) is None
+
+    for a in keys:
+        stored[a] = CodeRecord(1, a)
+        d.put(a, stored[a])
+        if d.capacity != caps[-1]:
+            caps.append(d.capacity)
+            check()
+    grows = len(caps) - 1
+    for a in keys:
+        d.delete(a)
+        del stored[a]
+        if d.capacity != caps[-1]:
+            caps.append(d.capacity)
+            check()
+    shrinks = len(caps) - 1 - grows
+    assert grows >= 2 and shrinks >= 2, caps
+
+
 def test_hashed_capacity_never_drops_below_minimum():
     d = HashedDictionary(256)
     for a in range(3):
