@@ -33,7 +33,6 @@ from .coder import (
     encode_to_bytes,
     read_header,
     read_symbol_array,
-    read_symbols,
     write_header,
     write_symbols,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "oracle_state",
     "read_header",
     "read_symbol_array",
-    "read_symbols",
     "splitmix64",
     "symbol_model_bytes",
     "theorem1_bound",

@@ -58,8 +58,7 @@ def _cmd_encode(args) -> int:
     symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
                                       args.symbol_bytes)
     out = io.BytesIO()
-    report = coder.encode_stream(params, symbols, out, backend=args.backend,
-                                 seed=args.hash_seed)
+    report = coder.encode_stream(params, symbols, out, backend=args.backend)
     _write_bytes(args.output, out.getvalue())
     doc = {"command": "encode", "params": _params_doc(params),
            "report": asdict(report)}
@@ -148,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--backend", choices=("trie", "hashed"), default="trie",
                      help="dictionary backend (the payload is identical either way; "
                           "only the informational header byte differs)")
-    enc.add_argument("--hash-seed", type=int, default=0,
-                     help="seed for the hashed backend (never changes the output)")
     enc.add_argument("--symbol-bytes", type=int, choices=(1, 2, 4), default=None,
                      help="force the raw symbol width instead of the smallest fit")
     enc.add_argument("--verify-bound", action="store_true",

@@ -62,6 +62,29 @@ class Codebook:
             raise InternalInconsistencyError(f"length {j} out of range 0..{self.l_max}")
         if rec.length is not None:
             raise InternalInconsistencyError(f"symbol {rec.sym} is already coded")
+        self._link(rec, j)
+
+    def remove(self, rec) -> None:
+        """Swap-remove the record rec from its list and mark it literal."""
+        if rec.length is None:
+            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
+        self._unlink(rec)
+        rec.length = None
+        rec.index = None
+
+    def move(self, rec, j_to: int) -> None:
+        """Move the record rec to the adjacent length class j_to."""
+        j = rec.length
+        if j is None:
+            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
+        if j_to - j not in (-1, 1) or not 0 <= j_to <= self.l_max:
+            raise InternalInconsistencyError(f"move from {j} to {j_to} is not one level")
+        self._unlink(rec)
+        self._link(rec, j_to)
+
+    def _link(self, rec, j):
+        # append rec to A[j] at (j, end) and add its weight; insert and move
+        # are the only updates that raise the Kraft sum, so this is its check
         lst = self.lists[j]
         lst.append(rec)
         rec.length = j
@@ -75,42 +98,11 @@ class Codebook:
                 f"Kraft sum {self.kraft_total} exceeds capacity {self.capacity}"
             )
 
-    def remove(self, rec) -> None:
-        """Swap-remove the record rec from its list and mark it literal."""
-        j = rec.length
-        if j is None:
-            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
-        self._unlink(rec)
-        w = 1 << (self.l_max - j)
-        self.kraft.add(j + 1, -w)
-        self.kraft_total -= w
-        self.size -= 1
-        rec.length = None
-        rec.index = None
-
-    def move(self, rec, j_to: int) -> None:
-        """Move the record rec to the adjacent length class j_to."""
-        j = rec.length
-        if j is None:
-            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
-        if j_to - j not in (-1, 1) or not 0 <= j_to <= self.l_max:
-            raise InternalInconsistencyError(f"move from {j} to {j_to} is not one level")
-        self._unlink(rec)
-        dst = self.lists[j_to]
-        dst.append(rec)
-        rec.length = j_to
-        rec.index = len(dst) - 1
-        self.kraft.add(j + 1, -(1 << (self.l_max - j)))
-        self.kraft.add(j_to + 1, 1 << (self.l_max - j_to))
-        self.kraft_total += (1 << (self.l_max - j_to)) - (1 << (self.l_max - j))
-        if self.kraft_total > self.capacity:
-            raise InternalInconsistencyError(
-                f"Kraft sum {self.kraft_total} exceeds capacity {self.capacity}"
-            )
-
     def _unlink(self, rec):
-        # swap the last record of A[j] into rec's slot and renumber it
-        lst = self.lists[rec.length]
+        # swap the last record of A[j] into rec's slot, renumber it and drop
+        # rec's weight; rec keeps its stale (length, index)
+        j = rec.length
+        lst = self.lists[j]
         k = rec.index
         last = lst.pop()
         if last is not rec:
@@ -118,6 +110,10 @@ class Codebook:
                 raise InternalInconsistencyError(f"stale index {k} for symbol {rec.sym}")
             lst[k] = last
             last.index = k
+        w = 1 << (self.l_max - j)
+        self.kraft.add(j + 1, -w)
+        self.kraft_total -= w
+        self.size -= 1
 
     def codeword(self, j: int, k: int) -> tuple[int, int]:
         """Codeword (value, length) of the k-th symbol (1-based) in A[j]."""

@@ -33,6 +33,7 @@ import io
 import struct
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 from .bitio import BitReader, BitWriter
@@ -64,9 +65,7 @@ class CoderState:
         self.params = params
         self.dictionary = make_dictionary(backend, params.sigma, seed=seed)
         self.codebook = Codebook(params.l_max)
-        self._buf = []  # ring of window records grown to ell, head = oldest when full
-        self._len = 0
-        self._head = 0
+        self._buf = deque(maxlen=params.ell)  # window records, oldest first
         self.position = 0  # symbols processed
         # report counters carried across chunks: payload bits, literals, the
         # worst single-step partial-sums touches, the largest coded-symbol set
@@ -74,12 +73,7 @@ class CoderState:
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
-        h = self._head
-        return [rec.sym for rec in self._buf[h:] + self._buf[:h]]
-
-    @property
-    def window_len(self) -> int:
-        return self._len
+        return [rec.sym for rec in self._buf]
 
     def step_update(self, a: int) -> None:
         """Encode symbol a to a discarded writer; the report still counts it."""
@@ -120,16 +114,18 @@ class CoderState:
         Each step emits symbols[i] to writer, or decodes the symbol from
         reader. Then the window slides over it in a fixed order, which both
         ends of the stream must replay identically for codebook offsets to
-        agree: ring, evicted symbol, incoming symbol, Kraft check. When the
-        evicted symbol is the incoming one, the same steps run and cancel
-        arithmetically.
+        agree: ring, evicted symbol, incoming symbol. When the evicted symbol
+        is the incoming one, the same steps run and cancel arithmetically.
 
-        Each ring slot holds its symbol's record, so the evicted record needs
-        no lookup; a record is dropped only when no slot holds it. A coded
+        The ring is a deque bounded at ell that holds each window symbol's
+        record, so the evicted record, buf[0] once the ring is full, needs no
+        lookup; a record is dropped only when no slot holds it. A coded
         record moves one length class when its frequency crosses a bound of
-        length_bounds, so codeword_length runs only on insert. Ring, bit
-        window and counters live in locals and are written back when the
-        chunk ends. Returns the decoded symbols when decoding.
+        length_bounds, so codeword_length runs only on insert. The codebook
+        checks the Kraft bound itself on every insert and move, the only
+        updates that raise the sum. Bit window and counters live in locals
+        and are written back when the chunk ends. Returns the decoded symbols
+        when decoding.
         """
         p = self.params
         sigma, width, l_max = p.sigma, p.width, p.l_max
@@ -140,7 +136,9 @@ class CoderState:
         lookup, put, delete = d.lookup, d.put, d.delete
         cb = self.codebook
         insert, remove, move, kraft = cb.insert, cb.remove, cb.move, cb.kraft
-        buf, ln, head = self._buf, self._len, self._head
+        buf = self._buf
+        push = buf.append  # once the ring is full, this drops buf[0]
+        room = ell - len(buf)  # steps i >= room find the ring full
         literals, max_step, max_size = self._literals, self._max_step, self._max_size
         t_prev = kraft.touches
         decoding = reader is not None
@@ -202,9 +200,9 @@ class CoderState:
                         wacc = (wacc << k) | v
                         wbits += k
                 # 1. the ring slides: its oldest slot, when full, is evicted
-                if ln == ell:
+                if i >= room:
                     # 2. + 3. the evicted symbol loses one occurrence
-                    erec = buf[head]
+                    erec = buf[0]
                     f = erec.freq - 1
                     erec.freq = f
                     if f == 0:
@@ -236,21 +234,10 @@ class CoderState:
                     elif f >= up[length]:
                         move(rec, length - 1)
                         touched = True
-                # the slot takes the incoming record, which 4. may have made
-                if ln < ell:
-                    buf.append(rec)
-                    ln += 1
-                else:
-                    buf[head] = rec
-                    head += 1
-                    if head == ell:
-                        head = 0
-                # 6. the code must stay complete-or-under; only codebook
-                # events and coded symbols change the Kraft sums or touches
+                # the ring takes the incoming record, which 4. may have made
+                push(rec)
+                # only codebook events and coded symbols change the touches
                 if touched:
-                    if cb.kraft_total > cb.capacity:
-                        raise InternalInconsistencyError(
-                            "Kraft budget exceeded after update")
                     t = kraft.touches
                     if t - t_prev > max_step:
                         max_step = t - t_prev
@@ -259,7 +246,6 @@ class CoderState:
                         max_size = cb.size
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"symbol {self.position + i}: {exc}") from exc
-        self._len, self._head = ln, head
         self.position += count
         self._literals, self._max_step, self._max_size = literals, max_step, max_size
         if decoding:
@@ -409,8 +395,3 @@ def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:
     if arr and max(arr) >= sigma:
         raise ParameterError(f"symbol {max(arr)} out of range for sigma {sigma}")
     return arr
-
-
-def read_symbols(data, sigma: int, sym_bytes: int | None = None) -> list[int]:
-    """Unpack a raw fixed-width little-endian symbol file, checking the range."""
-    return read_symbol_array(data, sigma, sym_bytes).tolist()

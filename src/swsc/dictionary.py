@@ -162,9 +162,8 @@ class HashedDictionary:
         self._alloc(self.MIN_CAPACITY)
 
     def _alloc(self, capacity):
-        self._cap = capacity
         # keys, values, multiplier, shift, mask: everything a probe reads, in
-        # one attribute load
+        # one attribute load, and the table's only record of its capacity
         self._probe = ([-1] * capacity, [None] * capacity, self._mult,
                        64 - capacity.bit_length() + 1, capacity - 1)
 
@@ -173,11 +172,7 @@ class HashedDictionary:
 
     @property
     def capacity(self) -> int:
-        return self._cap
-
-    def _home(self, a):
-        _, _, mult, shift, _ = self._probe
-        return ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift
+        return self._probe[4] + 1
 
     def get(self, a: int):
         """Record for symbol a, or None."""
@@ -188,7 +183,7 @@ class HashedDictionary:
     def lookup(self, a: int):
         """get without the range check: a must lie in [0, sigma)."""
         keys, vals, mult, shift, mask = self._probe
-        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
+        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # the home slot
         while True:
             k = keys[i]
             if k == a:
@@ -202,7 +197,7 @@ class HashedDictionary:
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
         keys, vals, mult, shift, mask = self._probe
-        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
+        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # the home slot
         while True:
             k = keys[i]
             if k == a:
@@ -211,12 +206,9 @@ class HashedDictionary:
             if k < 0:
                 break
             i = (i + 1) & mask
-        if 2 * (self._n + 1) > self._cap:  # grow only for a genuine insert
-            self._rehash(self._cap * 2)
-            keys, vals, _, _, mask = self._probe
-            i = self._home(a)
-            while keys[i] >= 0:
-                i = (i + 1) & mask
+        if 2 * (self._n + 1) > mask + 1:  # grow only for a genuine insert
+            self._rehash(2 * (mask + 1))
+            return self.put(a, record)
         keys[i] = a
         vals[i] = record
         self._n += 1
@@ -226,7 +218,7 @@ class HashedDictionary:
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
         keys, vals, mult, shift, mask = self._probe
-        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # _home inlined
+        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # the home slot
         while True:
             k = keys[i]
             if k == a:
@@ -251,18 +243,18 @@ class HashedDictionary:
                 vals[j] = None
                 i = j
         self._n -= 1
-        if self._cap > self.MIN_CAPACITY and 8 * self._n < self._cap:
-            new_cap = self._cap
-            while new_cap > self.MIN_CAPACITY and 8 * self._n < new_cap:
-                new_cap //= 2
-            self._rehash(new_cap)
+        cap = mask + 1
+        if cap > self.MIN_CAPACITY and 8 * self._n < cap:
+            while cap > self.MIN_CAPACITY and 8 * self._n < cap:
+                cap //= 2
+            self._rehash(cap)
 
     def _rehash(self, capacity):
         old = list(self.items())
         self._alloc(capacity)
-        keys, vals, _, _, mask = self._probe
+        keys, vals, mult, shift, mask = self._probe
         for k, v in old:
-            i = self._home(k)
+            i = ((k * mult) & 0xFFFFFFFFFFFFFFFF) >> shift
             while keys[i] >= 0:
                 i = (i + 1) & mask
             keys[i] = k
@@ -277,7 +269,7 @@ class HashedDictionary:
 
     def report_memory(self) -> int:
         """Modeled bytes: every slot carries a key plus an inline record."""
-        return self._cap * (self._key_bytes + RECORD_MODEL_BYTES)
+        return self.capacity * (self._key_bytes + RECORD_MODEL_BYTES)
 
 
 def make_dictionary(backend: str, sigma: int, seed: int = 0):

@@ -73,11 +73,10 @@ class CoderParams:
         if not 1 <= self.l_max <= self.width:
             raise ParameterError("l_max must lie in [1, width]")
         # Shannon lengths of frequencies in [threshold, ell] must fit in
-        # [0, l_max]; the length is nonincreasing in f, so the endpoints decide
+        # [0, l_max]; the length is nonincreasing in f and 0 at f = ell, so
+        # the threshold decides
         if codeword_length(self.ell, self.threshold) > self.l_max:
             raise ParameterError("threshold admits codewords longer than l_max")
-        if codeword_length(self.ell, self.ell) != 0:
-            raise ParameterError("full-window frequency must code in zero bits")
 
     @classmethod
     def from_frozen(cls, sigma, lam, c, ell, threshold, l_max, width) -> "CoderParams":

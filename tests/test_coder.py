@@ -15,9 +15,9 @@ from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import codeword_length
 from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_stream,
                         encode_stream, encode_to_bytes, read_header,
-                        read_symbols, write_header, write_symbols)
+                        read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
-from swsc.errors import CorruptStreamError, ParameterError
+from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from swsc.params import CoderParams, derive_params
 
 TINY_STREAM_HEX = (
@@ -241,10 +241,11 @@ def test_encode_chunk_rejects_out_of_range_symbol_mid_chunk(as_array, bad):
 def snapshot(state):
     """Everything a coder state carries from one chunk to the next.
 
-    Also checks that the ring and the dictionary agree: each slot holds its
-    symbol's live record, and a record's frequency is the number of slots
-    holding it.
+    Also checks that the ring and the dictionary agree: the ring holds at
+    most ell records, each slot holds its symbol's live record, and a
+    record's frequency is the number of slots holding it.
     """
+    assert len(state._buf) <= state.params.ell
     slots = Counter(map(id, state._buf))
     for rec in state._buf:
         assert state.dictionary.lookup(rec.sym) is rec
@@ -349,12 +350,25 @@ def test_encoder_and_decoder_states_stay_in_lockstep():
     for a in syms:
         assert dec.decode_chunk(reader, 1)[0] == [a]
     assert enc.window_contents() == dec.window_contents()
-    assert enc.window_len == dec.window_len
+    assert len(enc.window_contents()) == len(dec.window_contents()) == min(len(syms), p.ell)
     assert sorted(enc.dictionary.items()) == sorted(dec.dictionary.items())
     assert enc.codebook.counts() == dec.codebook.counts()
     assert enc.codebook.lists == dec.codebook.lists
     enc.codebook.check(enc.dictionary)
     dec.codebook.check(dec.dictionary)
+
+
+def test_coding_loop_stops_when_an_insert_overfills_the_code():
+    # the codebook's own Kraft check is the loop's only one
+    p = derive_params(16, 1.0, 1)  # ell 64, threshold 4
+    state = CoderState(p)
+    writer = BitWriter()
+    state.encode_chunk([1] * p.threshold + [2] * (p.threshold - 1), writer)
+    cb = state.codebook
+    assert cb.size == 1 and cb.kraft_total > 0
+    cb.capacity = cb.kraft_total
+    with pytest.raises(InternalInconsistencyError, match="exceeds capacity"):
+        state.encode_chunk([2], writer)  # symbol 2 reaches the threshold
 
 
 def test_intermediate_states_match_stepwise():
@@ -463,15 +477,17 @@ def test_roundtrip_any_sequence(case):
 
 
 def test_raw_symbol_file_roundtrip():
-    for sigma in (200, 4096, 70000):
+    for sigma, width in ((200, 1), (4096, 2), (70000, 4)):
         syms = generate("uniform", sigma=sigma, n=400, seed=1).tolist()
         data = write_symbols(syms, sigma)
-        assert read_symbols(data, sigma) == syms
+        arr = read_symbol_array(data, sigma)
+        assert arr.itemsize == width  # the smallest fit, as written
+        assert arr.tolist() == syms
 
 
 def test_raw_symbol_file_length_must_divide():
     with pytest.raises(ParameterError):
-        read_symbols(b"\x00\x01\x02", 4096)  # 2-byte symbols
+        read_symbol_array(b"\x00\x01\x02", 4096)  # 2-byte symbols
 
 
 @pytest.mark.parametrize("sigma, syms, want", [
@@ -484,7 +500,9 @@ def test_raw_symbol_bytes_frozen(sigma, syms, want):
     # little-endian, 1, 2 and 4 bytes per symbol, whatever the host
     data = write_symbols(syms, sigma)
     assert data.hex() == want
-    assert read_symbols(data, sigma) == syms
+    arr = read_symbol_array(data, sigma)
+    assert arr.itemsize == {256: 1, 65536: 2, 2**32 - 1: 4}[sigma]
+    assert arr.tolist() == syms
 
 
 @pytest.mark.parametrize("sigma, syms, bad", [
@@ -501,4 +519,7 @@ def test_raw_symbol_width_must_hold_the_alphabet():
         with pytest.raises(ParameterError, match="symbol width"):
             write_symbols([299], 300, sym_bytes)
         with pytest.raises(ParameterError, match="symbol width"):
-            read_symbols(b"\x00" * 12, 300, sym_bytes)
+            read_symbol_array(b"\x00" * 12, 300, sym_bytes)
+    # a wider forced width is kept, not narrowed to the smallest fit
+    arr = read_symbol_array(b"\x2b\x01\x00\x00" * 3, 300, 4)
+    assert arr.itemsize == 4 and arr.tolist() == [299] * 3

@@ -6,8 +6,8 @@ import weakref
 
 import pytest
 
-from swsc.dictionary import (CodeRecord, HashedDictionary, TrieDictionary,
-                             make_dictionary, symbol_model_bytes)
+from swsc.dictionary import (RECORD_MODEL_BYTES, CodeRecord, HashedDictionary,
+                             TrieDictionary, make_dictionary, symbol_model_bytes)
 from swsc.errors import InternalInconsistencyError, ParameterError
 
 BACKENDS = ["trie", "hashed"]
@@ -297,6 +297,10 @@ def test_hashed_lookup_follows_every_resize():
     stored, caps = {}, [d.capacity]
 
     def check():
+        # capacity is the probe table's length, and the model bills every slot
+        assert d.capacity == len(d._probe[0])
+        assert d.report_memory() == d.capacity * (symbol_model_bytes(65536)
+                                                  + RECORD_MODEL_BYTES)
         for a, rec in stored.items():
             assert d.lookup(a) is rec
         for a in absent:
