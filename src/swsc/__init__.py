@@ -6,8 +6,10 @@ codebook, rare ones fall back to fixed-width literals, and the working
 state (window, frequency dictionary, codebook, partial sums) stays
 sublinear in the alphabet size for windows shorter than the alphabet.
 
-`generate` and `splitmix64` come from `swsc.corpus`, the one module that
-needs numpy; it is imported on their first use, so coding never loads numpy.
+`generate` and `splitmix64` come from `swsc.corpus`, which needs numpy; it
+is imported on their first use. `encode_stream` uses the numpy block encoder
+of `swsc.vector` only when numpy is already loaded, so coding never loads
+numpy itself.
 """
 
 from .analysis import (

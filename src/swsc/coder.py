@@ -27,6 +27,12 @@ bit are corrupt.
 
 Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 4 bytes per symbol, the smallest width covering sigma - 1.
+
+Two encoders give the same bytes and the same report. CoderState._steps is
+the online loop: the stepping API, the decoder and the CLI run on it, and so
+does encode_stream when numpy is not loaded. When numpy is already imported,
+encode_stream hands the whole stream to the block encoder in swsc.vector,
+which counts the window in numpy and runs only the codebook in Python.
 """
 
 import io
@@ -97,16 +103,8 @@ class CoderState:
         return out, self._report()
 
     def _report(self):
-        # a step costs 1 + its codeword length: its bits, less a literal's index width
-        bits = self._bits
-        return CoderReport(n=self.position, payload_bits=bits,
-                           payload_bytes=(bits + 7) // 8,
-                           literal_count=self._literals,
-                           coded_count=self.position - self._literals,
-                           max_code_size=self._max_size,
-                           ps_touches=self.codebook.kraft.touches,
-                           ps_touches_max_step=self._max_step,
-                           cost_units=bits - self._literals * self.params.width)
+        return make_report(self.params, self.position, self._bits, self._literals,
+                           self._max_size, self.codebook.kraft.touches, self._max_step)
 
     def _steps(self, symbols, count, writer=None, reader=None):
         """The one coding loop behind encode_chunk and decode_chunk.
@@ -153,10 +151,7 @@ class CoderState:
             if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
                 symbols = symbols.tolist()
             # the chunk is rejected before any of it is coded
-            if count and (min(symbols) < 0 or max(symbols) >= sigma):
-                i = next(i for i, a in enumerate(symbols) if not 0 <= a < sigma)
-                raise ParameterError(f"symbol {symbols[i]} at position "
-                                     f"{self.position + i} out of range for sigma {sigma}")
+            check_symbols(symbols, sigma, self.position)
             codeword, write = cb.codeword, writer.write_bits
             wacc = wbits = 0
         i = 0
@@ -270,6 +265,38 @@ class CoderReport:
     cost_units: int  # sum of 1 + handled codeword length
 
 
+def make_report(params: CoderParams, n: int, bits: int, literals: int, max_size: int,
+                touches: int, max_step: int) -> CoderReport:
+    """The report of n coded symbols from the counters both encoders keep."""
+    # a step costs 1 + its codeword length: its bits, less a literal's index width
+    return CoderReport(n=n, payload_bits=bits, payload_bytes=(bits + 7) // 8,
+                       literal_count=literals, coded_count=n - literals,
+                       max_code_size=max_size, ps_touches=touches,
+                       ps_touches_max_step=max_step,
+                       cost_units=bits - literals * params.width)
+
+
+def check_symbols(symbols, sigma: int, position: int) -> None:
+    """Reject a chunk holding anything but ints in [0, sigma).
+
+    position is the stream position of symbols[0]; the error names the first
+    bad symbol. A float is rejected even when it is integral.
+    """
+    try:  # a sum that is not an int means some symbol is not one
+        if not symbols or (type(sum(symbols)) is int
+                           and min(symbols) >= 0 and max(symbols) < sigma):
+            return
+    except TypeError:
+        pass
+    for i, a in enumerate(symbols):
+        if not isinstance(a, int):
+            raise ParameterError(f"symbol {a!r} at position {position + i} "
+                                 f"is not an integer")
+        if not 0 <= a < sigma:
+            raise ParameterError(f"symbol {a} at position {position + i} "
+                                 f"out of range for sigma {sigma}")
+
+
 def write_header(out, params: CoderParams, backend: str, n: int) -> None:
     out.write(_HEADER.pack(MAGIC, VERSION, _BACKEND_FLAGS[backend], params.sigma,
                            params.ell, params.threshold, params.l_max, params.width,
@@ -301,13 +328,21 @@ def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
     """Encode a symbol sequence to the binary sink out; returns the report.
 
     symbols is any sliceable sequence of ints: a list, array.array or numpy
-    array. It is coded _CHUNK symbols at a time.
+    array. With numpy already imported, the block encoder of swsc.vector
+    codes it, and backend only sets the header's informational byte.
+    Otherwise CoderState codes it _CHUNK symbols at a time. Both give the
+    same bytes and the same report.
     """
     write_header(out, params, backend, len(symbols))
-    state = CoderState(params, backend=backend, seed=seed)
     writer = BitWriter()
-    for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
-        report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
+    if "numpy" in sys.modules:  # never import numpy just to encode
+        from .vector import encode_blocks
+
+        report = encode_blocks(params, symbols, writer)
+    else:
+        state = CoderState(params, backend=backend, seed=seed)
+        for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
+            report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
     out.write(writer.finish())
     return report
 

@@ -43,7 +43,7 @@ def touch_budget(l_max):
 @pytest.fixture(scope="module")
 def grid():
     runs = []
-    started = time.perf_counter()
+    enc_s = dec_s = 0.0
     seed = 0
     for sigma in SIGMAS:
         for lam in LAMBDAS:
@@ -54,22 +54,27 @@ def grid():
                         seed += 1
                         arr = generate(dist, sigma=sigma, n=n, seed=seed, **kw)
                         syms = arr.tolist()
+                        t0 = time.perf_counter()
                         blob, enc = encode_to_bytes(params, syms)
+                        t1 = time.perf_counter()
                         out, dec = decode_stream(blob)
+                        enc_s += t1 - t0
+                        dec_s += time.perf_counter() - t1
                         _, counts = np.unique(arr, return_counts=True)
                         runs.append({
                             "params": params, "dist": dist, "n": n,
                             "ok": out == syms, "enc": enc, "dec": dec,
                             "h0": entropy(counts.tolist(), n),
                         })
-    return {"runs": runs, "elapsed": time.perf_counter() - started}
+    return {"runs": runs, "enc_s": enc_s, "dec_s": dec_s}
 
 
 def test_01_roundtrip_grid_is_exact(grid, capsys):
     runs = grid["runs"]
     good = sum(r["ok"] for r in runs)
     emit(capsys, 1, "roundtrip exactness over the full grid", good == len(runs),
-         f"{good}/{len(runs)} runs, {grid['elapsed']:.0f}s wall")
+         f"{good}/{len(runs)} runs, encode {grid['enc_s']:.0f}s + "
+         f"decode {grid['dec_s']:.0f}s wall")
     assert good == len(runs)
 
 

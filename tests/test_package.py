@@ -46,7 +46,26 @@ def test_coding_never_imports_numpy(tmp_path):
             assert swsc.cli.run(argv) == 0
         assert open('out.bin', 'rb').read() == open('raw.bin', 'rb').read()
         assert 'numpy' not in sys.modules
+        assert 'swsc.vector' not in sys.modules
         """, tmp_path)
+
+
+def test_encode_stream_with_numpy_loaded_never_steps(monkeypatch):
+    # the block encoder codes the whole stream; the loop stays for the
+    # stepping API, the decoder and a process without numpy
+    p = swsc.derive_params(256, 1.0, 1)
+    symbols = generate("zipf", sigma=256, n=5000, seed=3).tolist()
+    state, writer = swsc.CoderState(p), swsc.BitWriter()
+    want = state.encode_chunk(symbols, writer)
+    payload = writer.finish()
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("CoderState._steps ran")
+
+    monkeypatch.setattr(swsc.CoderState, "_steps", no_steps)
+    for backend in ("trie", "hashed"):
+        blob, report = swsc.encode_to_bytes(p, symbols, backend=backend)
+        assert blob[swsc.coder.HEADER_BYTES:] == payload and report == want
 
 
 def test_corpus_names_load_on_first_use(tmp_path):
