@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import analysis, coder
+from . import analysis, coder, dictionary
 from .errors import CorruptStreamError, ParameterError
 from .params import DISTRIBUTIONS, derive_params
 
@@ -58,7 +58,7 @@ def _cmd_encode(args) -> int:
     symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
                                       args.symbol_bytes)
     out = io.BytesIO()
-    report = coder.encode_stream(params, symbols, out, backend=args.backend)
+    report = coder.encode_stream(params, symbols, out)
     _write_bytes(args.output, out.getvalue())
     doc = {"command": "encode", "params": _params_doc(params),
            "report": asdict(report)}
@@ -78,7 +78,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     data = _read_bytes(args.input)
-    params, backend, _n = coder.read_header(data)
+    params, _flag, _n = coder.read_header(data)
     for name, given, actual in (("sigma", args.sigma, params.sigma),
                                 ("lambda", args.lam, params.lam),
                                 ("c", args.c, params.c)):
@@ -89,7 +89,8 @@ def _cmd_decode(args) -> int:
     for symbols, report in coder.decode_chunks(data):
         raw += coder.write_symbols(symbols, params.sigma, args.symbol_bytes)
     _write_bytes(args.output, raw)
-    doc = {"command": "decode", "params": _params_doc(params), "backend": backend,
+    doc = {"command": "decode", "params": _params_doc(params),
+           "backend": dictionary.choose_backend(None, params.sigma),
            "report": asdict(report)}
     _emit_report(doc, _text_lines(doc["report"]), args, sys.stderr)
     return 0
@@ -144,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("input", nargs="?", default="-")
     enc.add_argument("output", nargs="?", default="-")
     _add_coder_args(enc, required=True)
-    enc.add_argument("--backend", choices=("trie", "hashed"), default="trie",
-                     help="dictionary backend (the payload is identical either way; "
-                          "only the informational header byte differs)")
     enc.add_argument("--symbol-bytes", type=int, choices=(1, 2, 4), default=None,
                      help="force the raw symbol width instead of the smallest fit")
     enc.add_argument("--verify-bound", action="store_true",

@@ -11,7 +11,7 @@ zero-padded to a byte boundary.
 
     magic      4 bytes  b"SWSC"
     version    u8       1
-    backend    u8       0 = trie, 1 = hashed (informational)
+    backend    u8       0 = trie, 1 = hashed (written, never read to choose one)
     sigma      u32
     ell        u32      frozen window length
     threshold  u32      frozen frequency threshold
@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 from .bitio import BitReader, BitWriter
 from .codebook import Codebook, codeword_length, length_bounds
-from .dictionary import CodeRecord, make_dictionary, symbol_model_bytes
+from .dictionary import (BACKENDS, CodeRecord, choose_backend, make_dictionary,
+                         symbol_model_bytes)
 from .errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from .params import CoderParams
 
@@ -52,9 +53,6 @@ MAGIC = b"SWSC"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBIIIBBQdI")
 HEADER_BYTES = _HEADER.size
-
-_BACKEND_FLAGS = {"trie": 0, "hashed": 1}
-_BACKEND_NAMES = {0: "trie", 1: "hashed"}
 
 _WRITE_BATCH = 63  # most bits per write_bits call; batches fit a signed 64-bit int
 _READ_BYTES = 16  # payload bytes the decoder loads into its bit window at a time
@@ -66,7 +64,7 @@ _CHUNK = 1 << 14
 class CoderState:
     """Window, dictionary and codebook evolving in encoder/decoder lockstep."""
 
-    def __init__(self, params: CoderParams, backend: str = "trie", seed: int = 0):
+    def __init__(self, params: CoderParams, backend: str | None = None, seed: int = 0):
         params.validate()
         self.params = params
         self.dictionary = make_dictionary(backend, params.sigma, seed=seed)
@@ -297,8 +295,9 @@ def check_symbols(symbols, sigma: int, position: int) -> None:
                                  f"out of range for sigma {sigma}")
 
 
-def write_header(out, params: CoderParams, backend: str, n: int) -> None:
-    out.write(_HEADER.pack(MAGIC, VERSION, _BACKEND_FLAGS[backend], params.sigma,
+def write_header(out, params: CoderParams, backend: str | None, n: int) -> None:
+    flag = BACKENDS.index(choose_backend(backend, params.sigma))
+    out.write(_HEADER.pack(MAGIC, VERSION, flag, params.sigma,
                            params.ell, params.threshold, params.l_max, params.width,
                            n, params.lam, params.c))
 
@@ -313,25 +312,25 @@ def read_header(data: bytes) -> tuple[CoderParams, str, int]:
         raise CorruptStreamError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CorruptStreamError(f"unsupported version {version}")
-    if backend_flag not in _BACKEND_NAMES:
+    if backend_flag >= len(BACKENDS):
         raise CorruptStreamError(f"unknown backend flag {backend_flag}")
     try:
         params = CoderParams.from_frozen(sigma=sigma, lam=lam, c=c, ell=ell,
                                          threshold=threshold, l_max=l_max, width=width)
     except ParameterError as e:
         raise CorruptStreamError(f"inconsistent header: {e}") from e
-    return params, _BACKEND_NAMES[backend_flag], n
+    return params, BACKENDS[backend_flag], n
 
 
-def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
+def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
                   seed: int = 0) -> CoderReport:
     """Encode a symbol sequence to the binary sink out; returns the report.
 
     symbols is any sliceable sequence of ints: a list, array.array or numpy
-    array. With numpy already imported, the block encoder of swsc.vector
-    codes it, and backend only sets the header's informational byte.
-    Otherwise CoderState codes it _CHUNK symbols at a time. Both give the
-    same bytes and the same report.
+    array. backend is as for choose_backend, and the header records the one
+    it names. With numpy already imported, the block encoder of swsc.vector
+    codes it with no dictionary; otherwise CoderState codes it _CHUNK
+    symbols at a time. Both give the same bytes and the same report.
     """
     write_header(out, params, backend, len(symbols))
     writer = BitWriter()
@@ -347,7 +346,7 @@ def encode_stream(params: CoderParams, symbols, out, backend: str = "trie",
     return report
 
 
-def encode_to_bytes(params: CoderParams, symbols, backend: str = "trie",
+def encode_to_bytes(params: CoderParams, symbols, backend: str | None = None,
                     seed: int = 0) -> tuple[bytes, CoderReport]:
     """Convenience wrapper encoding to an in-memory stream."""
     out = io.BytesIO()
@@ -365,8 +364,8 @@ def decode_chunks(data, backend: str | None = None, seed: int = 0):
     """
     if hasattr(data, "read"):
         data = data.read()
-    params, header_backend, n = read_header(data)
-    state = CoderState(params, backend=backend or header_backend, seed=seed)
+    params, _, n = read_header(data)
+    state = CoderState(params, backend=backend, seed=seed)
     reader = BitReader(data[HEADER_BYTES:])
     for lo in range(0, n or 1, _CHUNK):
         symbols, report = state.decode_chunk(reader, min(_CHUNK, n - lo))
@@ -379,8 +378,8 @@ def decode_stream(data, backend: str | None = None,
                   seed: int = 0) -> tuple[list[int], CoderReport]:
     """Decode a complete stream (bytes or binary file) back to symbols.
 
-    The dictionary backend defaults to the header's flag; passing backend
-    overrides it, which never changes the result.
+    The dictionary backend is as for choose_backend, whatever the header's
+    flag says; it never changes the result.
     """
     symbols = []
     for chunk, report in decode_chunks(data, backend=backend, seed=seed):
@@ -405,13 +404,16 @@ def write_symbols(symbols, sigma: int, sym_bytes: int | None = None) -> bytes:
     tc = _raw_typecode(sigma, sym_bytes)
     if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
         symbols = symbols.tolist()
-    if symbols and (min(symbols) < 0 or max(symbols) >= sigma):
-        bad = next(a for a in symbols if not 0 <= a < sigma)
-        raise ParameterError(f"symbol {bad} out of range for sigma {sigma}")
-    arr = array(tc, symbols)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr.tobytes()
+    try:  # min() and array() raise TypeError on a str or a float
+        if not symbols or (min(symbols) >= 0 and max(symbols) < sigma):
+            arr = array(tc, symbols)
+            if sys.byteorder == "big":
+                arr.byteswap()
+            return arr.tobytes()
+    except TypeError:
+        pass
+    bad = next(a for a in symbols if not isinstance(a, int) or not 0 <= a < sigma)
+    raise ParameterError(f"symbol {bad!r} out of range for sigma {sigma}")
 
 
 def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:

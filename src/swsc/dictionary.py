@@ -19,6 +19,7 @@ from .params import check_sigma
 
 RECORD_MODEL_BYTES = 7  # freq u32 + length u8 + index u16
 SLOT_MODEL_BYTES = 8  # one pointer-sized trie table slot
+BACKENDS = ("trie", "hashed")  # a stream header's backend byte indexes this
 
 
 def symbol_model_bytes(sigma: int) -> int:
@@ -272,10 +273,17 @@ class HashedDictionary:
         return self.capacity * (self._key_bytes + RECORD_MODEL_BYTES)
 
 
-def make_dictionary(backend: str, sigma: int, seed: int = 0):
-    """Construct the named backend ('trie' or 'hashed')."""
-    if backend == "trie":
+def choose_backend(backend: str | None, sigma: int) -> str:
+    """backend, checked; by default the trie up to 16-bit symbols, else hashed."""
+    if backend is None:
+        backend = "trie" if sigma <= 1 << 16 else "hashed"  # the trie grows with sigma
+    elif backend not in BACKENDS:
+        raise ParameterError(f"unknown dictionary backend {backend!r}")
+    return backend
+
+
+def make_dictionary(backend: str | None, sigma: int, seed: int = 0):
+    """Construct the backend that choose_backend picks for sigma."""
+    if choose_backend(backend, sigma) == "trie":
         return TrieDictionary(sigma)
-    if backend == "hashed":
-        return HashedDictionary(sigma, seed=seed)
-    raise ParameterError(f"unknown dictionary backend {backend!r}")
+    return HashedDictionary(sigma, seed=seed)

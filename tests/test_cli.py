@@ -83,6 +83,28 @@ def test_encode_report_json(tmp_path, capsys):
     assert doc["stats"]["n"] == 3000
 
 
+def test_encode_has_no_backend_option(tmp_path):
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(coder.write_symbols([1, 2, 3], 256))
+    for backend in ("trie", "hashed"):
+        with pytest.raises(SystemExit) as exc:
+            run(["encode", str(raw), str(tmp_path / "p.swsc"), "--sigma", "256",
+                 "--backend", backend])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("sigma, lam, ran", [(256, 2.0, "trie"), (70000, 3.0, "hashed")])
+def test_decode_reports_the_dictionary_that_ran(tmp_path, capsys, sigma, lam, ran):
+    p = swsc.derive_params(sigma, lam, 10)
+    syms = [0, sigma - 1, 5] * 20
+    for flag in ("trie", "hashed"):  # the header's backend byte is not followed
+        packed = tmp_path / f"{flag}.swsc"
+        packed.write_bytes(swsc.encode_to_bytes(p, syms, backend=flag)[0])
+        capsys.readouterr()
+        assert run(["decode", str(packed), str(tmp_path / "out.bin"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().err)["backend"] == ran
+
+
 def test_verify_bound_text_line(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     packed = tmp_path / "p.swsc"

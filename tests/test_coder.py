@@ -4,6 +4,7 @@ import hashlib
 import io
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from swsc.analysis import oracle_state
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import codeword_length
-from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_stream,
-                        encode_stream, encode_to_bytes, read_header,
+from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_chunks,
+                        decode_stream, encode_stream, encode_to_bytes, read_header,
                         read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
@@ -449,6 +450,41 @@ def test_decode_backend_override_matches_header_backend():
         assert out == syms
 
 
+def test_unknown_backend_names_raise_parameter_error():
+    p = derive_params(256, 2.0, 2)
+    blob, _ = encode_to_bytes(p, [1, 2, 1])
+    for call in (lambda: CoderState(p, backend="x"),
+                 lambda: encode_to_bytes(p, [1], backend="x"),
+                 lambda: encode_stream(p, [], io.BytesIO(), backend="btree"),
+                 lambda: write_header(io.BytesIO(), p, "TRIE", 0),
+                 lambda: decode_stream(blob, backend="x"),
+                 lambda: next(decode_chunks(blob, backend=""))):
+        with pytest.raises(ParameterError, match="unknown dictionary backend"):
+            call()
+
+
+@pytest.mark.parametrize("sigma, lam, chosen", [
+    (2, 1.0, "trie"), (256, 2.0, "trie"), (65536, 2.0, "trie"),
+    (65537, 2.0, "hashed"), (2**32 - 1, 4.0, "hashed"),
+])
+def test_default_backend_follows_sigma_not_the_header(sigma, lam, chosen):
+    # the trie up to 16-bit symbols, where each of its tables has at most
+    # 2^8 + 1 slots; above that the hashed table, whose size follows the window
+    p = derive_params(sigma, lam, 10)
+    syms = [0, sigma - 1, 0, sigma // 3] * 50
+    blob, _ = encode_to_bytes(p, syms)
+    assert blob[5] == {"trie": 0, "hashed": 1}[chosen]
+    assert read_header(blob)[1] == chosen
+    other = "hashed" if chosen == "trie" else "trie"
+    flipped = blob[:5] + bytes([1 - blob[5]]) + blob[6:]
+    assert encode_to_bytes(p, syms, backend=other)[0] == flipped
+    # neither header byte makes decode build the other dictionary
+    spurned = {"trie": "TrieDictionary", "hashed": "HashedDictionary"}[other]
+    with mock.patch(f"swsc.dictionary.{spurned}", side_effect=AssertionError(other)):
+        for stream in (blob, flipped):
+            assert decode_stream(stream)[0] == syms
+
+
 def test_all_same_symbol_compresses_to_flags():
     p = derive_params(256, 2.0, 10)  # ell 1280, threshold 80
     n = 5000
@@ -508,6 +544,7 @@ def test_raw_symbol_bytes_frozen(sigma, syms, want):
 @pytest.mark.parametrize("sigma, syms, bad", [
     (256, [256], 256), (256, [-1], -1), (300, [300], 300),
     (300, [5, -2, 7], -2), (2**32 - 1, [0, 2**32 - 1], 2**32 - 1),
+    (256, [1.5], 1.5), (256, ["a"], "'a'"),
 ])
 def test_write_symbols_rejects_symbols_outside_the_alphabet(sigma, syms, bad):
     with pytest.raises(ParameterError, match=f"symbol {bad} out of range"):

@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 from swsc.dictionary import (RECORD_MODEL_BYTES, CodeRecord, HashedDictionary,
-                             TrieDictionary, make_dictionary, symbol_model_bytes)
+                             TrieDictionary, choose_backend, make_dictionary,
+                             symbol_model_bytes)
 from swsc.errors import InternalInconsistencyError, ParameterError
 
 BACKENDS = ["trie", "hashed"]
@@ -122,6 +123,38 @@ def test_matches_plain_dict_over_random_ops(backend):
             assert len(d) == len(ref)
             assert dict(d.items()) == ref
     assert dict(d.items()) == ref
+
+
+def test_hashed_capacity_stays_within_eight_slots_per_key():
+    # the resize rule (double past load 1/2, halve below 1/8) keeps
+    # 2 * keys <= capacity <= max(8, 8 * keys) after every operation
+    d = HashedDictionary(2**32 - 1, seed=3)
+    rng = random.Random(8)
+    live = []
+    for _ in range(12):
+        target = rng.choice([0, 1, 5, 40, 300, 3000])
+        while len(live) != target:
+            if len(live) < target:
+                a = rng.randrange(2**32 - 1)
+                if d.get(a) is None:
+                    d.put(a, CodeRecord(1))
+                    live.append(a)
+            else:
+                d.delete(live.pop(rng.randrange(len(live))))
+            assert 2 * len(d) <= d.capacity <= max(8, 8 * len(d))
+
+
+@pytest.mark.parametrize("sigma, chosen", [
+    (2, "trie"), (256, "trie"), (65536, "trie"), (65537, "hashed"), (2**32 - 1, "hashed"),
+])
+def test_default_backend_is_the_trie_up_to_16_bit_symbols(sigma, chosen):
+    assert choose_backend(None, sigma) == chosen
+    assert type(make_dictionary(None, sigma)) is {"trie": TrieDictionary,
+                                                  "hashed": HashedDictionary}[chosen]
+    for name in BACKENDS:  # a named backend runs at any sigma
+        assert choose_backend(name, sigma) == name
+    with pytest.raises(ParameterError, match="unknown dictionary backend"):
+        choose_backend("Trie", sigma)
 
 
 def test_trie_table_count_is_linear_in_keys():
