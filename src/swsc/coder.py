@@ -64,10 +64,10 @@ _CHUNK = 1 << 14
 class CoderState:
     """Window, dictionary and codebook evolving in encoder/decoder lockstep."""
 
-    def __init__(self, params: CoderParams, backend: str | None = None, seed: int = 0):
+    def __init__(self, params: CoderParams, backend: str | None = None):
         params.validate()
         self.params = params
-        self.dictionary = make_dictionary(backend, params.sigma, seed=seed)
+        self.dictionary = make_dictionary(backend, params.sigma)
         self.codebook = Codebook(params.l_max)
         self._buf = deque(maxlen=params.ell)  # window records, oldest first
         self.position = 0  # symbols processed
@@ -330,7 +330,8 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
     array. backend is as for choose_backend, and the header records the one
     it names. With numpy already imported, the block encoder of swsc.vector
     codes it with no dictionary; otherwise CoderState codes it _CHUNK
-    symbols at a time. Both give the same bytes and the same report.
+    symbols at a time. Both give the same bytes and the same report. seed is
+    accepted and ignored; it goes with ROADMAP item 1.
     """
     write_header(out, params, backend, len(symbols))
     writer = BitWriter()
@@ -339,7 +340,7 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
 
         report = encode_blocks(params, symbols, writer)
     else:
-        state = CoderState(params, backend=backend, seed=seed)
+        state = CoderState(params, backend=backend)
         for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
             report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
     out.write(writer.finish())
@@ -348,24 +349,24 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
 
 def encode_to_bytes(params: CoderParams, symbols, backend: str | None = None,
                     seed: int = 0) -> tuple[bytes, CoderReport]:
-    """Convenience wrapper encoding to an in-memory stream."""
+    """encode_stream to memory; seed is ignored and goes with ROADMAP item 1."""
     out = io.BytesIO()
-    report = encode_stream(params, symbols, out, backend=backend, seed=seed)
+    report = encode_stream(params, symbols, out, backend=backend)
     return out.getvalue(), report
 
 
-def decode_chunks(data, backend: str | None = None, seed: int = 0):
+def decode_chunks(data, backend: str | None = None):
     """Decode a complete stream chunk by chunk; yields (symbols, report so far).
 
     Each chunk holds at most _CHUNK symbols; an empty stream yields one empty
     chunk. The end of the stream is checked before the last chunk is
-    yielded, so its report is the whole stream's. backend and seed are as
-    for decode_stream.
+    yielded, so its report is the whole stream's. backend is as for
+    decode_stream.
     """
     if hasattr(data, "read"):
         data = data.read()
     params, _, n = read_header(data)
-    state = CoderState(params, backend=backend, seed=seed)
+    state = CoderState(params, backend=backend)
     reader = BitReader(data[HEADER_BYTES:])
     for lo in range(0, n or 1, _CHUNK):
         symbols, report = state.decode_chunk(reader, min(_CHUNK, n - lo))
@@ -379,10 +380,11 @@ def decode_stream(data, backend: str | None = None,
     """Decode a complete stream (bytes or binary file) back to symbols.
 
     The dictionary backend is as for choose_backend, whatever the header's
-    flag says; it never changes the result.
+    flag says; it never changes the result. seed is accepted and ignored; it
+    goes with ROADMAP item 1.
     """
     symbols = []
-    for chunk, report in decode_chunks(data, backend=backend, seed=seed):
+    for chunk, report in decode_chunks(data, backend=backend):
         symbols += chunk
     return symbols, report
 

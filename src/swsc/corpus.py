@@ -15,6 +15,7 @@ from .params import DISTRIBUTIONS, check_sigma  # noqa: F401 (re-exported)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+ZIPF_MAX_SIGMA = 1 << 24  # gen_zipf's cdf table: 128 MB at this sigma
 
 
 def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -40,12 +41,20 @@ def gen_uniform(sigma: int, n: int, seed: int) -> np.ndarray:
 
 
 def gen_zipf(sigma: int, n: int, s: float, seed: int) -> np.ndarray:
-    """n i.i.d. Zipf(s) symbols; symbol 0 is the most frequent rank."""
+    """n i.i.d. Zipf(s) symbols; symbol 0 is the most frequent rank.
+
+    The cdf is a table of sigma floats, 8 bytes per alphabet symbol whatever
+    n is, so sigma is capped at ZIPF_MAX_SIGMA.
+    """
     _check_common(sigma, n)
+    if sigma > ZIPF_MAX_SIGMA:
+        raise ParameterError(f"zipf needs sigma <= 2**24 = {ZIPF_MAX_SIGMA}, "
+                             f"got {sigma}")
     if s < 0:
         raise ParameterError("zipf exponent must be nonnegative")
-    ranks = np.arange(1, sigma + 1, dtype=np.float64)
-    cdf = np.cumsum(ranks ** -s)
+    cdf = np.arange(1, sigma + 1, dtype=np.float64)  # the ranks, then in place
+    cdf **= -s
+    np.cumsum(cdf, out=cdf)
     z = splitmix64(seed, n)
     # top 53 bits give an exact float64 in [0, 1)
     u = (z >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)

@@ -2,17 +2,16 @@
 
 Two interchangeable backends keep the per-symbol bookkeeping (window
 frequency plus codebook position) for exactly the symbols currently in the
-window: a two-level radix trie over the symbol's bits and an open-addressed
-hash table. Both expose get/put/delete plus a deterministic memory report, and
-lookup: get without the range check, for callers that checked the symbol.
+window: a two-level radix trie over the symbol's bits and a built-in dict
+billed as an open-addressed hash table. Both expose get/put/delete plus a
+deterministic memory report, and lookup: get without the range check, for
+callers that checked the symbol.
 
 Reported bytes follow a packed layout model (what a careful C implementation
 would allocate), so audits are platform-independent: 8 bytes per trie table
 slot, and per record 4 bytes of frequency + 1 byte of codeword length +
 2 bytes of list index; hashed slots add the key at the symbol's byte width.
 """
-
-import random
 
 from .errors import InternalInconsistencyError, ParameterError
 from .params import check_sigma
@@ -144,11 +143,12 @@ class TrieDictionary:
 
 
 class HashedDictionary:
-    """Open-addressed hash table with linear probing, load factor <= 1/2.
+    """One built-in dict from symbol to record, billed as a hash table.
 
-    Uses seeded multiply-shift hashing; capacity doubles when the load factor
-    would pass 1/2 and halves when it drops below 1/8. Deletion backward-shifts
-    the following run, so no tombstones accumulate.
+    The bill models an open-addressed table at load factor <= 1/2: its
+    capacity doubles when an insert would pass load 1/2 and halves while the
+    load is below 1/8, never below MIN_CAPACITY. items() yields insertion
+    order. seed is accepted and ignored; it goes with ROADMAP item 1.
     """
 
     MIN_CAPACITY = 8
@@ -156,117 +156,47 @@ class HashedDictionary:
     def __init__(self, sigma: int, seed: int = 0):
         check_sigma(sigma)
         self.sigma = sigma
-        rng = random.Random(seed)
-        self._mult = rng.getrandbits(64) | 1  # odd multiplier
         self._key_bytes = symbol_model_bytes(sigma)
-        self._n = 0
-        self._alloc(self.MIN_CAPACITY)
-
-    def _alloc(self, capacity):
-        # keys, values, multiplier, shift, mask: everything a probe reads, in
-        # one attribute load, and the table's only record of its capacity
-        self._probe = ([-1] * capacity, [None] * capacity, self._mult,
-                       64 - capacity.bit_length() + 1, capacity - 1)
+        self._records = {}
+        self.capacity = self.MIN_CAPACITY  # modeled slots
 
     def __len__(self):
-        return self._n
-
-    @property
-    def capacity(self) -> int:
-        return self._probe[4] + 1
+        return len(self._records)
 
     def get(self, a: int):
         """Record for symbol a, or None."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        return self.lookup(a)
+        return self._records.get(a)
 
     def lookup(self, a: int):
         """get without the range check: a must lie in [0, sigma)."""
-        keys, vals, mult, shift, mask = self._probe
-        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # the home slot
-        while True:
-            k = keys[i]
-            if k == a:
-                return vals[i]
-            if k < 0:
-                return None
-            i = (i + 1) & mask
+        return self._records.get(a)
 
     def put(self, a: int, record: CodeRecord) -> None:
         """Insert or overwrite the record for symbol a."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        keys, vals, mult, shift, mask = self._probe
-        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # the home slot
-        while True:
-            k = keys[i]
-            if k == a:
-                vals[i] = record
-                return
-            if k < 0:
-                break
-            i = (i + 1) & mask
-        if 2 * (self._n + 1) > mask + 1:  # grow only for a genuine insert
-            self._rehash(2 * (mask + 1))
-            return self.put(a, record)
-        keys[i] = a
-        vals[i] = record
-        self._n += 1
+        records = self._records
+        if a not in records and 2 * (len(records) + 1) > self.capacity:
+            self.capacity *= 2  # grow only for a genuine insert
+        records[a] = record
 
     def delete(self, a: int) -> None:
         """Remove symbol a; absence is an internal inconsistency."""
         if a < 0 or a >= self.sigma:
             raise ParameterError(f"symbol {a} out of range for sigma {self.sigma}")
-        keys, vals, mult, shift, mask = self._probe
-        i = ((a * mult) & 0xFFFFFFFFFFFFFFFF) >> shift  # the home slot
-        while True:
-            k = keys[i]
-            if k == a:
-                break
-            if k < 0:
-                raise InternalInconsistencyError(f"delete of absent symbol {a}")
-            i = (i + 1) & mask
-        keys[i] = -1
-        vals[i] = None
-        # backward-shift the rest of the probe run into the hole
-        j = i
-        while True:
-            j = (j + 1) & mask
-            k = keys[j]
-            if k < 0:
-                break
-            home = ((k * mult) & 0xFFFFFFFFFFFFFFFF) >> shift
-            if (j - home) & mask >= (j - i) & mask:
-                keys[i] = k
-                vals[i] = vals[j]
-                keys[j] = -1
-                vals[j] = None
-                i = j
-        self._n -= 1
-        cap = mask + 1
-        if cap > self.MIN_CAPACITY and 8 * self._n < cap:
-            while cap > self.MIN_CAPACITY and 8 * self._n < cap:
-                cap //= 2
-            self._rehash(cap)
-
-    def _rehash(self, capacity):
-        old = list(self.items())
-        self._alloc(capacity)
-        keys, vals, mult, shift, mask = self._probe
-        for k, v in old:
-            i = ((k * mult) & 0xFFFFFFFFFFFFFFFF) >> shift
-            while keys[i] >= 0:
-                i = (i + 1) & mask
-            keys[i] = k
-            vals[i] = v
+        records = self._records
+        if records.pop(a, None) is None:
+            raise InternalInconsistencyError(f"delete of absent symbol {a}")
+        cap, n = self.capacity, len(records)
+        while cap > self.MIN_CAPACITY and 8 * n < cap:
+            cap //= 2
+        self.capacity = cap
 
     def items(self):
-        """Yield (symbol, record) pairs in table order."""
-        keys, vals, _, _, _ = self._probe
-        for k, v in zip(keys, vals):
-            if k >= 0:
-                yield k, v
+        """Yield (symbol, record) pairs in insertion order."""
+        yield from self._records.items()
 
     def report_memory(self) -> int:
         """Modeled bytes: every slot carries a key plus an inline record."""
@@ -282,8 +212,8 @@ def choose_backend(backend: str | None, sigma: int) -> str:
     return backend
 
 
-def make_dictionary(backend: str | None, sigma: int, seed: int = 0):
+def make_dictionary(backend: str | None, sigma: int):
     """Construct the backend that choose_backend picks for sigma."""
     if choose_backend(backend, sigma) == "trie":
         return TrieDictionary(sigma)
-    return HashedDictionary(sigma, seed=seed)
+    return HashedDictionary(sigma)

@@ -22,11 +22,10 @@ already loaded; the CLI and `import swsc` never do.
 import numpy as np
 
 from .codebook import Codebook, codeword_length, length_bounds
-from .coder import check_symbols, make_report
+from .coder import _WRITE_BATCH, check_symbols, make_report
 from .dictionary import CodeRecord, symbol_model_bytes
 
 _BLOCK = 1 << 16  # steps counted per numpy pass
-_BATCH = 63  # bits per write_bits call: a batch fits a signed 64-bit int
 
 
 def encode_blocks(params, symbols, writer):
@@ -185,7 +184,7 @@ def _count(ev, delta, wsyms, wcounts):
 
 
 def _emit(write, vals, lens):
-    """Write code i, the lens[i]-bit value vals[i], in order, in _BATCH-bit calls.
+    """Write code i, the lens[i]-bit value vals[i], in order, in _WRITE_BATCH-bit calls.
 
     Each code is shifted into the batch its first bit falls in; a code that
     runs past the end of that batch spills its low bits into the next one.
@@ -194,20 +193,20 @@ def _emit(write, vals, lens):
     """
     end = np.cumsum(lens)
     total = int(end[-1])
-    batch = (end - lens) // _BATCH
-    room = (batch + 1) * _BATCH - end  # bits left in the batch after the code
+    batch = (end - lens) // _WRITE_BATCH
+    room = (batch + 1) * _WRITE_BATCH - end  # bits left in the batch after the code
     spill = room < 0
     shift_left = np.where(spill, 0, room).astype(np.uint64)
     shift_right = np.where(spill, -room, 0).astype(np.uint64)
     heads = np.flatnonzero(np.diff(batch, prepend=-1))
-    out = np.zeros(-(-total // _BATCH), np.uint64)
+    out = np.zeros(-(-total // _WRITE_BATCH), np.uint64)
     out[:len(heads)] = np.bitwise_or.reduceat((vals << shift_left) >> shift_right, heads)
     s = shift_right[spill]
     out[batch[spill] + 1] |= ((vals[spill] & ((np.uint64(1) << s) - np.uint64(1)))
-                              << (np.uint64(_BATCH) - s))
+                              << (np.uint64(_WRITE_BATCH) - s))
     out = out.tolist()
     last = out.pop()
     for v in out:
-        write(v, _BATCH)
-    tail = total - _BATCH * len(out)
-    write(last >> (_BATCH - tail), tail)
+        write(v, _WRITE_BATCH)
+    tail = total - _WRITE_BATCH * len(out)
+    write(last >> (_WRITE_BATCH - tail), tail)

@@ -193,6 +193,14 @@ def test_exit_code_for_sigma_past_the_header_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_zipf_past_its_sigma_cap_exits_five(tmp_path, capsys):
+    out = tmp_path / "corpus.bin"
+    assert run(["gen", str(out), "--dist", "zipf", "--sigma", "4294967295",
+                "--n", "10"]) == 5
+    assert "zipf needs sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_for_symbol_out_of_range(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes([200]))

@@ -343,7 +343,7 @@ def test_encoder_and_decoder_states_stay_in_lockstep():
     syms = generate("markov", sigma=64, n=800, seed=4, states=8,
                     stickiness=0.9).tolist()
     enc = CoderState(p, backend="trie")
-    dec = CoderState(p, backend="hashed", seed=9)
+    dec = CoderState(p, backend="hashed")
     writer = BitWriter()
     for i, a in enumerate(syms):
         enc.encode_chunk([a], writer)

@@ -1,5 +1,7 @@
 """Corpus generators: frozen PRNG outputs, determinism, shape properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,17 @@ def test_zero_length_outputs():
 def test_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def test_zipf_past_its_sigma_cap_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="zipf needs sigma"):
+            generate("zipf", 2**24 + 1, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_generate_forwards_distribution_arguments():
