@@ -40,7 +40,7 @@ class Codebook:
     indices within a list are history-dependent but always dense.
     """
 
-    __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size")
+    __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size", "max_size")
 
     def __init__(self, l_max: int):
         if l_max < 1:
@@ -51,6 +51,7 @@ class Codebook:
         self.kraft_total = 0
         self.capacity = 1 << l_max
         self.size = 0  # total coded symbols across all lists
+        self.max_size = 0  # the largest size seen
 
     def counts(self) -> list[int]:
         """C[j] = len(A[j]) for j = 0..l_max."""
@@ -63,6 +64,8 @@ class Codebook:
         if rec.length is not None:
             raise InternalInconsistencyError(f"symbol {rec.sym} is already coded")
         self._link(rec, j)
+        if self.size > self.max_size:  # the only call that raises size
+            self.max_size = self.size
 
     def remove(self, rec) -> None:
         """Swap-remove the record rec from its list and mark it literal."""
@@ -78,7 +81,8 @@ class Codebook:
         if j is None:
             raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
         if j_to - j not in (-1, 1) or not 0 <= j_to <= self.l_max:
-            raise InternalInconsistencyError(f"move from {j} to {j_to} is not one level")
+            raise InternalInconsistencyError(
+                f"move from {j} to {j_to} is not one level within 0..{self.l_max}")
         self._unlink(rec)
         self._link(rec, j_to)
 
@@ -127,27 +131,18 @@ class Codebook:
     def decode(self, b: int) -> tuple:
         """Map l_max peeked bits b to (record, codeword length).
 
-        Finds the largest nonempty class j with prefix(j) <= b: a prefix-sum
-        search, then a downward scan past empty classes. Raises
-        CorruptStreamError when b lies under no codeword's interval.
+        One prefix-sum search finds the largest j with prefix(j) <= b. When
+        j <= l_max, entry j + 1 exceeds b - prefix(j), so class j is nonempty
+        and holds b's codeword; j = l_max + 1 means b >= kraft_total, under no
+        codeword's interval, and raises CorruptStreamError.
         """
         if not 0 <= b < self.capacity:
             raise ValueError(f"peeked value {b} out of range")
-        i, acc = self.kraft.search_with_prefix(b)
-        lists = self.lists
-        j = i if i <= self.l_max else self.l_max
-        while j >= 0 and not lists[j]:
-            j -= 1
-        if j < 0:
-            raise CorruptStreamError("coded flag with no matching codeword")
-        lst = lists[j]
-        # prefix(j): classes strictly between j and i are empty, so only the
-        # weight of class j itself separates it from the accumulated prefix
-        base = acc if j == i else acc - (len(lst) << (self.l_max - j))
-        k = (b - base) >> (self.l_max - j)
-        if k >= len(lst):
-            raise CorruptStreamError("peeked bits fall outside the coded range")
-        return lst[k], j
+        j, base = self.kraft.search_with_prefix(b)
+        if j > self.l_max:
+            raise CorruptStreamError("peeked bits fall outside the coded range" if self.size
+                                     else "coded flag with no matching codeword")
+        return self.lists[j][(b - base) >> (self.l_max - j)], j
 
     def check(self, d) -> None:
         """Validate internal consistency; d must hold each listed record (test hook)."""

@@ -46,7 +46,7 @@ from .bitio import BitReader, BitWriter
 from .codebook import Codebook, codeword_length, length_bounds
 from .dictionary import (BACKENDS, CodeRecord, choose_backend, make_dictionary,
                          symbol_model_bytes)
-from .errors import CorruptStreamError, InternalInconsistencyError, ParameterError
+from .errors import CorruptStreamError, ParameterError
 from .params import CoderParams
 
 MAGIC = b"SWSC"
@@ -72,8 +72,8 @@ class CoderState:
         self._buf = deque(maxlen=params.ell)  # window records, oldest first
         self.position = 0  # symbols processed
         # report counters carried across chunks: payload bits, literals, the
-        # worst single-step partial-sums touches, the largest coded-symbol set
-        self._bits = self._literals = self._max_step = self._max_size = 0
+        # worst single-step partial-sums touches
+        self._bits = self._literals = self._max_step = 0
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
@@ -102,7 +102,7 @@ class CoderState:
 
     def _report(self):
         return make_report(self.params, self.position, self._bits, self._literals,
-                           self._max_size, self.codebook.kraft.touches, self._max_step)
+                           self.codebook, self._max_step)
 
     def _steps(self, symbols, count, writer=None, reader=None):
         """The one coding loop behind encode_chunk and decode_chunk.
@@ -119,9 +119,9 @@ class CoderState:
         record moves one length class when its frequency crosses a bound of
         length_bounds, so codeword_length runs only on insert. The codebook
         checks the Kraft bound itself on every insert and move, the only
-        updates that raise the sum. Bit window and counters live in locals
-        and are written back when the chunk ends. Returns the decoded symbols
-        when decoding.
+        updates that raise the sum, and rejects a class outside 0..l_max.
+        Bit window and counters live in locals and are written back when the
+        chunk ends. Returns the decoded symbols when decoding.
         """
         p = self.params
         sigma, width, l_max = p.sigma, p.width, p.l_max
@@ -135,7 +135,7 @@ class CoderState:
         buf = self._buf
         push = buf.append  # once the ring is full, this drops buf[0]
         room = ell - len(buf)  # steps i >= room find the ring full
-        literals, max_step, max_size = self._literals, self._max_step, self._max_size
+        literals, max_step = self._literals, self._max_step
         t_prev = kraft.touches
         decoding = reader is not None
         out = [] if decoding else None
@@ -208,9 +208,6 @@ class CoderState:
                             remove(erec)
                             touched = True
                         elif f < down[length]:
-                            if f < down[l_max]:  # needs more than l_max bits
-                                raise InternalInconsistencyError(
-                                    "frequent symbol demoted past l_max")
                             move(erec, length + 1)
                             touched = True
                 # 4. + 5. the incoming symbol gains one
@@ -235,12 +232,10 @@ class CoderState:
                     if t - t_prev > max_step:
                         max_step = t - t_prev
                     t_prev = t
-                    if cb.size > max_size:
-                        max_size = cb.size
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"symbol {self.position + i}: {exc}") from exc
         self.position += count
-        self._literals, self._max_step, self._max_size = literals, max_step, max_size
+        self._literals, self._max_step = literals, max_step
         if decoding:
             reader._pos = pos
         elif wbits:
@@ -263,13 +258,13 @@ class CoderReport:
     cost_units: int  # sum of 1 + handled codeword length
 
 
-def make_report(params: CoderParams, n: int, bits: int, literals: int, max_size: int,
-                touches: int, max_step: int) -> CoderReport:
-    """The report of n coded symbols from the counters both encoders keep."""
+def make_report(params: CoderParams, n: int, bits: int, literals: int,
+                codebook: Codebook, max_step: int) -> CoderReport:
+    """The report of n coded symbols; the codebook keeps its size peak and touches."""
     # a step costs 1 + its codeword length: its bits, less a literal's index width
     return CoderReport(n=n, payload_bits=bits, payload_bytes=(bits + 7) // 8,
                        literal_count=literals, coded_count=n - literals,
-                       max_code_size=max_size, ps_touches=touches,
+                       max_code_size=codebook.max_size, ps_touches=codebook.kraft.touches,
                        ps_touches_max_step=max_step,
                        cost_units=bits - literals * params.width)
 
@@ -330,10 +325,12 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
     array. backend is as for choose_backend, and the header records the one
     it names. With numpy already imported, the block encoder of swsc.vector
     codes it with no dictionary; otherwise CoderState codes it _CHUNK
-    symbols at a time. Both give the same bytes and the same report. seed is
-    accepted and ignored; it goes with ROADMAP item 1.
+    symbols at a time. Both give the same bytes and the same report. Nothing
+    is written to out unless the whole stream codes. seed is accepted and
+    ignored; it goes with ROADMAP item 1.
     """
-    write_header(out, params, backend, len(symbols))
+    params.validate()
+    choose_backend(backend, params.sigma)  # an unknown name raises before coding
     writer = BitWriter()
     if "numpy" in sys.modules:  # never import numpy just to encode
         from .vector import encode_blocks
@@ -343,6 +340,7 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
         state = CoderState(params, backend=backend)
         for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
             report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
+    write_header(out, params, backend, len(symbols))
     out.write(writer.finish())
     return report
 

@@ -48,7 +48,7 @@ def encode_blocks(params, symbols, writer):
     wsyms = np.empty(0, dtype)  # its distinct symbols, ascending ...
     wcounts = np.empty(0, np.int64)  # ... and how often each occurs
     start = writer.bit_length
-    n = literals = max_step = max_size = t_prev = 0
+    n = literals = max_step = t_prev = 0
     for lo in range(0, len(symbols), _BLOCK):
         blk = _checked(symbols[lo:lo + _BLOCK], sigma, lo, dtype)
         size = len(blk)
@@ -120,8 +120,6 @@ def encode_blocks(params, symbols, writer):
             if t - t_prev > max_step:
                 max_step = t - t_prev
             t_prev = t
-            if cb.size > max_size:
-                max_size = cb.size
         # a literal is flag 0 then the width-bit symbol; a codeword's length
         # is its count's class, the number of bounds down[j] above the count
         vals = blk.astype(np.uint64)
@@ -131,8 +129,7 @@ def encode_blocks(params, symbols, writer):
         _emit(writer.write_bits, vals, lens)
         n += size
         literals += size - nq
-    return make_report(params, n, writer.bit_length - start, literals, max_size,
-                       kraft.touches, max_step)
+    return make_report(params, n, writer.bit_length - start, literals, cb, max_step)
 
 
 def _checked(chunk, sigma, position, dtype):

@@ -143,14 +143,14 @@ def test_decode_past_the_coded_range_is_corrupt():
         got, got_j = cb.decode(b)
         assert got is rec and got_j == 1
     for b in range(8, 16):
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError, match="outside the coded range"):
             cb.decode(b)
 
 
 def test_decode_on_empty_codebook_is_corrupt():
     cb = Codebook(3)
     for b in range(8):
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError, match="coded flag with no matching codeword"):
             cb.decode(b)
 
 
@@ -246,6 +246,8 @@ def test_move_more_than_one_level_is_internal_error():
         cb.move(d[20], 4)
     with pytest.raises(InternalInconsistencyError):
         cb.move(d[30], 6)  # also out of range
+    with pytest.raises(InternalInconsistencyError, match=r"within 0\.\.4"):
+        cb.move(d[30], 5)  # one level, but past l_max
 
 
 def test_move_past_kraft_capacity_is_internal_error():
@@ -302,6 +304,19 @@ def test_codewords_are_prefix_free_under_random_mutation():
                 for pad in range(1 << (l_max - j)):
                     got, got_j = cb.decode(lo | pad)
                     assert got is r and got_j == j
+            for b in range(cb.kraft_total, cb.capacity):
+                with pytest.raises(CorruptStreamError):
+                    cb.decode(b)
+            # decode's only tree work is one search
+            for b in range(cb.capacity):
+                t0 = cb.kraft.touches
+                cb.kraft.search_with_prefix(b)
+                t1 = cb.kraft.touches
+                try:
+                    cb.decode(b)
+                except CorruptStreamError:
+                    pass
+                assert cb.kraft.touches - t1 == t1 - t0
             spans.sort()
             for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
                 assert hi1 <= lo2  # no overlap means prefix-free

@@ -1,7 +1,9 @@
 """Stream coder: frozen bytes, lockstep state, corruption handling."""
 
+import dataclasses
 import hashlib
 import io
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swsc import coder, vector
 from swsc.analysis import oracle_state
 from swsc.bitio import BitReader, BitWriter
-from swsc.codebook import codeword_length
+from swsc.codebook import Codebook, codeword_length
 from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_chunks,
                         decode_stream, encode_stream, encode_to_bytes, read_header,
                         read_symbol_array, write_header, write_symbols)
@@ -370,6 +373,62 @@ def test_coding_loop_stops_when_an_insert_overfills_the_code():
     cb.capacity = cb.kraft_total
     with pytest.raises(InternalInconsistencyError, match="exceeds capacity"):
         state.encode_chunk([2], writer)  # symbol 2 reaches the threshold
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_max_code_size_is_the_largest_size_seen(monkeypatch, numpy_loaded):
+    sizes = []
+
+    class LoggedCodebook(Codebook):
+        def insert(self, rec, j):
+            super().insert(rec, j)
+            sizes.append(self.size)
+
+        def remove(self, rec):
+            super().remove(rec)
+            sizes.append(self.size)
+
+        def move(self, rec, j_to):
+            super().move(rec, j_to)
+            sizes.append(self.size)
+
+    p = derive_params(256, 1.0, 1)
+    syms = generate("zipf", sigma=256, n=6000, seed=11).tolist()
+    monkeypatch.setattr(coder, "Codebook", LoggedCodebook)
+    monkeypatch.setattr(vector, "Codebook", LoggedCodebook)
+    if not numpy_loaded:  # encode_stream then runs the loop encoder
+        monkeypatch.delitem(sys.modules, "numpy")
+    blob, ereport = encode_to_bytes(p, syms)
+    assert sizes[-1] < max(sizes) == ereport.max_code_size  # a peak, not the final size
+    sizes.clear()
+    _, dreport = decode_stream(blob)
+    assert max(sizes) == dreport.max_code_size == ereport.max_code_size
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+@pytest.mark.parametrize("fault", ["params", "float", "backend"])
+def test_a_rejected_encode_writes_nothing(monkeypatch, numpy_loaded, fault):
+    p = derive_params(256, 2.0, 1)
+    syms, backend = list(range(256)) * 4, None
+    if fault == "params":
+        p = dataclasses.replace(p, threshold=p.ell + 1)
+    elif fault == "float":
+        syms[-1] = 1.5  # in the last chunk, after the others coded
+    else:
+        backend = "btree"
+
+        def no_coding():
+            raise AssertionError("coding started")
+
+        monkeypatch.setattr(coder, "BitWriter", no_coding)
+    monkeypatch.setattr(coder, "_CHUNK", 100)
+    monkeypatch.setattr(vector, "_BLOCK", 100)
+    if not numpy_loaded:  # encode_stream then runs the loop encoder
+        monkeypatch.delitem(sys.modules, "numpy")
+    out = io.BytesIO()
+    with pytest.raises(ParameterError):
+        encode_stream(p, syms, out, backend=backend)
+    assert out.getvalue() == b""
 
 
 def test_intermediate_states_match_stepwise():

@@ -1,5 +1,6 @@
-"""The package surface: exported names and the README example."""
+"""The package surface: exported names, the README example, unused imports."""
 
+import ast
 import os
 import re
 import subprocess
@@ -16,6 +17,27 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_every_exported_name_resolves():
     missing = [name for name in swsc.__all__ if not hasattr(swsc, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the stdlib stand-in for a linter's unused-import rule; __init__.py
+    # imports to re-export, and a line marked "# noqa" is exempt
+    unused = []
+    for path in sorted(Path(swsc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa" not in lines[node.lineno - 1]):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
 
 
 def test_readme_library_example_runs():
