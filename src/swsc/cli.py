@@ -78,7 +78,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     data = _read_bytes(args.input)
-    params, _flag, _n = coder.read_header(data)
+    params, _n = coder.read_header(data)
     for name, given, actual in (("sigma", args.sigma, params.sigma),
                                 ("lambda", args.lam, params.lam),
                                 ("c", args.c, params.c)):

@@ -11,7 +11,8 @@ zero-padded to a byte boundary.
 
     magic      4 bytes  b"SWSC"
     version    u8       1
-    backend    u8       0 = trie, 1 = hashed (written, never read to choose one)
+    backend    u8       0 = trie, 1 = hashed: the dictionary sigma selects;
+                        decode accepts either and never reads it to choose
     sigma      u32
     ell        u32      frozen window length
     threshold  u32      frozen frequency threshold
@@ -65,7 +66,6 @@ class CoderState:
     """Window, dictionary and codebook evolving in encoder/decoder lockstep."""
 
     def __init__(self, params: CoderParams, backend: str | None = None):
-        params.validate()
         self.params = params
         self.dictionary = make_dictionary(backend, params.sigma)
         self.codebook = Codebook(params.l_max)
@@ -95,6 +95,8 @@ class CoderState:
 
     def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
         """Decode count symbols from reader; returns them and the report so far."""
+        if count < 0:
+            raise ParameterError(f"cannot decode {count} symbols")
         start = reader.position
         out = self._steps(None, count, reader=reader)
         self._bits += reader.position - start
@@ -290,15 +292,15 @@ def check_symbols(symbols, sigma: int, position: int) -> None:
                                  f"out of range for sigma {sigma}")
 
 
-def write_header(out, params: CoderParams, backend: str | None, n: int) -> None:
-    flag = BACKENDS.index(choose_backend(backend, params.sigma))
+def write_header(out, params: CoderParams, n: int) -> None:
+    flag = BACKENDS.index(choose_backend(None, params.sigma))
     out.write(_HEADER.pack(MAGIC, VERSION, flag, params.sigma,
                            params.ell, params.threshold, params.l_max, params.width,
                            n, params.lam, params.c))
 
 
-def read_header(data: bytes) -> tuple[CoderParams, str, int]:
-    """Parse and validate a header; returns (params, backend name, n)."""
+def read_header(data: bytes) -> tuple[CoderParams, int]:
+    """Parse and validate a header; returns (params, n)."""
     if len(data) < HEADER_BYTES:
         raise CorruptStreamError("header truncated")
     (magic, version, backend_flag, sigma, ell, threshold, l_max, width,
@@ -310,11 +312,11 @@ def read_header(data: bytes) -> tuple[CoderParams, str, int]:
     if backend_flag >= len(BACKENDS):
         raise CorruptStreamError(f"unknown backend flag {backend_flag}")
     try:
-        params = CoderParams.from_frozen(sigma=sigma, lam=lam, c=c, ell=ell,
-                                         threshold=threshold, l_max=l_max, width=width)
+        params = CoderParams(sigma=sigma, lam=lam, c=c, ell=ell,
+                             threshold=threshold, l_max=l_max, width=width)
     except ParameterError as e:
         raise CorruptStreamError(f"inconsistent header: {e}") from e
-    return params, BACKENDS[backend_flag], n
+    return params, n
 
 
 def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
@@ -322,15 +324,14 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
     """Encode a symbol sequence to the binary sink out; returns the report.
 
     symbols is any sliceable sequence of ints: a list, array.array or numpy
-    array. backend is as for choose_backend, and the header records the one
-    it names. With numpy already imported, the block encoder of swsc.vector
-    codes it with no dictionary; otherwise CoderState codes it _CHUNK
-    symbols at a time. Both give the same bytes and the same report. Nothing
-    is written to out unless the whole stream codes. seed is accepted and
-    ignored; it goes with ROADMAP item 1.
+    array. backend is as for choose_backend and never changes the bytes. With
+    numpy already imported, the block encoder of swsc.vector codes it with
+    no dictionary; otherwise CoderState codes it _CHUNK symbols at a time.
+    Both give the same bytes and the same report. Nothing is written to out
+    unless the whole stream codes. seed is accepted and ignored; it goes
+    with ROADMAP item 1.
     """
-    params.validate()
-    choose_backend(backend, params.sigma)  # an unknown name raises before coding
+    choose_backend(backend, params.sigma)  # a rejected backend raises before coding
     writer = BitWriter()
     if "numpy" in sys.modules:  # never import numpy just to encode
         from .vector import encode_blocks
@@ -340,7 +341,7 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
         state = CoderState(params, backend=backend)
         for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
             report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
-    write_header(out, params, backend, len(symbols))
+    write_header(out, params, len(symbols))
     out.write(writer.finish())
     return report
 
@@ -363,9 +364,9 @@ def decode_chunks(data, backend: str | None = None):
     """
     if hasattr(data, "read"):
         data = data.read()
-    params, _, n = read_header(data)
+    params, n = read_header(data)
     state = CoderState(params, backend=backend)
-    reader = BitReader(data[HEADER_BYTES:])
+    reader = BitReader(memoryview(data)[HEADER_BYTES:])  # the payload, not a copy
     for lo in range(0, n or 1, _CHUNK):
         symbols, report = state.decode_chunk(reader, min(_CHUNK, n - lo))
         if lo + _CHUNK >= n:
@@ -377,9 +378,9 @@ def decode_stream(data, backend: str | None = None,
                   seed: int = 0) -> tuple[list[int], CoderReport]:
     """Decode a complete stream (bytes or binary file) back to symbols.
 
-    The dictionary backend is as for choose_backend, whatever the header's
-    flag says; it never changes the result. seed is accepted and ignored; it
-    goes with ROADMAP item 1.
+    backend is as for choose_backend, whatever the header's flag says, and
+    never changes the result; a rejected one raises before any decoding.
+    seed is accepted and ignored; it goes with ROADMAP item 1.
     """
     symbols = []
     for chunk, report in decode_chunks(data, backend=backend):
@@ -390,7 +391,7 @@ def decode_stream(data, backend: str | None = None,
 def _raw_typecode(sigma: int, sym_bytes: int | None) -> str:
     """The array typecode of raw symbols sym_bytes wide (default: smallest fit)."""
     fit = symbol_model_bytes(sigma)
-    sb = sym_bytes or fit
+    sb = fit if sym_bytes is None else sym_bytes
     if sb not in (1, 2, 4):
         raise ParameterError(f"symbol width {sb} bytes is not 1, 2 or 4")
     if sb < fit:

@@ -19,6 +19,7 @@ from .params import check_sigma
 RECORD_MODEL_BYTES = 7  # freq u32 + length u8 + index u16
 SLOT_MODEL_BYTES = 8  # one pointer-sized trie table slot
 BACKENDS = ("trie", "hashed")  # a stream header's backend byte indexes this
+TRIE_MAX_SIGMA = 1 << 16  # the trie's widest alphabet: no table passes 2^8 + 1 slots
 
 
 def symbol_model_bytes(sigma: int) -> int:
@@ -62,12 +63,13 @@ class TrieDictionary:
 
     The root table is indexed by the high ceil(width / 2) bits and each child
     table by the low floor(width / 2) bits, so every operation touches at
-    most two tables. Child tables are allocated lazily and freed eagerly when
-    they empty, so the table count is O(stored keys).
+    most two tables. Child tables are allocated lazily and freed when they
+    empty, so the table count is O(stored keys). sigma > TRIE_MAX_SIGMA is refused.
     """
 
     def __init__(self, sigma: int):
         check_sigma(sigma)
+        choose_backend("trie", sigma)  # refuses sigma above TRIE_MAX_SIGMA
         self.sigma = sigma
         width = (sigma - 1).bit_length()
         self._shift = width // 2  # bits below the root index
@@ -204,11 +206,13 @@ class HashedDictionary:
 
 
 def choose_backend(backend: str | None, sigma: int) -> str:
-    """backend, checked; by default the trie up to 16-bit symbols, else hashed."""
+    """backend, checked; by default the trie up to TRIE_MAX_SIGMA, else hashed."""
     if backend is None:
-        backend = "trie" if sigma <= 1 << 16 else "hashed"  # the trie grows with sigma
+        backend = "trie" if sigma <= TRIE_MAX_SIGMA else "hashed"
     elif backend not in BACKENDS:
         raise ParameterError(f"unknown dictionary backend {backend!r}")
+    elif backend == "trie" and sigma > TRIE_MAX_SIGMA:
+        raise ParameterError(f"the trie takes sigma up to {TRIE_MAX_SIGMA}, not {sigma}")
     return backend
 
 

@@ -58,7 +58,7 @@ class CoderParams:
     l_max: int
     width: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_sigma(self.sigma)
         if not math.isfinite(self.lam) or self.lam < 1:
             raise ParameterError("lambda must be a finite real >= 1")
@@ -77,14 +77,6 @@ class CoderParams:
         # the threshold decides
         if codeword_length(self.ell, self.threshold) > self.l_max:
             raise ParameterError("threshold admits codewords longer than l_max")
-
-    @classmethod
-    def from_frozen(cls, sigma, lam, c, ell, threshold, l_max, width) -> "CoderParams":
-        """Rebuild params from header fields, validating but never re-deriving."""
-        p = cls(sigma=sigma, lam=lam, c=c, ell=ell, threshold=threshold,
-                l_max=l_max, width=width)
-        p.validate()
-        return p
 
 
 def derive_params(sigma: int, lam: float, c: int) -> CoderParams:
@@ -114,7 +106,5 @@ def derive_params(sigma: int, lam: float, c: int) -> CoderParams:
     width = (sigma - 1).bit_length()
     while codeword_length(ell, threshold) > l_max:
         threshold += 1
-    p = CoderParams(sigma=sigma, lam=float(lam), c=c, ell=ell,
-                    threshold=threshold, l_max=l_max, width=width)
-    p.validate()
-    return p
+    return CoderParams(sigma=sigma, lam=float(lam), c=c, ell=ell,
+                       threshold=threshold, l_max=l_max, width=width)

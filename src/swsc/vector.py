@@ -30,7 +30,6 @@ _BLOCK = 1 << 16  # steps counted per numpy pass
 
 def encode_blocks(params, symbols, writer):
     """Encode symbols to writer; the same bits and report as CoderState.encode_chunk."""
-    params.validate()
     sigma, ell, threshold, l_max = params.sigma, params.ell, params.threshold, params.l_max
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
     down, _ = length_bounds(ell, l_max)

@@ -201,7 +201,8 @@ def test_07_per_symbol_touch_budget(grid, capsys):
         if step_max > budget:
             over.append((r["params"].sigma, r["params"].lam, r["dist"]))
     emit(capsys, 7, "worst-step structure touches within the fixed budget",
-         not over, f"max observed at {worst:.2f} of budget")
+         not over, f"max observed at {worst:.2f} of budget; it covers codebook + partial "
+                   f"sums; dictionary: trie O(1) worst case up to 2^16, hashed amortized above")
     assert not over, over
 
 

@@ -97,9 +97,10 @@ def test_encode_has_no_backend_option(tmp_path):
 def test_decode_reports_the_dictionary_that_ran(tmp_path, capsys, sigma, lam, ran):
     p = swsc.derive_params(sigma, lam, 10)
     syms = [0, sigma - 1, 5] * 20
-    for flag in ("trie", "hashed"):  # the header's backend byte is not followed
+    blob = swsc.encode_to_bytes(p, syms)[0]
+    for flag in (0, 1):  # the header's backend byte is not followed
         packed = tmp_path / f"{flag}.swsc"
-        packed.write_bytes(swsc.encode_to_bytes(p, syms, backend=flag)[0])
+        packed.write_bytes(blob[:5] + bytes([flag]) + blob[6:])
         capsys.readouterr()
         assert run(["decode", str(packed), str(tmp_path / "out.bin"), "--json"]) == 0
         assert json.loads(capsys.readouterr().err)["backend"] == ran
@@ -277,7 +278,7 @@ def test_cli_codes_an_input_of_several_chunks(tmp_path, capsys):
     assert run(["encode", str(raw), str(packed), "--sigma", "256"]) == 0
     # one unchunked call gives the payload the chunked paths must reproduce
     header = io.BytesIO()
-    coder.write_header(header, p, "trie", len(syms))
+    coder.write_header(header, p, len(syms))
     writer = BitWriter()
     swsc.CoderState(p).encode_chunk(syms, writer)
     want = header.getvalue() + writer.finish()

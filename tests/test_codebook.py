@@ -48,11 +48,9 @@ def test_codeword_length_rejects_nonpositive(ell, f):
 
 def _smallest_threshold_header():
     # ceil(1000 / 2**3) = 125 is the least threshold that codes in l_max = 3 bits
-    p = CoderParams.from_frozen(sigma=256, lam=2.0, c=1, ell=1000, threshold=125,
-                                l_max=3, width=8)
+    p = CoderParams(sigma=256, lam=2.0, c=1, ell=1000, threshold=125, l_max=3, width=8)
     with pytest.raises(ParameterError, match="longer than l_max"):
-        CoderParams.from_frozen(sigma=256, lam=2.0, c=1, ell=1000, threshold=124,
-                                l_max=3, width=8)
+        CoderParams(sigma=256, lam=2.0, c=1, ell=1000, threshold=124, l_max=3, width=8)
     return p
 
 

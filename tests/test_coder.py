@@ -21,6 +21,7 @@ from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_chunks,
                         decode_stream, encode_stream, encode_to_bytes, read_header,
                         read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
+from swsc.dictionary import TrieDictionary, choose_backend
 from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from swsc.params import CoderParams, derive_params
 
@@ -123,18 +124,19 @@ def test_empty_input_roundtrips():
 def test_header_roundtrip():
     p = derive_params(4096, 1.5, 2)
     buf = io.BytesIO()
-    write_header(buf, p, "hashed", 12345)
-    q, backend, n = read_header(buf.getvalue())
+    write_header(buf, p, 12345)
+    q, n = read_header(buf.getvalue())
     assert q == p
-    assert backend == "hashed"
+    assert buf.getvalue()[5] == 0  # sigma 4096 selects the trie
     assert n == 12345
 
 
 def test_header_holds_the_largest_sigma():
     p = derive_params(2**32 - 1, 2.0, 10)
     buf = io.BytesIO()
-    write_header(buf, p, "trie", 0)
-    assert read_header(buf.getvalue()) == (p, "trie", 0)
+    write_header(buf, p, 0)
+    assert read_header(buf.getvalue()) == (p, 0)
+    assert buf.getvalue()[5] == 1  # sigma above 2^16 selects the hashed table
 
 
 @pytest.mark.parametrize("mangle,message", [
@@ -164,10 +166,10 @@ def test_truncated_payload_names_the_failing_symbol():
 def test_a_huge_window_header_allocates_no_window_up_front():
     # consistent header fields with a 2**24-symbol window, one symbol and a
     # one-byte payload: the window may cost O(symbols decoded), not O(ell)
-    p = CoderParams.from_frozen(sigma=256, lam=1.0, c=1, ell=2**24,
-                                threshold=2**16, l_max=8, width=8)
+    p = CoderParams(sigma=256, lam=1.0, c=1, ell=2**24,
+                    threshold=2**16, l_max=8, width=8)
     out = io.BytesIO()
-    write_header(out, p, "trie", 1)
+    write_header(out, p, 1)
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError, match="truncated"):
@@ -201,7 +203,7 @@ def test_nonzero_pad_bit_is_corrupt():
 def test_coded_flag_with_empty_codebook_is_corrupt():
     p = derive_params(256, 2.0, 10)
     buf = io.BytesIO()
-    write_header(buf, p, "trie", 1)
+    write_header(buf, p, 1)
     buf.write(b"\x80")  # flag 1, but no symbol has ever been coded
     with pytest.raises(CorruptStreamError, match="symbol 0"):
         decode_stream(buf.getvalue())
@@ -210,7 +212,7 @@ def test_coded_flag_with_empty_codebook_is_corrupt():
 def test_literal_outside_alphabet_is_corrupt():
     p = derive_params(3, 2.0, 10)  # width 2
     buf = io.BytesIO()
-    write_header(buf, p, "trie", 1)
+    write_header(buf, p, 1)
     buf.write(b"\x60")  # flag 0, literal 0b11 = 3 >= sigma
     with pytest.raises(CorruptStreamError, match="literal 3"):
         decode_stream(buf.getvalue())
@@ -304,10 +306,8 @@ def test_chunk_splits_match_one_call(data):
         assert got == want == syms
         assert chunked == want_report
         assert snapshot(state) == snapshot(one)
-    # the backend shows only in the informational header byte
-    trie, hashed = blobs["trie"], blobs["hashed"]
-    assert (trie[5], hashed[5]) == (0, 1)
-    assert trie[:5] + trie[6:] == hashed[:5] + hashed[6:]
+    # the header records the dictionary sigma selects, not the one that ran
+    assert blobs["trie"] == blobs["hashed"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,8 +410,10 @@ def test_max_code_size_is_the_largest_size_seen(monkeypatch, numpy_loaded):
 def test_a_rejected_encode_writes_nothing(monkeypatch, numpy_loaded, fault):
     p = derive_params(256, 2.0, 1)
     syms, backend = list(range(256)) * 4, None
-    if fault == "params":
-        p = dataclasses.replace(p, threshold=p.ell + 1)
+    if fault == "params":  # bad params cannot even be built
+        with pytest.raises(ParameterError):
+            dataclasses.replace(p, threshold=p.ell + 1)
+        return
     elif fault == "float":
         syms[-1] = 1.5  # in the last chunk, after the others coded
     else:
@@ -493,11 +495,11 @@ def test_roundtrip(sigma, dist, kw):
 def test_payload_is_backend_and_seed_independent():
     p = derive_params(256, 2.0, 2)
     syms = generate("zipf", sigma=256, n=3000, seed=5, s=1.2).tolist()
-    payloads = set()
+    blobs = set()
     for backend, seed in (("trie", 0), ("hashed", 0), ("hashed", 123)):
         blob, _ = encode_to_bytes(p, syms, backend=backend, seed=seed)
-        payloads.add(blob[HEADER_BYTES:])
-    assert len(payloads) == 1
+        blobs.add(blob)
+    assert len(blobs) == 1  # the header byte included
 
 
 def test_decode_backend_override_matches_header_backend():
@@ -515,7 +517,6 @@ def test_unknown_backend_names_raise_parameter_error():
     for call in (lambda: CoderState(p, backend="x"),
                  lambda: encode_to_bytes(p, [1], backend="x"),
                  lambda: encode_stream(p, [], io.BytesIO(), backend="btree"),
-                 lambda: write_header(io.BytesIO(), p, "TRIE", 0),
                  lambda: decode_stream(blob, backend="x"),
                  lambda: next(decode_chunks(blob, backend=""))):
         with pytest.raises(ParameterError, match="unknown dictionary backend"):
@@ -533,15 +534,74 @@ def test_default_backend_follows_sigma_not_the_header(sigma, lam, chosen):
     syms = [0, sigma - 1, 0, sigma // 3] * 50
     blob, _ = encode_to_bytes(p, syms)
     assert blob[5] == {"trie": 0, "hashed": 1}[chosen]
-    assert read_header(blob)[1] == chosen
     other = "hashed" if chosen == "trie" else "trie"
+    if other == "hashed":
+        assert encode_to_bytes(p, syms, backend=other)[0] == blob
+    else:  # the trie is refused where its tables would grow with sigma
+        with pytest.raises(ParameterError, match="the trie takes sigma up to"):
+            encode_to_bytes(p, syms, backend=other)
+    # an older stream may carry the other byte; decode accepts it
     flipped = blob[:5] + bytes([1 - blob[5]]) + blob[6:]
-    assert encode_to_bytes(p, syms, backend=other)[0] == flipped
     # neither header byte makes decode build the other dictionary
     spurned = {"trie": "TrieDictionary", "hashed": "HashedDictionary"}[other]
     with mock.patch(f"swsc.dictionary.{spurned}", side_effect=AssertionError(other)):
         for stream in (blob, flipped):
             assert decode_stream(stream)[0] == syms
+
+
+def symbols_over(sigma, n=3000, seed=4):
+    """n zipf symbols over 40 values spread across [0, sigma), so some get coded."""
+    pool = [sigma - 1 - (sigma // 40) * k for k in range(40)]
+    return [pool[i] for i in generate("zipf", sigma=40, n=n, seed=seed).tolist()]
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+@pytest.mark.parametrize("sigma", [256, 65536, 65537, 2**32 - 1])
+def test_an_explicit_backend_never_changes_the_stream(monkeypatch, numpy_loaded, sigma):
+    p = derive_params(sigma, 4.0, 1)
+    syms = symbols_over(sigma)
+    if not numpy_loaded:  # encode_stream then runs the loop encoder
+        monkeypatch.delitem(sys.modules, "numpy")
+    blob, report = encode_to_bytes(p, syms)
+    assert report.coded_count > 0
+    allowed = ("trie", "hashed") if sigma <= 1 << 16 else ("hashed",)
+    for backend in allowed:
+        assert encode_to_bytes(p, syms, backend=backend) == (blob, report)
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+@pytest.mark.parametrize("sigma", [65537, 70000, 2**32 - 1])
+def test_the_trie_is_refused_above_16_bit_symbols(monkeypatch, numpy_loaded, sigma):
+    p = derive_params(sigma, 4.0, 1)
+    blob, _ = encode_to_bytes(p, [0, sigma - 1, 0])
+
+    def no_coding():
+        raise AssertionError("coding started")
+
+    monkeypatch.setattr(coder, "BitWriter", no_coding)
+    if not numpy_loaded:  # encode_stream then runs the loop encoder
+        monkeypatch.delitem(sys.modules, "numpy")
+    out = io.BytesIO()
+    for call in (lambda: choose_backend("trie", sigma),
+                 lambda: TrieDictionary(sigma),
+                 lambda: CoderState(p, backend="trie"),
+                 lambda: encode_stream(p, [0, sigma - 1, 0], out, backend="trie"),
+                 lambda: decode_stream(blob, backend="trie")):
+        with pytest.raises(ParameterError, match=f"the trie takes sigma up to 65536, "
+                                                 f"not {sigma}"):
+            call()
+    assert out.getvalue() == b""
+
+
+def test_a_negative_decode_count_changes_nothing():
+    p = derive_params(256, 2.0, 10)
+    blob, _ = encode_to_bytes(p, [1, 2, 3])
+    state = CoderState(p)
+    reader = BitReader(blob[HEADER_BYTES:])
+    with pytest.raises(ParameterError, match="cannot decode -3 symbols"):
+        state.decode_chunk(reader, -3)
+    assert (state.position, reader.position) == (0, 0)
+    assert state.decode_chunk(reader, 3) == ([1, 2, 3], decode_stream(blob)[1])
 
 
 def test_all_same_symbol_compresses_to_flags():
@@ -611,7 +671,7 @@ def test_write_symbols_rejects_symbols_outside_the_alphabet(sigma, syms, bad):
 
 
 def test_raw_symbol_width_must_hold_the_alphabet():
-    for sym_bytes in (1, 3):
+    for sym_bytes in (0, 1, 3):  # 0 is a width, not "the smallest fit"
         with pytest.raises(ParameterError, match="symbol width"):
             write_symbols([299], 300, sym_bytes)
         with pytest.raises(ParameterError, match="symbol width"):

@@ -1,16 +1,19 @@
 """Dictionary backends: contract tests, memory model values, oracle fuzz."""
 
+import ast
 import gc
+import inspect
 import random
+import textwrap
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swsc.dictionary import (RECORD_MODEL_BYTES, CodeRecord, HashedDictionary,
-                             TrieDictionary, choose_backend, make_dictionary,
-                             symbol_model_bytes)
+from swsc.dictionary import (RECORD_MODEL_BYTES, TRIE_MAX_SIGMA, CodeRecord,
+                             HashedDictionary, TrieDictionary, choose_backend,
+                             make_dictionary, symbol_model_bytes)
 from swsc.errors import InternalInconsistencyError, ParameterError
 
 BACKENDS = ["trie", "hashed"]
@@ -154,8 +157,12 @@ def test_default_backend_is_the_trie_up_to_16_bit_symbols(sigma, chosen):
     assert choose_backend(None, sigma) == chosen
     assert type(make_dictionary(None, sigma)) is {"trie": TrieDictionary,
                                                   "hashed": HashedDictionary}[chosen]
-    for name in BACKENDS:  # a named backend runs at any sigma
-        assert choose_backend(name, sigma) == name
+    assert choose_backend("hashed", sigma) == "hashed"  # at any sigma
+    if chosen == "trie":
+        assert choose_backend("trie", sigma) == "trie"
+    else:  # above 2^16 the trie's child tables would grow with sigma
+        with pytest.raises(ParameterError, match="the trie takes sigma up to 65536"):
+            choose_backend("trie", sigma)
     with pytest.raises(ParameterError, match="unknown dictionary backend"):
         choose_backend("Trie", sigma)
 
@@ -193,14 +200,25 @@ def test_trie_memory_model_frozen_values():
     binary.put(1, CodeRecord(1))
     assert binary.report_memory() == 31
 
-    odd = TrieDictionary(65537)  # width 17 splits 9 + 8
-    assert odd.report_memory() == 4096
-    odd.put(65536, CodeRecord(1))
-    assert odd.report_memory() == 6151
+    odd = TrieDictionary(300)  # width 9 splits 5 + 4
+    assert odd.report_memory() == 256
+    odd.put(299, CodeRecord(1))
+    assert odd.report_memory() == 391
 
 
-@pytest.mark.parametrize("sigma", [2, 3, 256, 65536, 65537])
+def refused_by_the_trie(sigma):
+    """True, having checked the refusal, when sigma is too wide for the trie."""
+    if sigma <= TRIE_MAX_SIGMA:
+        return False
+    with pytest.raises(ParameterError, match=f"the trie takes sigma up to 65536, not {sigma}"):
+        TrieDictionary(sigma)
+    return True
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 256, 300, 65536, 65537])
 def test_trie_stores_both_ends_of_the_alphabet(sigma):
+    if refused_by_the_trie(sigma):
+        return
     d = TrieDictionary(sigma)
     d.put(sigma - 1, CodeRecord(2))
     d.put(0, CodeRecord(3))
@@ -225,8 +243,10 @@ def _recount_trie(d):
     return tables, slots, records
 
 
-@pytest.mark.parametrize("sigma", [3, 256, 65536, 65537])
+@pytest.mark.parametrize("sigma", [3, 256, 300, 65536, 65537])
 def test_trie_accounting_matches_a_recount(sigma):
+    if refused_by_the_trie(sigma):
+        return
     d = TrieDictionary(sigma)
     rng = random.Random(31337)
     live = set()
@@ -404,6 +424,23 @@ def test_sigma_two_edge(backend):
     assert d.get(1).freq == 2
 
 
+def test_trie_steps_have_a_constant_worst_case():
+    # no operation loops, and every table it can touch is at most 2^8 + 1
+    # slots at every sigma the trie accepts, so each step is O(1)
+    for name in ("lookup", "get", "put", "delete"):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(TrieDictionary, name))))
+        loops = [type(node).__name__ for node in ast.walk(tree)
+                 if isinstance(node, (ast.For, ast.While, ast.AsyncFor, ast.comprehension))]
+        assert not loops, f"TrieDictionary.{name} has {loops}"
+    for sigma in (2, 3, 255, 256, 257, 300, 4096, 65535, 65536):
+        d = TrieDictionary(sigma)
+        for a in (0, sigma // 2, sigma - 1):
+            d.put(a, CodeRecord(1))
+        children = [node for node in d._root if node is not None]
+        assert len(d._root) <= 1 << 8
+        assert children and all(len(node) <= (1 << 8) + 1 for node in children)
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ParameterError):
         make_dictionary("btree", 256)
@@ -418,7 +455,10 @@ def test_sigma_below_two_rejected(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sigma_past_the_stream_limit_rejected(backend):
     with pytest.raises(ParameterError, match="stream limit"):
-        make(backend, 2**32)
+        {"trie": TrieDictionary, "hashed": HashedDictionary}[backend](2**32)
+    if backend == "trie":  # the trie stops long before the stream limit
+        assert refused_by_the_trie(2**32 - 1)
+        return
     d = make(backend, 2**32 - 1)
     d.put(2**32 - 2, CodeRecord(1))
     assert d.get(2**32 - 2).freq == 1

@@ -1,11 +1,11 @@
 """Alphabets past 2^16, where the paper's large-alphabet regime lies.
 
 A two-level trie allocates 2^floor(w/2) + 1 slots for each distinct high half
-of a window symbol, so above 16-bit symbols its memory grows with sigma. The
-default dictionary there is the hashed table, whatever a stream's header
-byte says. These tests hold the default decode and the CLI to the memory
-caps the README states, on a stream crafted to touch every high half, and
-run each guarantee over a sweep of sigma from 2^20 to 2^32 - 1.
+of a window symbol, so above 16-bit symbols its memory would grow with sigma:
+there the trie is refused and the dictionary is the hashed table, whatever a
+stream's header byte says. These tests hold the default decode and the CLI
+to the memory caps the README states, on a stream crafted to touch every high
+half, and run each guarantee over a sweep of sigma from 2^20 to 2^32 - 1.
 """
 
 import json
@@ -24,6 +24,7 @@ from swsc.bitio import BitWriter
 from swsc.coder import (_CHUNK, HEADER_BYTES, CoderState, decode_stream, encode_to_bytes,
                         write_symbols)
 from swsc.corpus import generate
+from swsc.errors import ParameterError
 from swsc.dictionary import RECORD_MODEL_BYTES, symbol_model_bytes
 from swsc.params import MAX_SIGMA, derive_params
 from test_acceptance import touch_budget
@@ -46,9 +47,9 @@ def crafted():
     # 65,537 symbols are literals, and a trie would hold 65,536 child tables
     p = derive_params(MAX_SIGMA, 4.0, 10)
     symbols = every_high_half(1 << 16)
-    blob, _ = encode_to_bytes(p, symbols, backend="trie")
-    assert blob[5] == 0  # the header names the trie
-    return p, symbols, blob
+    blob, _ = encode_to_bytes(p, symbols)
+    assert blob[5] == 1  # sigma selects the hashed table
+    return p, symbols, blob[:5] + b"\x00" + blob[6:]  # as if an older stream named the trie
 
 
 def test_default_decode_of_a_trie_stream_stays_under_its_cap(crafted):
@@ -62,6 +63,22 @@ def test_default_decode_of_a_trie_stream_stays_under_its_cap(crafted):
     assert out == symbols
     assert report.literal_count == len(symbols)
     assert peak < DECODE_PEAK_CAP, f"decode peaked at {peak / MB:.1f} MB"
+
+
+def test_an_explicit_trie_decode_is_refused_before_it_allocates():
+    # 200 literals of 33 bits, one per high half: a trie would allocate a
+    # 65,537-slot child table for each, about 100 MB in all
+    p = derive_params(MAX_SIGMA, 4.0, 10)
+    blob, _ = encode_to_bytes(p, [h << 16 for h in range(200)])
+    assert len(blob) == 865
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="the trie takes sigma up to 65536"):
+            decode_stream(blob, backend="trie")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MB, f"the refusal peaked at {peak / MB:.1f} MB"
 
 
 # A child's ru_maxrss keeps the pages of its parent from before exec, so the

@@ -40,6 +40,34 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_private_name_is_left_unreferenced():
+    # a module-level _name that no other statement in src/swsc reads is a
+    # helper some deletion left behind; a def's own body does not count
+    defined, read = [], set()
+    for path in sorted(Path(swsc.__file__).parent.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            where = (path.name, i)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(where, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.add((where, node.id))
+                elif isinstance(node, ast.Attribute):
+                    read.add((where, node.attr))
+                elif isinstance(node, ast.alias):
+                    read.add((where, node.name))
+    orphans = [f"{where[0]}: {name}" for where, name in defined
+               if not any(n == name and w != where for w, n in read)]
+    assert orphans == []
+
+
 def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1

@@ -86,14 +86,12 @@ def test_sigma_limit_is_the_u32_header_field():
         with pytest.raises(ParameterError, match="exceeds the stream limit"):
             derive_params(sigma, 2.0, 10)
         with pytest.raises(ParameterError, match="exceeds the stream limit"):
-            dataclasses.replace(p, sigma=sigma,
-                                width=(sigma - 1).bit_length()).validate()
+            dataclasses.replace(p, sigma=sigma, width=(sigma - 1).bit_length())
 
 
 def test_from_frozen_roundtrip():
     p = derive_params(4096, 2.0, 10)
-    q = CoderParams.from_frozen(p.sigma, p.lam, p.c, p.ell, p.threshold,
-                                p.l_max, p.width)
+    q = CoderParams(p.sigma, p.lam, p.c, p.ell, p.threshold, p.l_max, p.width)
     assert q == p
 
 
@@ -116,8 +114,11 @@ def test_from_frozen_rejects_inconsistent_fields(patch):
     p = derive_params(4096, 2.0, 10)
     bad = dataclasses.asdict(p)
     bad.update(patch)
+    # a CoderParams is checked when it is built, however it is built
     with pytest.raises(ParameterError):
-        CoderParams.from_frozen(**bad)
+        CoderParams(**bad)
+    with pytest.raises(ParameterError):
+        dataclasses.replace(p, **patch)
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,7 +142,8 @@ def test_derived_invariants(sigma, lam, c):
 
 def test_validate_passes_for_all_frozen_rows():
     for sigma, lam, c, _ in FROZEN:
-        derive_params(sigma, lam, c).validate()
+        p = derive_params(sigma, lam, c)
+        assert CoderParams(**dataclasses.asdict(p)) == p
 
 
 def test_threshold_bump_preserves_length_cap():
