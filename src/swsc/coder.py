@@ -358,13 +358,17 @@ def decode_chunks(data, backend: str | None = None):
     """Decode a complete stream chunk by chunk; yields (symbols, report so far).
 
     Each chunk holds at most _CHUNK symbols; an empty stream yields one empty
-    chunk. The end of the stream is checked before the last chunk is
-    yielded, so its report is the whole stream's. backend is as for
-    decode_stream.
+    chunk. Every symbol costs at least its flag bit, so a count above the
+    payload's bits is rejected before any chunk. The end of the stream is
+    checked before the last chunk is yielded, so its report is the whole
+    stream's. backend is as for decode_stream.
     """
     if hasattr(data, "read"):
         data = data.read()
     params, n = read_header(data)
+    bits = 8 * (len(data) - HEADER_BYTES)
+    if n > bits:
+        raise CorruptStreamError(f"{n} symbols cannot fit in {bits} payload bits")
     state = CoderState(params, backend=backend)
     reader = BitReader(memoryview(data)[HEADER_BYTES:])  # the payload, not a copy
     for lo in range(0, n or 1, _CHUNK):

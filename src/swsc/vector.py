@@ -4,11 +4,12 @@ In the encoder only the codebook has to run in input order. A symbol's
 window count, and with it whether the symbol is coded and when it crosses a
 threshold or a length class, follows from the input alone: a coded record
 always sits in the class codeword_length(ell, count), and a count moves by
-one per event. So each block of _BLOCK steps is counted in numpy, and only
-two things run in Python, in the order of CoderState._steps: the codebook
-events (insert, move, remove) and the codeword query of each coded step.
-Both touch the same Fenwick nodes as the loop does, so ps_touches and
-ps_touches_max_step are read off the codebook, not derived.
+one per event. So each block of _BLOCK steps is counted in numpy, the
+carried window entering as leading events, and only the codebook work runs
+in Python: one time-ordered action list, in the order of CoderState._steps
+(each step's codeword query, then its evicted and its incoming symbol's
+insert, move or remove). It touches the same Fenwick nodes as the loop
+does, so ps_touches and ps_touches_max_step are read off the codebook.
 
 Working memory is O(ell + _BLOCK): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
@@ -29,7 +30,10 @@ _BLOCK = 1 << 16  # steps counted per numpy pass
 
 
 def encode_blocks(params, symbols, writer):
-    """Encode symbols to writer; the same bits and report as CoderState.encode_chunk."""
+    """Encode symbols to writer; the same bits and report as CoderState.encode_chunk.
+
+    Each block's codebook work is one time-ordered action list, run in one loop.
+    """
     sigma, ell, threshold, l_max = params.sigma, params.ell, params.threshold, params.l_max
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
     down, _ = length_bounds(ell, l_max)
@@ -47,7 +51,7 @@ def encode_blocks(params, symbols, writer):
     wsyms = np.empty(0, dtype)  # its distinct symbols, ascending ...
     wcounts = np.empty(0, np.int64)  # ... and how often each occurs
     start = writer.bit_length
-    n = literals = max_step = t_prev = 0
+    literals = max_step = t_prev = 0
     for lo in range(0, len(symbols), _BLOCK):
         blk = _checked(symbols[lo:lo + _BLOCK], sigma, lo, dtype)
         size = len(blk)
@@ -62,73 +66,59 @@ def encode_blocks(params, symbols, writer):
         if first < size:
             ev[2 * first::2] = seq[len(ring) + first - ell:len(seq) - ell]
             delta[2 * first::2] = -1
-        after, wsyms, wcounts = _count(ev, delta, wsyms, wcounts)
+        after, wsyms, wcounts = _count(wsyms, wcounts, ev, delta)
         ring = seq[max(0, len(seq) - ell):]
         fe, fa = after[0::2], after[1::2]  # counts after each step's two events
         evicts = np.arange(size) >= first
         fb = fa - 1 + (evicts & (ev[0::2] == blk))  # the incoming count before the step
-        # the codebook events: a count falling below the threshold or into a
-        # longer class, then one reaching it or a shorter class
-        e_kind = np.where(fe == threshold - 1, 1, 0)
-        e_kind[(fe >= threshold) & np.isin(fe + 1, crossings)] = 2
+        # each step's actions, coded 0 for none: 1 its codeword query; then
+        # 2 or 3 when the evicted count falls below the threshold or into a
+        # longer class; then 4 or 5 when the incoming one reaches the
+        # threshold or a shorter class
+        queried = fb >= threshold
+        e_kind = np.where(fe == threshold - 1, 2, 0)
+        e_kind[(fe >= threshold) & np.isin(fe + 1, crossings)] = 3
         e_kind[~evicts] = 0
-        a_kind = np.where(fa == threshold, 1, 0)
-        a_kind[(fa > threshold) & np.isin(fa, crossings)] = 2
-        steps = np.flatnonzero(e_kind | a_kind)
-        queries = np.flatnonzero(fb >= threshold)
-        qsyms = blk[queries].tolist()
-        nq = len(qsyms)
-        # queries before each event step; the sentinel runs the rest
-        stops = np.searchsorted(queries, steps).tolist() + [nq]
-        events = zip(stops, steps.tolist() + [size], e_kind[steps].tolist() + [0],
-                     ev[2 * steps].tolist() + [0], a_kind[steps].tolist() + [0],
-                     blk[steps].tolist() + [0])
-        qsteps = queries.tolist() + [size]
+        a_kind = np.where(fa == threshold, 4, 0)
+        a_kind[(fa > threshold) & np.isin(fa, crossings)] = 5
+        # row-major, action 3 * step + phase sits at that index, in time order
+        acts = np.stack((queried, e_kind, a_kind), axis=1).ravel()
+        at = np.flatnonzero(acts)
+        syms = np.stack((blk, ev[0::2], blk), axis=1).ravel()[at]
+        last = np.append(np.diff(at // 3) > 0, True)  # a step's last action
         values = []
         push = values.append
-        k = 0
-        for stop, s, ek, e, ak, a in events:
-            for sym in qsyms[k:stop]:
+        for act, sym, end in zip(acts[at].tolist(), syms.tolist(), last.tolist()):
+            if act == 1:
                 rec = get(sym)
                 value, j = codeword(rec.length, rec.index + 1)
                 push((1 << j) | value)  # flag 1 first
+            elif act == 2:
+                remove(pop(sym))
+            elif act == 3:
+                rec = get(sym)
+                move(rec, rec.length + 1)
+            elif act == 4:
+                rec = coded[sym] = CodeRecord(None, sym)  # the count is in numpy
+                insert(rec, insert_length)
+            else:
+                rec = get(sym)
+                move(rec, rec.length - 1)
+            if end:
                 t = kraft.touches
                 if t - t_prev > max_step:
                     max_step = t - t_prev
                 t_prev = t
-            k = stop
-            if s == size:
-                break
-            if qsteps[k] == s:  # the step's own query comes before its events
-                rec = get(qsyms[k])
-                value, j = codeword(rec.length, rec.index + 1)
-                push((1 << j) | value)
-                k += 1
-            if ek == 1:
-                remove(pop(e))
-            elif ek == 2:
-                rec = get(e)
-                move(rec, rec.length + 1)
-            if ak == 1:
-                rec = coded[a] = CodeRecord(None, a)  # the count is in numpy
-                insert(rec, insert_length)
-            elif ak == 2:
-                rec = get(a)
-                move(rec, rec.length - 1)
-            t = kraft.touches
-            if t - t_prev > max_step:
-                max_step = t - t_prev
-            t_prev = t
         # a literal is flag 0 then the width-bit symbol; a codeword's length
         # is its count's class, the number of bounds down[j] above the count
         vals = blk.astype(np.uint64)
         lens = np.full(size, params.width + 1, np.int64)
-        vals[queries] = values
-        lens[queries] = 1 + len(crossings) - np.searchsorted(ascending, fb[queries], "right")
+        vals[queried] = values
+        lens[queried] = 1 + len(crossings) - np.searchsorted(ascending, fb[queried], "right")
         _emit(writer.write_bits, vals, lens)
-        n += size
-        literals += size - nq
-    return make_report(params, n, writer.bit_length - start, literals, cb, max_step)
+        literals += size - len(values)
+    bits = writer.bit_length - start
+    return make_report(params, len(symbols), bits, literals, cb, max_step)
 
 
 def _checked(chunk, sigma, position, dtype):
@@ -143,40 +133,25 @@ def _checked(chunk, sigma, position, dtype):
     return np.fromiter(chunk, dtype, len(chunk))
 
 
-def _count(ev, delta, wsyms, wcounts):
+def _count(wsyms, wcounts, ev, delta):
     """Window counts after each event, and the window's (symbols, counts) after all.
 
-    A stable sort groups the events by symbol in time order, so a running
-    sum within each group, started from the symbol's count in the window,
-    gives the count after every event.
+    The window (wsyms, wcounts) enters as one leading event per distinct
+    symbol, whose delta is that symbol's count. A stable sort groups all
+    events by symbol in time order, so a running sum within each group gives
+    the count after every event, and each group's sum, kept when above 0,
+    gives the next window.
     """
-    order = np.argsort(ev, kind="stable")
-    syms, d = ev[order], delta[order]
-    heads = np.empty(len(syms), bool)
-    heads[0] = True
-    np.not_equal(syms[1:], syms[:-1], out=heads[1:])
-    starts = np.flatnonzero(heads)
-    gsyms = syms[starts]
-    k = np.searchsorted(wsyms, gsyms)
-    if len(wsyms):
-        kc = np.minimum(k, len(wsyms) - 1)
-        known = wsyms[kc] == gsyms
-        base = np.where(known, wcounts[kc], 0)
-    else:
-        known = np.zeros(len(gsyms), bool)
-        base = np.zeros(len(gsyms), np.int64)
-    run = np.cumsum(d)
-    offset = base - run[starts] + d[starts]  # group base less the sum before it
+    syms = np.concatenate((wsyms, ev))
+    order = np.argsort(syms, kind="stable")
+    syms, d = syms[order], np.concatenate((wcounts, delta))[order]
+    starts = np.flatnonzero(np.append(True, syms[1:] != syms[:-1]))  # group heads
+    final = np.add.reduceat(d, starts)
+    d[starts[1:]] -= final[:-1]  # so one running sum restarts at each group
     after = np.empty(len(syms), np.int64)
-    after[order] = run + np.repeat(offset, np.diff(starts, append=len(syms)))
-    final = run[np.append(starts[1:], len(syms)) - 1] + offset
-    wcounts = wcounts.copy()
-    wcounts[k[known]] = final[known]
-    new = ~known
-    wsyms = np.insert(wsyms, k[new], gsyms[new])
-    wcounts = np.insert(wcounts, k[new], final[new])
-    live = wcounts > 0
-    return after, wsyms[live], wcounts[live]
+    after[order] = np.cumsum(d)
+    live = final > 0
+    return after[len(wsyms):], syms[starts[live]], final[live]
 
 
 def _emit(write, vals, lens):

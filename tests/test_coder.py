@@ -22,7 +22,8 @@ from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_chunks,
                         read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.dictionary import TrieDictionary, choose_backend
-from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
+from swsc.errors import (CorruptStreamError, InternalInconsistencyError, ParameterError,
+                         SwscError)
 from swsc.params import CoderParams, derive_params
 
 TINY_STREAM_HEX = (
@@ -178,6 +179,62 @@ def test_a_huge_window_header_allocates_no_window_up_front():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_count_above_the_payload_bits_fails_before_any_chunk():
+    # every symbol costs at least its flag bit, so n may not pass the payload's bits
+    p = derive_params(256, 2.0, 1)
+    syms = generate("zipf", sigma=256, n=20000, seed=2).tolist()
+    blob, _ = encode_to_bytes(p, syms)
+    payload = blob[HEADER_BYTES:]
+    bits = 8 * len(payload)
+
+    def with_count(n):
+        out = io.BytesIO()
+        write_header(out, p, n)
+        return decode_chunks(out.getvalue() + payload)
+
+    with pytest.raises(CorruptStreamError, match=f"{bits + 1} symbols cannot fit"):
+        next(with_count(bits + 1))
+    chunks = with_count(bits)  # a count that fits decodes until the payload runs out
+    assert next(chunks)[0] == syms[:coder._CHUNK]
+    with pytest.raises(CorruptStreamError, match="truncated"):
+        list(chunks)
+
+
+# one stream per dictionary and width regime, each 3,000 symbols at c 1
+FUZZ_STREAMS = [
+    encode_to_bytes(derive_params(sigma, lam, 1),
+                    generate(dist, sigma=sigma, n=3000, seed=i).tolist())[0]
+    for i, (sigma, lam, dist) in enumerate([
+        (3, 1.0, "uniform"), (256, 1.0, "zipf"), (4096, 2.0, "markov"),
+        (65536, 2.0, "uniform"), (70000, 3.0, "zipf"), (2**32 - 1, 4.0, "uniform")])
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_stream_decodes_or_raises_only_swsc_errors(data):
+    blob = bytearray(data.draw(st.sampled_from(FUZZ_STREAMS)))
+    mutation = data.draw(st.sampled_from(
+        ["payload bit", "header byte", "header word", "truncate", "insert"]))
+    if mutation == "payload bit":
+        bit = data.draw(st.integers(8 * HEADER_BYTES, 8 * len(blob) - 1))
+        blob[bit >> 3] ^= 0x80 >> (bit & 7)
+    elif mutation == "header byte":
+        blob[data.draw(st.integers(0, HEADER_BYTES - 1))] = data.draw(st.integers(0, 255))
+    elif mutation == "header word":
+        at = data.draw(st.integers(0, HEADER_BYTES - 4))
+        blob[at:at + 4] = data.draw(st.binary(min_size=4, max_size=4))
+    elif mutation == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob.insert(data.draw(st.integers(0, len(blob))), data.draw(st.integers(0, 255)))
+    try:
+        symbols, _ = decode_stream(bytes(blob))
+    except SwscError:
+        return  # any other exception fails the test
+    assert isinstance(symbols, list)
 
 
 def _stream_with_partial_last_byte():
@@ -431,6 +488,29 @@ def test_a_rejected_encode_writes_nothing(monkeypatch, numpy_loaded, fault):
     with pytest.raises(ParameterError):
         encode_stream(p, syms, out, backend=backend)
     assert out.getvalue() == b""
+
+
+@pytest.mark.parametrize("sigma, lam, c", [(65536, 2.0, 1), (2**32 - 1, 4.0, 10)])
+def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam, c):
+    # a tracemalloc peak above the start, which numpy's buffers count in;
+    # only the payload may grow with n, and the writer may over-allocate it 2x
+    p = derive_params(sigma, lam, c)
+    slots = p.ell + vector._BLOCK
+    peaks, payloads = [], []
+    for blocks in (3, 9):
+        symbols = generate("uniform", sigma=sigma, n=p.ell + blocks * vector._BLOCK, seed=blocks)
+        writer = BitWriter()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            vector.encode_blocks(p, symbols, writer)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        payloads.append(writer.bit_length // 8)
+        # measured at 116-171 B per slot
+        assert peaks[-1] < 300 * slots + 2 * payloads[-1]
+    assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
 
 def test_intermediate_states_match_stepwise():

@@ -75,6 +75,15 @@ def test_readme_library_example_runs():
     exec(compile(blocks[0], str(README), "exec"), {"symbols": symbols})
 
 
+def test_readme_layout_names_every_module():
+    layout = README.read_text().split("## Layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", layout, re.S).group(1)
+    named = set(re.findall(r"^\s+(\w+\.py)\s", block, re.M))
+    modules = {path.name for path in Path(swsc.__file__).parent.glob("*.py")
+               if not path.name.startswith("__")}
+    assert modules - named == set()
+
+
 def _fresh_interpreter(code, cwd):
     """Run code in a new python that imports the swsc under test."""
     src = os.path.dirname(os.path.dirname(swsc.__file__))
