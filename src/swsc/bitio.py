@@ -13,18 +13,17 @@ _MAX_CHUNK = 64
 class BitWriter:
     """Accumulates bits most-significant-first and emits whole bytes."""
 
-    __slots__ = ("_buf", "_acc", "_nbits", "_total")
+    __slots__ = ("_buf", "_acc", "_nbits")
 
     def __init__(self):
         self._buf = bytearray()
         self._acc = 0
         self._nbits = 0
-        self._total = 0
 
     @property
     def bit_length(self) -> int:
-        """Bits written so far (before padding)."""
-        return self._total
+        """Bits written so far; after finish, the padding counts too."""
+        return 8 * len(self._buf) + self._nbits
 
     def write_bits(self, value: int, count: int) -> None:
         """Write the count-bit value, most significant bit first."""
@@ -41,7 +40,6 @@ class BitWriter:
             n = rest
         self._acc = acc
         self._nbits = n
-        self._total += count
 
     def finish(self) -> bytes:
         """Flush, zero-padding the last partial byte, and return the bytes."""

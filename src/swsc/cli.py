@@ -7,7 +7,6 @@ clean; --json switches reports to a single JSON document.
 """
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -57,9 +56,8 @@ def _cmd_encode(args) -> int:
     params = derive_params(args.sigma, args.lam, args.c)
     symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
                                       args.symbol_bytes)
-    out = io.BytesIO()
-    report = coder.encode_stream(params, symbols, out)
-    _write_bytes(args.output, out.getvalue())
+    blob, report = coder.encode_to_bytes(params, symbols)
+    _write_bytes(args.output, blob)
     doc = {"command": "encode", "params": _params_doc(params),
            "report": asdict(report)}
     lines = _text_lines(doc["report"])

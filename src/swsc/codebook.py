@@ -2,9 +2,9 @@
 
 The records of coded symbols live in lists A[0..l_max], one list per codeword
 length. Each record carries its symbol, so the codebook needs no dictionary.
-The codeword of the k-th symbol of length j (1-based k) is the first j bits of
+The codeword of the record at A[j][k] (0-based k) is the first j bits of
 
-    V = sum over lengths h < j of C[h] * 2**(l_max - h)  +  (k - 1) * 2**(l_max - j)
+    V = sum over lengths h < j of C[h] * 2**(l_max - h)  +  k * 2**(l_max - j)
 
 written as an l_max-bit value, where C[h] = len(A[h]). The scaled Kraft
 weights C[h] * 2**(l_max - h) are kept in a searchable partial-sums structure
@@ -119,17 +119,19 @@ class Codebook:
         self.kraft_total -= w
         self.size -= 1
 
-    def codeword(self, j: int, k: int) -> tuple[int, int]:
-        """Codeword (value, length) of the k-th symbol (1-based) in A[j]."""
-        if not 0 <= j <= self.l_max:
-            raise ValueError(f"length {j} out of range")
-        if not 1 <= k <= len(self.lists[j]):
-            raise ValueError(f"offset {k} out of range for length {j}")
-        scaled = self.kraft.prefix(j) + ((k - 1) << (self.l_max - j))
-        return scaled >> (self.l_max - j), j
+    def codeword(self, rec) -> int:
+        """The rec.length-bit codeword of the coded record rec, read off its slot.
 
-    def decode(self, b: int) -> tuple:
-        """Map l_max peeked bits b to (record, codeword length).
+        A[j]'s first codeword is prefix(j) >> (l_max - j), with no bits lost:
+        each weight of a class below j is a multiple of 2**(l_max - j + 1).
+        """
+        j = rec.length
+        if j is None:
+            raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
+        return (self.kraft.prefix(j) >> (self.l_max - j)) + rec.index
+
+    def decode(self, b: int):
+        """Map l_max peeked bits b to the record whose codeword they start with.
 
         One prefix-sum search finds the largest j with prefix(j) <= b. When
         j <= l_max, entry j + 1 exceeds b - prefix(j), so class j is nonempty
@@ -142,7 +144,7 @@ class Codebook:
         if j > self.l_max:
             raise CorruptStreamError("peeked bits fall outside the coded range" if self.size
                                      else "coded flag with no matching codeword")
-        return self.lists[j][(b - base) >> (self.l_max - j)], j
+        return self.lists[j][(b - base) >> (self.l_max - j)]
 
     def check(self, d) -> None:
         """Validate internal consistency; d must hold each listed record (test hook)."""

@@ -148,10 +148,8 @@ class CoderState:
             half, lit_mask = 1 << width, (1 << w1) - 1
             b_shift, b_mask = width - l_max, (1 << l_max) - 1
         else:
-            if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
-                symbols = symbols.tolist()
             # the chunk is rejected before any of it is coded
-            check_symbols(symbols, sigma, self.position)
+            symbols = check_symbols(symbols, sigma, self.position)
             codeword, write = cb.codeword, writer.write_bits
             wacc = wbits = 0
         i = 0
@@ -168,8 +166,8 @@ class CoderState:
                         a, k, touched = v, w1, False
                         literals += 1
                     else:
-                        rec, j = cb_decode((v >> b_shift) & b_mask)
-                        a, k, touched = rec.sym, j + 1, True
+                        rec = cb_decode((v >> b_shift) & b_mask)
+                        a, k, touched = rec.sym, rec.length + 1, True
                     pos += k
                     if pos > limit:
                         raise CorruptStreamError("bit stream truncated")
@@ -183,8 +181,8 @@ class CoderState:
                     a = symbols[i]
                     rec = lookup(a)
                     if rec is not None and rec.length is not None:
-                        value, j = codeword(rec.length, rec.index + 1)
-                        v, k, touched = (1 << j) | value, j + 1, True  # flag 1 first
+                        j = rec.length
+                        v, k, touched = (1 << j) | codeword(rec), j + 1, True  # flag 1 first
                     else:
                         v, k, touched = a, w1, False
                         literals += 1
@@ -271,16 +269,19 @@ def make_report(params: CoderParams, n: int, bits: int, literals: int,
                        cost_units=bits - literals * params.width)
 
 
-def check_symbols(symbols, sigma: int, position: int) -> None:
-    """Reject a chunk holding anything but ints in [0, sigma).
+def check_symbols(symbols, sigma: int, position: int):
+    """symbols as a sequence of ints in [0, sigma); anything else is rejected.
 
-    position is the stream position of symbols[0]; the error names the first
-    bad symbol. A float is rejected even when it is integral.
+    An array.array, numpy array or memoryview comes back as a list. position
+    is the stream position of symbols[0]; the error names the first bad
+    symbol and its position. A float is rejected even when it is integral.
     """
+    if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
+        symbols = symbols.tolist()
     try:  # a sum that is not an int means some symbol is not one
         if not symbols or (type(sum(symbols)) is int
                            and min(symbols) >= 0 and max(symbols) < sigma):
-            return
+            return symbols
     except TypeError:
         pass
     for i, a in enumerate(symbols):
@@ -290,6 +291,7 @@ def check_symbols(symbols, sigma: int, position: int) -> None:
         if not 0 <= a < sigma:
             raise ParameterError(f"symbol {a} at position {position + i} "
                                  f"out of range for sigma {sigma}")
+    return symbols
 
 
 def write_header(out, params: CoderParams, n: int) -> None:
@@ -405,20 +407,14 @@ def _raw_typecode(sigma: int, sym_bytes: int | None) -> str:
 
 
 def write_symbols(symbols, sigma: int, sym_bytes: int | None = None) -> bytes:
-    """Pack symbols as raw little-endian integers of sym_bytes (default: smallest fit)."""
-    tc = _raw_typecode(sigma, sym_bytes)
-    if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
-        symbols = symbols.tolist()
-    try:  # min() and array() raise TypeError on a str or a float
-        if not symbols or (min(symbols) >= 0 and max(symbols) < sigma):
-            arr = array(tc, symbols)
-            if sys.byteorder == "big":
-                arr.byteswap()
-            return arr.tobytes()
-    except TypeError:
-        pass
-    bad = next(a for a in symbols if not isinstance(a, int) or not 0 <= a < sigma)
-    raise ParameterError(f"symbol {bad!r} out of range for sigma {sigma}")
+    """Pack symbols as raw little-endian integers of sym_bytes (default: smallest fit).
+
+    Symbols are rejected as the encoders reject them, by check_symbols.
+    """
+    arr = array(_raw_typecode(sigma, sym_bytes), check_symbols(symbols, sigma, 0))
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
 
 
 def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:

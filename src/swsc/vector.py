@@ -91,8 +91,7 @@ def encode_blocks(params, symbols, writer):
         for act, sym, end in zip(acts[at].tolist(), syms.tolist(), last.tolist()):
             if act == 1:
                 rec = get(sym)
-                value, j = codeword(rec.length, rec.index + 1)
-                push((1 << j) | value)  # flag 1 first
+                push((1 << rec.length) | codeword(rec))  # flag 1 first
             elif act == 2:
                 remove(pop(sym))
             elif act == 3:
@@ -125,11 +124,9 @@ def _checked(chunk, sigma, position, dtype):
     """chunk as an array of dtype, rejected as CoderState.encode_chunk rejects it."""
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
         if len(chunk) and (chunk.min() < 0 or chunk.max() >= sigma):
-            check_symbols(chunk.tolist(), sigma, position)  # raises
+            check_symbols(chunk, sigma, position)  # raises
         return chunk.astype(dtype)
-    if hasattr(chunk, "tolist"):  # array.array, memoryview or a float array
-        chunk = chunk.tolist()
-    check_symbols(chunk, sigma, position)
+    chunk = check_symbols(chunk, sigma, position)
     return np.fromiter(chunk, dtype, len(chunk))
 
 

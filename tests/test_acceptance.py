@@ -171,13 +171,13 @@ def test_06_codeword_sets_stay_prefix_free(capsys):
         for a, rec in d.items():
             if rec.length is None:
                 continue
-            value, j = cb.codeword(rec.length, rec.index + 1)
+            value, j = cb.codeword(rec), rec.length
             lo = value << (cb.l_max - j)
             hi = lo + (1 << (cb.l_max - j))
             spans.append((lo, hi))
             for b in range(lo, hi):  # every pad completion, exhaustively
-                got, got_j = cb.decode(b)
-                if not (got is rec and got.sym == a and got_j == j):
+                got = cb.decode(b)
+                if not (got is rec and got.sym == a and got.length == j):
                     clean = False
         spans.sort()
         for (_, hi1), (lo2, _) in zip(spans, spans[1:]):

@@ -104,31 +104,30 @@ def test_counts_and_kraft_of_example():
 
 
 def test_codewords_of_example():
-    cb, _ = build_example()
-    assert cb.codeword(1, 1) == (0b0, 1)
-    assert cb.codeword(2, 1) == (0b10, 2)
-    assert cb.codeword(4, 1) == (0b1100, 4)
-    assert cb.codeword(4, 3) == (0b1110, 4)
-    assert cb.codeword(4, 4) == (0b1111, 4)
+    cb, d = build_example()
+    assert cb.codeword(d[10]) == 0b0 and d[10].length == 1
+    assert cb.codeword(d[20]) == 0b10 and d[20].length == 2
+    assert cb.codeword(d[30]) == 0b1100 and d[30].length == 4
+    assert cb.codeword(d[50]) == 0b1110 and d[50].length == 4
+    assert cb.codeword(d[60]) == 0b1111 and d[60].length == 4
 
 
 def test_decode_of_example():
     cb, d = build_example()
     for b, a, j in [(0, 10, 1), (7, 10, 1), (8, 20, 2), (11, 20, 2),
                     (12, 30, 4), (14, 50, 4), (15, 60, 4)]:
-        got, got_j = cb.decode(b)
-        assert got is d[a] and got_j == j
+        got = cb.decode(b)
+        assert got is d[a] and got.length == j
 
 
 def test_every_pad_completion_decodes_to_its_symbol():
     cb, d = build_example()
     seen = set()
     for rec in d.values():
-        value, j = cb.codeword(rec.length, rec.index + 1)
+        value, j = cb.codeword(rec), rec.length
         for pad in range(1 << (cb.l_max - j)):
             b = (value << (cb.l_max - j)) | pad
-            got, got_j = cb.decode(b)
-            assert got is rec and got_j == j
+            assert cb.decode(b) is rec
             seen.add(b)
     assert seen == set(range(16))  # the example saturates the code space
 
@@ -138,8 +137,7 @@ def test_decode_past_the_coded_range_is_corrupt():
     rec = rec_of(7)
     cb.insert(rec, 1)  # counts [0, 1, 0, 0, 0]
     for b in range(8):
-        got, got_j = cb.decode(b)
-        assert got is rec and got_j == 1
+        assert cb.decode(b) is rec
     for b in range(8, 16):
         with pytest.raises(CorruptStreamError, match="outside the coded range"):
             cb.decode(b)
@@ -161,13 +159,11 @@ def test_decode_validates_peek_range():
 
 
 def test_codeword_validates_arguments():
-    cb, _ = build_example()
-    with pytest.raises(ValueError):
-        cb.codeword(5, 1)
-    with pytest.raises(ValueError):
-        cb.codeword(1, 2)  # only one symbol at length 1
-    with pytest.raises(ValueError):
-        cb.codeword(4, 0)
+    cb, d = build_example()
+    cb.remove(d[30])
+    for rec in (d[30], rec_of(70)):  # removed, and never inserted
+        with pytest.raises(InternalInconsistencyError, match="is not coded"):
+            cb.codeword(rec)
 
 
 def test_insert_guards():
@@ -296,12 +292,11 @@ def test_codewords_are_prefix_free_under_random_mutation():
             for r in d.values():
                 if r.length is None:
                     continue
-                v, j = cb.codeword(r.length, r.index + 1)
+                v, j = cb.codeword(r), r.length
                 lo = v << (l_max - j)
                 spans.append((lo, lo + (1 << (l_max - j))))
                 for pad in range(1 << (l_max - j)):
-                    got, got_j = cb.decode(lo | pad)
-                    assert got is r and got_j == j
+                    assert cb.decode(lo | pad) is r
             for b in range(cb.kraft_total, cb.capacity):
                 with pytest.raises(CorruptStreamError):
                     cb.decode(b)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -215,6 +216,7 @@ FUZZ_STREAMS = [
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_mutated_stream_decodes_or_raises_only_swsc_errors(data):
+    # both dictionaries give the same symbols and report, or the same error
     blob = bytearray(data.draw(st.sampled_from(FUZZ_STREAMS)))
     mutation = data.draw(st.sampled_from(
         ["payload bit", "header byte", "header word", "truncate", "insert"]))
@@ -230,11 +232,16 @@ def test_a_mutated_stream_decodes_or_raises_only_swsc_errors(data):
         del blob[data.draw(st.integers(0, len(blob) - 1)):]
     else:
         blob.insert(data.draw(st.integers(0, len(blob))), data.draw(st.integers(0, 255)))
-    try:
-        symbols, _ = decode_stream(bytes(blob))
-    except SwscError:
-        return  # any other exception fails the test
-    assert isinstance(symbols, list)
+    outcomes = []
+    for backend in (None, "hashed"):
+        try:
+            symbols, report = decode_stream(bytes(blob), backend=backend)
+        except SwscError as exc:  # any other exception fails the test
+            outcomes.append((type(exc), str(exc)))
+        else:
+            assert isinstance(symbols, list)
+            outcomes.append((symbols, report))
+    assert outcomes[0] == outcomes[1]
 
 
 def _stream_with_partial_last_byte():
@@ -513,6 +520,29 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
 
+@pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
+def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
+    # a tracemalloc peak above the start while the chunks are drained, the
+    # stream already in memory; it must not grow with n
+    p = derive_params(sigma, lam, 1)
+    slots = p.ell + coder._CHUNK
+    peaks = []
+    for chunks in (2, 6):
+        symbols = generate("uniform", sigma=sigma, n=p.ell + chunks * coder._CHUNK, seed=chunks)
+        blob, _ = encode_to_bytes(p, symbols)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in decode_chunks(blob):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        # measured at 100-122 B per slot
+        assert peaks[-1] < 300 * slots
+    assert peaks[1] - peaks[0] <= 1 << 20
+
+
 def test_intermediate_states_match_stepwise():
     p = derive_params(16, 1.0, 1)  # tiny window so evictions happen early
     syms = generate("uniform", sigma=16, n=300, seed=8).tolist()
@@ -743,10 +773,10 @@ def test_raw_symbol_bytes_frozen(sigma, syms, want):
 @pytest.mark.parametrize("sigma, syms, bad", [
     (256, [256], 256), (256, [-1], -1), (300, [300], 300),
     (300, [5, -2, 7], -2), (2**32 - 1, [0, 2**32 - 1], 2**32 - 1),
-    (256, [1.5], 1.5), (256, ["a"], "'a'"),
+    (256, [1.5], 1.5), (256, ["a"], "'a'"), (256, [1, np.int64(3)], repr(np.int64(3))),
 ])
 def test_write_symbols_rejects_symbols_outside_the_alphabet(sigma, syms, bad):
-    with pytest.raises(ParameterError, match=f"symbol {bad} out of range"):
+    with pytest.raises(ParameterError, match=re.escape(f"symbol {bad} at position ")):
         write_symbols(syms, sigma)
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from swsc import vector
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import codeword_length
-from swsc.coder import HEADER_BYTES, CoderState, encode_stream
+from swsc.coder import HEADER_BYTES, CoderState, encode_stream, write_symbols
 from swsc.corpus import generate
 from swsc.dictionary import TRIE_MAX_SIGMA
 from swsc.errors import ParameterError
@@ -211,6 +211,9 @@ def test_block_encoder_rejects_what_the_loop_rejects(sigma, bad, at):
         with pytest.raises(ParameterError) as block_error:
             encode_stream(p, symbols, io.BytesIO())
     assert str(block_error.value) == str(loop_error.value)
+    with pytest.raises(ParameterError) as raw_error:
+        write_symbols(symbols, sigma)
+    assert str(raw_error.value) == str(loop_error.value)
     # the error names the first symbol that is not an int in range
     seq = symbols.tolist() if isinstance(symbols, np.ndarray) else symbols
     first = next(i for i, a in enumerate(seq) if type(a) is not int or not 0 <= a < sigma)
