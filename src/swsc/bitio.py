@@ -1,4 +1,4 @@
-"""MSB-first bit stream writer and reader.
+"""MSB-first bit stream writer and reader, and the bit layout the coders share.
 
 The writer pads the final byte with zero bits; the reader mirrors that by
 letting peeks past the end read as zeros, while consuming past the end is a
@@ -8,6 +8,19 @@ corrupt-stream error, and so is anything but that padding after the end.
 from .errors import CorruptStreamError
 
 _MAX_CHUNK = 64
+WRITE_BATCH = 63  # most bits per write_bits call of a coder; a batch fits a signed 64-bit int
+READ_BYTES = 16  # bytes per decode window: it holds a _MAX_CHUNK-bit peek from any bit
+
+
+def window(data, pos: int) -> tuple[int, int]:
+    """(win, hi): win holds bits [hi - 8 * READ_BYTES, hi) of data, pos in its first byte.
+
+    Bytes past the end of data read as zeros, mirroring the writer's padding.
+    """
+    q = pos >> 3
+    chunk = data[q:q + READ_BYTES]
+    hi = 8 * (q + READ_BYTES)
+    return int.from_bytes(chunk, "big") << (hi - 8 * (q + len(chunk))), hi
 
 
 class BitWriter:
@@ -53,53 +66,40 @@ class BitWriter:
 class BitReader:
     """Reads bits most-significant-first from a byte string.
 
-    peek_bits never fails at the end of data: missing bits read as zeros,
-    mirroring the writer's padding. consume is bounded by the real data.
+    Its state is data, position (the bit cursor) and limit (the bits in
+    data); the decoder reads and advances them directly. peek_bits never
+    fails at the end of data: missing bits read as zeros. consume is bounded
+    by the real data.
     """
 
-    __slots__ = ("_data", "_pos", "_limit")
+    __slots__ = ("data", "position", "limit")
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-        self._limit = 8 * len(data)
-
-    @property
-    def position(self) -> int:
-        """Bit cursor from the start of the data."""
-        return self._pos
+        self.data = data
+        self.position = 0
+        self.limit = 8 * len(data)
 
     def peek_bits(self, count: int) -> int:
         """Return the next count bits without advancing; zeros past the end."""
         if not 0 <= count <= _MAX_CHUNK:
             raise ValueError(f"count {count} out of range 0..{_MAX_CHUNK}")
-        pos = self._pos
-        first = pos >> 3
-        last = (pos + count + 7) >> 3
-        chunk = self._data[first:last]
-        v = int.from_bytes(chunk, "big")
-        lead = pos & 7
-        need = lead + count
-        avail = 8 * len(chunk)
-        mask = (1 << count) - 1
-        if need <= avail:
-            return (v >> (avail - need)) & mask
-        return (v << (need - avail)) & mask
+        win, hi = window(self.data, self.position)
+        return (win >> (hi - self.position - count)) & ((1 << count) - 1)
 
     def consume(self, count: int) -> None:
         """Advance the cursor; moving past the end of data is corrupt input."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        pos = self._pos + count
-        if pos > self._limit:
+        pos = self.position + count
+        if pos > self.limit:
             raise CorruptStreamError("bit stream truncated")
-        self._pos = pos
+        self.position = pos
 
     def finish(self) -> None:
         """Check that only the writer's zero padding follows the cursor."""
-        pos = self._pos
-        extra = len(self._data) - ((pos + 7) >> 3)
+        pos = self.position
+        extra = len(self.data) - ((pos + 7) >> 3)
         if extra:
             raise CorruptStreamError(f"{extra} trailing bytes after the payload")
-        if pos & 7 and self._data[pos >> 3] & ((1 << (8 - (pos & 7))) - 1):
+        if pos & 7 and self.data[pos >> 3] & ((1 << (8 - (pos & 7))) - 1):
             raise CorruptStreamError("nonzero pad bits after the payload")

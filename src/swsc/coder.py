@@ -43,7 +43,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
-from .bitio import BitReader, BitWriter
+from .bitio import WRITE_BATCH, BitReader, BitWriter, window
 from .codebook import Codebook, codeword_length, length_bounds
 from .dictionary import (BACKENDS, CodeRecord, choose_backend, make_dictionary,
                          symbol_model_bytes)
@@ -55,8 +55,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBIIIBBQdI")
 HEADER_BYTES = _HEADER.size
 
-_WRITE_BATCH = 63  # most bits per write_bits call; batches fit a signed 64-bit int
-_READ_BYTES = 16  # payload bytes the decoder loads into its bit window at a time
 # symbols per encode_chunk/decode_chunk call in the whole-stream functions, so
 # a stream is coded holding O(ell + _CHUNK) Python objects, not O(n)
 _CHUNK = 1 << 14
@@ -143,8 +141,8 @@ class CoderState:
         out = [] if decoding else None
         if decoding:
             append, cb_decode = out.append, cb.decode
-            data, pos, limit = reader._data, reader._pos, reader._limit
-            win = hi = 0  # win holds the payload bits [hi - 8 * _READ_BYTES, hi)
+            data, pos, limit = reader.data, reader.position, reader.limit
+            win = hi = 0  # the bit window, as bitio.window loads it
             half, lit_mask = 1 << width, (1 << w1) - 1
             b_shift, b_mask = width - l_max, (1 << l_max) - 1
         else:
@@ -157,10 +155,7 @@ class CoderState:
             for i in range(count):
                 if decoding:
                     if hi - pos < w1:
-                        q = pos >> 3
-                        chunk = data[q:q + _READ_BYTES]
-                        hi = 8 * (q + _READ_BYTES)  # bits past the data read as zeros
-                        win = int.from_bytes(chunk, "big") << (hi - 8 * (q + len(chunk)))
+                        win, hi = window(data, pos)
                     v = (win >> (hi - pos - w1)) & lit_mask
                     if v < half:
                         a, k, touched = v, w1, False
@@ -186,7 +181,7 @@ class CoderState:
                     else:
                         v, k, touched = a, w1, False
                         literals += 1
-                    if wbits + k > _WRITE_BATCH:
+                    if wbits + k > WRITE_BATCH:
                         write(wacc, wbits)
                         wacc, wbits = v, k
                     else:
@@ -237,7 +232,7 @@ class CoderState:
         self.position += count
         self._literals, self._max_step = literals, max_step
         if decoding:
-            reader._pos = pos
+            reader.position = pos
         elif wbits:
             write(wacc, wbits)
         return out
@@ -326,8 +321,9 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
     """Encode a symbol sequence to the binary sink out; returns the report.
 
     symbols is any sliceable sequence of ints: a list, array.array or numpy
-    array. backend is as for choose_backend and never changes the bytes. With
-    numpy already imported, the block encoder of swsc.vector codes it with
+    array. backend is checked as choose_backend checks it and has no other
+    effect: the loop encoder runs the dictionary sigma selects. With numpy
+    already imported, the block encoder of swsc.vector codes it with
     no dictionary; otherwise CoderState codes it _CHUNK symbols at a time.
     Both give the same bytes and the same report. Nothing is written to out
     unless the whole stream codes. seed is accepted and ignored; it goes
@@ -340,7 +336,7 @@ def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
 
         report = encode_blocks(params, symbols, writer)
     else:
-        state = CoderState(params, backend=backend)
+        state = CoderState(params)
         for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
             report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
     write_header(out, params, len(symbols))
@@ -357,7 +353,7 @@ def encode_to_bytes(params: CoderParams, symbols, backend: str | None = None,
 
 
 def decode_chunks(data, backend: str | None = None):
-    """Decode a complete stream chunk by chunk; yields (symbols, report so far).
+    """Decode a complete stream's bytes chunk by chunk; yields (symbols, report so far).
 
     Each chunk holds at most _CHUNK symbols; an empty stream yields one empty
     chunk. Every symbol costs at least its flag bit, so a count above the
@@ -365,8 +361,6 @@ def decode_chunks(data, backend: str | None = None):
     checked before the last chunk is yielded, so its report is the whole
     stream's. backend is as for decode_stream.
     """
-    if hasattr(data, "read"):
-        data = data.read()
     params, n = read_header(data)
     bits = 8 * (len(data) - HEADER_BYTES)
     if n > bits:
@@ -382,7 +376,7 @@ def decode_chunks(data, backend: str | None = None):
 
 def decode_stream(data, backend: str | None = None,
                   seed: int = 0) -> tuple[list[int], CoderReport]:
-    """Decode a complete stream (bytes or binary file) back to symbols.
+    """Decode a complete stream, given as bytes, back to symbols.
 
     backend is as for choose_backend, whatever the header's flag says, and
     never changes the result; a rejected one raises before any decoding.

@@ -7,6 +7,7 @@ values travel in the stream header; the decoder never re-derives them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .codebook import codeword_length
@@ -23,11 +24,20 @@ DISTRIBUTIONS = ("uniform", "zipf", "markov")
 
 
 def check_sigma(sigma: int) -> None:
-    """Reject alphabet sizes outside [2, MAX_SIGMA]."""
-    if sigma < 2:
-        raise ParameterError("sigma must be >= 2")
+    """Reject an alphabet size that is not an integer in [2, MAX_SIGMA]."""
+    if not isinstance(sigma, int) or sigma < 2:
+        raise ParameterError("sigma must be an integer >= 2")
     if sigma > MAX_SIGMA:
         raise ParameterError(f"sigma {sigma} exceeds the stream limit {MAX_SIGMA}")
+
+
+def _check_knobs(sigma, lam, c) -> None:
+    """Reject a sigma, lambda or c of the wrong type or out of range."""
+    check_sigma(sigma)
+    if not isinstance(lam, numbers.Real) or not math.isfinite(lam) or lam < 1:
+        raise ParameterError("lambda must be a finite real >= 1")
+    if not isinstance(c, int) or c < 1:
+        raise ParameterError("c must be an integer >= 1")
 
 
 def _frozen_ceil(x: float) -> int:
@@ -59,11 +69,7 @@ class CoderParams:
     width: int
 
     def __post_init__(self) -> None:
-        check_sigma(self.sigma)
-        if not math.isfinite(self.lam) or self.lam < 1:
-            raise ParameterError("lambda must be a finite real >= 1")
-        if not isinstance(self.c, int) or self.c < 1:
-            raise ParameterError("c must be an integer >= 1")
+        _check_knobs(self.sigma, self.lam, self.c)
         if not 1 <= self.ell <= MAX_ELL:
             raise ParameterError(f"window length {self.ell} out of range")
         if not 1 <= self.threshold <= self.ell:
@@ -87,15 +93,9 @@ def derive_params(sigma: int, lam: float, c: int) -> CoderParams:
     ceil(log2(sigma)). If float rounding ever leaves threshold too low for the
     l_max cap, threshold is bumped until the cap holds again.
     """
-    check_sigma(sigma)
-    if not math.isfinite(lam) or lam < 1:
-        raise ParameterError("lambda must be a finite real >= 1")
-    if isinstance(c, float):
-        if not c.is_integer():
-            raise ParameterError("c must be an integer >= 1")
+    if isinstance(c, float) and c.is_integer():
         c = int(c)
-    if c < 1:
-        raise ParameterError("c must be >= 1")
+    _check_knobs(sigma, lam, c)
     root = sigma ** (1.0 / lam)  # sigma^(1/lambda), evaluated once
     log_sigma = math.log2(sigma)  # evaluated once
     ell = _frozen_ceil(c * root * log_sigma)

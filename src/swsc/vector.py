@@ -22,8 +22,9 @@ already loaded; the CLI and `import swsc` never do.
 
 import numpy as np
 
+from .bitio import WRITE_BATCH
 from .codebook import Codebook, codeword_length, length_bounds
-from .coder import _WRITE_BATCH, check_symbols, make_report
+from .coder import check_symbols, make_report
 from .dictionary import CodeRecord, symbol_model_bytes
 
 _BLOCK = 1 << 16  # steps counted per numpy pass
@@ -40,7 +41,6 @@ def encode_blocks(params, symbols, writer):
     # a count reaching one of these leaves its length class: f is in class j
     # iff down[j] <= f < down[j - 1]
     crossings = np.array(down, dtype=np.int64)
-    ascending = crossings[::-1].copy()
     insert_length = codeword_length(ell, threshold)
     cb = Codebook(l_max)
     insert, remove, move, codeword = cb.insert, cb.remove, cb.move, cb.codeword
@@ -108,12 +108,12 @@ def encode_blocks(params, symbols, writer):
                 if t - t_prev > max_step:
                     max_step = t - t_prev
                 t_prev = t
-        # a literal is flag 0 then the width-bit symbol; a codeword's length
-        # is its count's class, the number of bounds down[j] above the count
+        # a literal is flag 0 then the width-bit symbol; a code is flag 1 then
+        # its codeword, at most 33 bits, so frexp gives its exact bit length
         vals = blk.astype(np.uint64)
         lens = np.full(size, params.width + 1, np.int64)
         vals[queried] = values
-        lens[queried] = 1 + len(crossings) - np.searchsorted(ascending, fb[queried], "right")
+        lens[queried] = np.frexp(vals[queried])[1]
         _emit(writer.write_bits, vals, lens)
         literals += size - len(values)
     bits = writer.bit_length - start
@@ -152,7 +152,7 @@ def _count(wsyms, wcounts, ev, delta):
 
 
 def _emit(write, vals, lens):
-    """Write code i, the lens[i]-bit value vals[i], in order, in _WRITE_BATCH-bit calls.
+    """Write code i, the lens[i]-bit value vals[i], in order, in WRITE_BATCH-bit calls.
 
     Each code is shifted into the batch its first bit falls in; a code that
     runs past the end of that batch spills its low bits into the next one.
@@ -161,20 +161,20 @@ def _emit(write, vals, lens):
     """
     end = np.cumsum(lens)
     total = int(end[-1])
-    batch = (end - lens) // _WRITE_BATCH
-    room = (batch + 1) * _WRITE_BATCH - end  # bits left in the batch after the code
+    batch = (end - lens) // WRITE_BATCH
+    room = (batch + 1) * WRITE_BATCH - end  # bits left in the batch after the code
     spill = room < 0
     shift_left = np.where(spill, 0, room).astype(np.uint64)
     shift_right = np.where(spill, -room, 0).astype(np.uint64)
     heads = np.flatnonzero(np.diff(batch, prepend=-1))
-    out = np.zeros(-(-total // _WRITE_BATCH), np.uint64)
+    out = np.zeros(-(-total // WRITE_BATCH), np.uint64)
     out[:len(heads)] = np.bitwise_or.reduceat((vals << shift_left) >> shift_right, heads)
     s = shift_right[spill]
     out[batch[spill] + 1] |= ((vals[spill] & ((np.uint64(1) << s) - np.uint64(1)))
-                              << (np.uint64(_WRITE_BATCH) - s))
+                              << (np.uint64(WRITE_BATCH) - s))
     out = out.tolist()
     last = out.pop()
     for v in out:
-        write(v, _WRITE_BATCH)
-    tail = total - _WRITE_BATCH * len(out)
-    write(last >> (_WRITE_BATCH - tail), tail)
+        write(v, WRITE_BATCH)
+    tail = total - WRITE_BATCH * len(out)
+    write(last >> (WRITE_BATCH - tail), tail)

@@ -117,6 +117,24 @@ def test_verify_bound_text_line(tmp_path, capsys):
     assert "bound_check=PASS" in capsys.readouterr().err
 
 
+def test_a_failed_bound_check_exits_one(tmp_path, capsys, monkeypatch):
+    real = swsc.analysis.check_bound
+
+    def failing(*args):
+        report = real(*args)
+        report.passed = False
+        return report
+
+    monkeypatch.setattr(swsc.analysis, "check_bound", failing)
+    raw = tmp_path / "raw.bin"
+    run(["gen", str(raw), "--dist", "zipf", "--sigma", "256", "--n", "3000",
+         "--seed", "2"])
+    capsys.readouterr()
+    assert run(["encode", str(raw), str(tmp_path / "p.swsc"), "--sigma", "256",
+                "--verify-bound"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "bound_check=FAIL"
+
+
 def test_text_report_renders_the_json_report(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     packed = tmp_path / "p.swsc"

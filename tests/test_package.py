@@ -68,6 +68,25 @@ def test_no_private_name_is_left_unreferenced():
     assert orphans == []
 
 
+def test_no_module_reads_another_modules_private_names():
+    # a module's _names and an object's _attributes belong to their owner:
+    # no relative import of a _name, and no obj._attr unless obj is self or cls
+    reach = []
+    for path in sorted(Path(swsc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))):
+                names = [node.attr]
+            else:
+                continue
+            reach += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.startswith("_") and not name.endswith("__")]
+    assert reach == []
+
+
 def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1

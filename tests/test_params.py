@@ -55,6 +55,15 @@ def test_derive_is_deterministic():
     (256, float("inf"), 1),
     (256, 2.0, 0),
     (256, 2.0, -1),
+    # a knob of the wrong type is a ParameterError too
+    (2.5, 2.0, 10),
+    (256.0, 2.0, 10),
+    ("256", 2.0, 10),
+    (None, 2.0, 10),
+    (256, "2", 10),
+    (256, None, 10),
+    (256, 2.0, "3"),
+    (256, 2.0, None),
 ])
 def test_derive_rejects_bad_inputs(sigma, lam, c):
     with pytest.raises(ParameterError):
@@ -109,6 +118,14 @@ def test_from_frozen_roundtrip():
     {"l_max": 0},
     {"l_max": 13},
     {"threshold": 1},  # codeword_length(7680, 1) = 13 > l_max = 6
+    {"sigma": 2.5},
+    {"sigma": 4096.0},
+    {"sigma": "4096"},
+    {"sigma": None},
+    {"lam": "2"},
+    {"lam": None},
+    {"c": "10"},
+    {"c": None},
 ])
 def test_from_frozen_rejects_inconsistent_fields(patch):
     p = derive_params(4096, 2.0, 10)
