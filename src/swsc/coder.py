@@ -29,18 +29,21 @@ bit are corrupt.
 Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 4 bytes per symbol, the smallest width covering sigma - 1.
 
-Two encoders give the same bytes and the same report. CoderState._steps is
-the online loop: the stepping API, the decoder and the CLI run on it, and so
-does encode_stream when numpy is not loaded. When numpy is already imported,
-encode_stream hands the whole stream to the block encoder in swsc.vector,
-which counts the window in numpy and runs only the codebook in Python.
+Encode and decode each have two paths, which give the same bytes, symbols,
+reports and errors. CoderState._steps is the online loop: the stepping API
+and the CLI run on it, and so do encode_stream and decode_chunks when numpy
+is not loaded. When numpy is already imported, encode_stream hands the whole
+stream to the block encoder in swsc.vector, which counts the window in numpy
+and runs only the codebook in Python; decode_chunks decodes the stream's
+literal-only prefix, up to the first codebook insert, with the block decoder
+there, and the loop decodes the rest.
 """
 
 import io
 import struct
 import sys
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .bitio import WRITE_BATCH, BitReader, BitWriter, window
@@ -72,6 +75,29 @@ class CoderState:
         # report counters carried across chunks: payload bits, literals, the
         # worst single-step partial-sums touches
         self._bits = self._literals = self._max_step = 0
+
+    def resume_after_literals(self, position: int, window) -> None:
+        """Take a new state to where position symbols, all literals, leave it.
+
+        window holds the last min(position, ell) of those symbols, oldest
+        first. No symbol may occur threshold times in it, or it would have
+        been coded: the codebook stays empty. The block decoder hands off to
+        the loop through this.
+        """
+        p = self.params
+        window = check_symbols(window, p.sigma, position - len(window))
+        if self.position or len(window) != min(position, p.ell):
+            raise ParameterError(f"resume_after_literals takes a new state and the "
+                                 f"last {min(position, p.ell)} of {position} symbols")
+        counts = Counter(window)
+        if counts and max(counts.values()) >= p.threshold:
+            raise ParameterError("a window symbol reaches the threshold")
+        records = {a: CodeRecord(f, a) for a, f in counts.items()}
+        for a, rec in records.items():
+            self.dictionary.put(a, rec)
+        self._buf.extend(records[a] for a in window)
+        self.position, self._bits = position, position * (p.width + 1)
+        self._literals = position
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
@@ -359,16 +385,25 @@ def decode_chunks(data, backend: str | None = None):
     chunk. Every symbol costs at least its flag bit, so a count above the
     payload's bits is rejected before any chunk. The end of the stream is
     checked before the last chunk is yielded, so its report is the whole
-    stream's. backend is as for decode_stream.
+    stream's. backend is as for decode_stream. With numpy already imported,
+    the block decoder of swsc.vector decodes the literal-only prefix in
+    numpy and hands off to CoderState at the first codebook insert;
+    otherwise CoderState decodes every chunk. Both yield the same chunks and
+    raise the same errors.
     """
     params, n = read_header(data)
     bits = 8 * (len(data) - HEADER_BYTES)
     if n > bits:
         raise CorruptStreamError(f"{n} symbols cannot fit in {bits} payload bits")
     state = CoderState(params, backend=backend)
+    decode = state.decode_chunk
+    if "numpy" in sys.modules:  # never import numpy just to decode
+        from .vector import block_decoder
+
+        decode = block_decoder(state)
     reader = BitReader(memoryview(data)[HEADER_BYTES:])  # the payload, not a copy
     for lo in range(0, n or 1, _CHUNK):
-        symbols, report = state.decode_chunk(reader, min(_CHUNK, n - lo))
+        symbols, report = decode(reader, min(_CHUNK, n - lo))
         if lo + _CHUNK >= n:
             reader.finish()
         yield symbols, report
@@ -380,7 +415,8 @@ def decode_stream(data, backend: str | None = None,
 
     backend is as for choose_backend, whatever the header's flag says, and
     never changes the result; a rejected one raises before any decoding.
-    seed is accepted and ignored; it goes with ROADMAP item 1.
+    decode_chunks picks the decoder, by whether numpy is loaded. seed is
+    accepted and ignored; it goes with ROADMAP item 1.
     """
     symbols = []
     for chunk, report in decode_chunks(data, backend=backend):

@@ -70,6 +70,9 @@ class CoderParams:
 
     def __post_init__(self) -> None:
         _check_knobs(self.sigma, self.lam, self.c)
+        if not all(isinstance(v, int) for v in (self.ell, self.threshold,
+                                                self.l_max, self.width)):
+            raise ParameterError("ell, threshold, l_max and width must be integers")
         if not 1 <= self.ell <= MAX_ELL:
             raise ParameterError(f"window length {self.ell} out of range")
         if not 1 <= self.threshold <= self.ell:

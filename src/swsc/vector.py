@@ -1,4 +1,4 @@
-"""Block encoder: CoderState's encoding, with the window counted in numpy.
+"""Block encoder and decoder: CoderState's coding, with the window counted in numpy.
 
 In the encoder only the codebook has to run in input order. A symbol's
 window count, and with it whether the symbol is coded and when it crosses a
@@ -10,6 +10,13 @@ in Python: one time-ordered action list, in the order of CoderState._steps
 (each step's codeword query, then its evicted and its incoming symbol's
 insert, move or remove). It touches the same Fenwick nodes as the loop
 does, so ps_touches and ps_touches_max_step are read off the codebook.
+
+The decoder must run the codebook to parse a code, but while the codebook
+is empty every code is a flag 0 and a width-bit literal. So block_decoder
+slices a chunk's codes as fixed fields and counts the window the same way,
+up to the first codebook insert or the first code that is not such a
+literal. There it hands the window to a CoderState, whose loop decodes the
+rest of the stream.
 
 Working memory is O(ell + _BLOCK): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
@@ -47,30 +54,14 @@ def encode_blocks(params, symbols, writer):
     kraft = cb.kraft
     coded = {}  # symbol -> record, for coded symbols only
     get, pop = coded.__getitem__, coded.pop
-    ring = np.empty(0, dtype)  # the window, oldest first
-    wsyms = np.empty(0, dtype)  # its distinct symbols, ascending ...
-    wcounts = np.empty(0, np.int64)  # ... and how often each occurs
+    window = _empty_window(dtype)
     start = writer.bit_length
     literals = max_step = t_prev = 0
     for lo in range(0, len(symbols), _BLOCK):
         blk = _checked(symbols[lo:lo + _BLOCK], sigma, lo, dtype)
         size = len(blk)
-        seq = np.concatenate((ring, blk))
-        first = max(0, ell - len(ring))  # the first step that evicts
-        # two events per step, in time order: the evicted symbol loses one
-        # occurrence, then the incoming one gains one. A step that evicts
-        # nothing gets a no-op event on its incoming symbol.
-        ev = np.repeat(blk, 2)
-        delta = np.ones(2 * size, np.int64)
-        delta[0::2] = 0
-        if first < size:
-            ev[2 * first::2] = seq[len(ring) + first - ell:len(seq) - ell]
-            delta[2 * first::2] = -1
-        after, wsyms, wcounts = _count(wsyms, wcounts, ev, delta)
-        ring = seq[max(0, len(seq) - ell):]
-        fe, fa = after[0::2], after[1::2]  # counts after each step's two events
-        evicts = np.arange(size) >= first
-        fb = fa - 1 + (evicts & (ev[0::2] == blk))  # the incoming count before the step
+        window, gone, evicts, fe, fa = _slide(window, blk, ell)
+        fb = fa - 1 + (evicts & (gone == blk))  # the incoming count before the step
         # each step's actions, coded 0 for none: 1 its codeword query; then
         # 2 or 3 when the evicted count falls below the threshold or into a
         # longer class; then 4 or 5 when the incoming one reaches the
@@ -84,7 +75,7 @@ def encode_blocks(params, symbols, writer):
         # row-major, action 3 * step + phase sits at that index, in time order
         acts = np.stack((queried, e_kind, a_kind), axis=1).ravel()
         at = np.flatnonzero(acts)
-        syms = np.stack((blk, ev[0::2], blk), axis=1).ravel()[at]
+        syms = np.stack((blk, gone, blk), axis=1).ravel()[at]
         last = np.append(np.diff(at // 3) > 0, True)  # a step's last action
         values = []
         push = values.append
@@ -120,6 +111,73 @@ def encode_blocks(params, symbols, writer):
     return make_report(params, len(symbols), bits, literals, cb, max_step)
 
 
+def block_decoder(state):
+    """state.decode_chunk for a new state, with the literal-only prefix decoded in numpy.
+
+    While the codebook is empty every code is a flag 0 and a width-bit
+    literal, so numpy slices a chunk's codes as fixed fields and counts the
+    window as encode_blocks does. A chunk commits its steps up to the first
+    that is not such a literal (a set flag bit, a literal of sigma or more,
+    bits past the payload) or whose incoming count reaches the threshold:
+    the first codebook insert. There the state takes the window, once,
+    through resume_after_literals, and decodes that step and every later one
+    in CoderState._steps, so a corrupt stream fails as it does there.
+    """
+    p = state.params
+    sigma, ell, threshold, w1 = p.sigma, p.ell, p.threshold, p.width + 1
+    dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
+    window = _empty_window(dtype)
+    position = 0  # symbols decoded, all of them literals
+
+    def decode(reader, count):
+        nonlocal window, position
+        if window is None:  # handed off
+            return state.decode_chunk(reader, count)
+        ring = window[0]
+        lits = _literals(reader, count, w1, sigma).astype(dtype)
+        k = len(lits)
+        if k:
+            window, _, _, _, fa = _slide(window, lits, ell)
+            inserts = np.flatnonzero(fa >= threshold)
+            if len(inserts):
+                k = int(inserts[0])
+        position += k
+        reader.position += k * w1
+        symbols = lits[:k].tolist()
+        if k == count:
+            return symbols, make_report(p, position, position * w1, position,
+                                        state.codebook, 0)
+        state.resume_after_literals(position, np.concatenate((ring, lits[:k]))[-ell:])
+        window = None
+        rest, report = state.decode_chunk(reader, count - k)
+        return symbols + rest, report
+
+    return decode
+
+
+def _literals(reader, count, w1, sigma):
+    """The w1-bit fields of reader's next count codes, up to the first that is no literal.
+
+    A code is a literal when its bits lie in the payload and its field, the
+    flag bit then the width-bit value, is below sigma: sigma <= 2**width, so
+    one comparison checks both. Reads only the bytes those codes span.
+    """
+    pos = reader.position
+    count = min(count, (reader.limit - pos) // w1)  # the codes within the payload
+    lo, hi = pos >> 3, (pos + count * w1 + 7) >> 3
+    # a field spans at most 40 bits from its first byte: 7 + 33
+    buf = np.zeros(hi - lo + 4, np.uint64)
+    buf[:hi - lo] = np.frombuffer(reader.data[lo:hi], np.uint8)
+    at = np.arange(count, dtype=np.uint64) * np.uint64(w1) + np.uint64(pos & 7)
+    first = at >> np.uint64(3)
+    v = buf[first]
+    for j in range(1, 5):
+        v = (v << np.uint64(8)) | buf[first + np.uint64(j)]
+    v = (v >> (np.uint64(40 - w1) - (at & np.uint64(7)))) & np.uint64((1 << w1) - 1)
+    bad = np.flatnonzero(v >= sigma)
+    return v[:bad[0]] if len(bad) else v
+
+
 def _checked(chunk, sigma, position, dtype):
     """chunk as an array of dtype, rejected as CoderState.encode_chunk rejects it."""
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
@@ -128,6 +186,37 @@ def _checked(chunk, sigma, position, dtype):
         return chunk.astype(dtype)
     chunk = check_symbols(chunk, sigma, position)
     return np.fromiter(chunk, dtype, len(chunk))
+
+
+def _empty_window(dtype):
+    """The window before any step, as _slide takes it."""
+    return np.empty(0, dtype), np.empty(0, dtype), np.empty(0, np.int64)
+
+
+def _slide(window, blk, ell):
+    """Slide the window over the steps blk; returns the next window and, per step,
+    its evicted symbol, whether it evicts and the evicted and incoming counts after it.
+
+    window is (ring, symbols, counts): the last ell symbols, oldest first, and
+    its distinct symbols, ascending, with how often each occurs. A step that
+    evicts nothing names its incoming symbol as the evicted one.
+    """
+    ring, wsyms, wcounts = window
+    size = len(blk)
+    seq = np.concatenate((ring, blk))
+    first = max(0, ell - len(ring))  # the first step that evicts
+    # two events per step, in time order: the evicted symbol loses one
+    # occurrence, then the incoming one gains one. A step that evicts
+    # nothing gets a no-op event on its incoming symbol.
+    ev = np.repeat(blk, 2)
+    delta = np.ones(2 * size, np.int64)
+    delta[0::2] = 0
+    if first < size:
+        ev[2 * first::2] = seq[len(ring) + first - ell:len(seq) - ell]
+        delta[2 * first::2] = -1
+    after, wsyms, wcounts = _count(wsyms, wcounts, ev, delta)
+    window = seq[max(0, len(seq) - ell):], wsyms, wcounts
+    return window, ev[0::2], np.arange(size) >= first, after[0::2], after[1::2]
 
 
 def _count(wsyms, wcounts, ev, delta):

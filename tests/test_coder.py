@@ -1,5 +1,6 @@
 """Stream coder: frozen bytes, lockstep state, corruption handling."""
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -232,16 +233,116 @@ def test_a_mutated_stream_decodes_or_raises_only_swsc_errors(data):
         del blob[data.draw(st.integers(0, len(blob) - 1)):]
     else:
         blob.insert(data.draw(st.integers(0, len(blob))), data.draw(st.integers(0, 255)))
-    outcomes = []
-    for backend in (None, "hashed"):
-        try:
-            symbols, report = decode_stream(bytes(blob), backend=backend)
-        except SwscError as exc:  # any other exception fails the test
-            outcomes.append((type(exc), str(exc)))
-        else:
-            assert isinstance(symbols, list)
-            outcomes.append((symbols, report))
-    assert outcomes[0] == outcomes[1]
+    # the block decoder under both dictionaries, then the loop alone
+    outcomes = [_outcome(bytes(blob), backend) for backend in (None, "hashed")]
+    with _numpy_hidden():
+        outcomes.append(_outcome(bytes(blob)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@contextlib.contextmanager
+def _numpy_hidden():
+    """numpy out of sys.modules, so the coders take the loop."""
+    saved = sys.modules.pop("numpy")
+    try:
+        yield
+    finally:
+        sys.modules["numpy"] = saved
+
+
+def _outcome(blob, backend=None):
+    """decode_chunks' (symbols, report) pairs, or the SwscError's type and message."""
+    try:
+        pairs = list(decode_chunks(blob, backend=backend))
+    except SwscError as exc:  # any other exception fails the test
+        return type(exc), str(exc)
+    assert all(isinstance(symbols, list) for symbols, _ in pairs)
+    return pairs
+
+
+def _first_insert(p, symbols):
+    """The first step whose incoming symbol reaches the threshold in the window."""
+    counts = Counter()
+    for i, a in enumerate(symbols):
+        if i >= p.ell:
+            counts[symbols[i - p.ell]] -= 1
+        counts[a] += 1
+        if counts[a] >= p.threshold:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", [
+    (256, 1.0, 1, "zipf", {}, 59),
+    (4096, 2.0, 1, "markov", {"states": 1024}, 213),
+    (70000, 3.0, 1, "zipf", {}, 229),
+    (2, 1.0, 1, "uniform", {}, 0),  # threshold 1: the very first step inserts
+])
+@pytest.mark.parametrize("chunk", [7, 100, None, "insert"])
+def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam, c,
+                                                         dist, kw, insert, chunk):
+    # every (symbols, report) pair, or the error, is the loop's, when the
+    # first insert falls inside a chunk, on a chunk boundary or at step 0,
+    # and when the payload ends inside the literal prefix
+    p = derive_params(sigma, lam, c)
+    symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
+    assert _first_insert(p, symbols) == insert
+    if chunk == "insert":  # the insert starts a chunk
+        chunk = max(insert, 1)
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+
+    def same_as_the_loop(stream):
+        block = _outcome(stream)
+        with _numpy_hidden():
+            assert block == _outcome(stream)
+        return block
+
+    blob, _ = encode_to_bytes(p, symbols)
+    same_as_the_loop(blob)
+    if insert:  # the payload ends inside a literal of the prefix; n is the most it allows
+        w1 = p.width + 1
+        cut = (insert * w1 - 1) // 8
+        out = io.BytesIO()
+        write_header(out, p, 8 * cut)
+        out.write(blob[HEADER_BYTES:HEADER_BYTES + cut])
+        assert same_as_the_loop(out.getvalue()) == (
+            CorruptStreamError, f"symbol {8 * cut // w1}: bit stream truncated")
+
+
+def test_resume_after_literals_takes_the_loops_state():
+    # a uniform prefix that codes nothing, then one symbol until it is coded:
+    # a state resumed inside the prefix, its ring empty, part full or full,
+    # decodes the rest as the loop does
+    p = derive_params(4096, 2.0, 1)
+    symbols = generate("uniform", sigma=4096, n=p.ell + 500, seed=4).tolist()
+    assert _first_insert(p, symbols) is None
+    symbols += [7] * (p.threshold + 1)
+    payload = encode_to_bytes(p, symbols)[0][HEADER_BYTES:]
+    for at in (0, 59, p.ell + 100):
+        loop, resumed = CoderState(p), CoderState(p)
+        reader = BitReader(payload)
+        loop.decode_chunk(reader, at)
+        resumed.resume_after_literals(at, symbols[max(0, at - p.ell):at])
+        assert resumed.window_contents() == loop.window_contents()
+        other = BitReader(payload)
+        other.position = reader.position
+        rest = len(symbols) - at
+        assert resumed.decode_chunk(other, rest) == loop.decode_chunk(reader, rest)
+
+
+def test_resume_after_literals_rejects_a_state_it_cannot_take():
+    p = derive_params(4096, 2.0, 1)
+    with pytest.raises(ParameterError, match="last 3 of 3"):
+        CoderState(p).resume_after_literals(3, [1, 2])
+    with pytest.raises(ParameterError, match="reaches the threshold"):
+        CoderState(p).resume_after_literals(p.threshold, [5] * p.threshold)
+    with pytest.raises(ParameterError, match="out of range"):
+        CoderState(p).resume_after_literals(2, [1, 4096])
+    state = CoderState(p)
+    state.resume_after_literals(2, [1, 2])
+    with pytest.raises(ParameterError, match="new state"):
+        state.resume_after_literals(2, [1, 2])
 
 
 def _stream_with_partial_last_byte():
@@ -520,10 +621,12 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
 
+@pytest.mark.parametrize("numpy_loaded", [True, False])
 @pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
-def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
+def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam, numpy_loaded):
     # a tracemalloc peak above the start while the chunks are drained, the
-    # stream already in memory; it must not grow with n
+    # stream already in memory; it must not grow with n. With numpy loaded
+    # the block decoder decodes these literal streams, otherwise the loop.
     p = derive_params(sigma, lam, 1)
     slots = p.ell + coder._CHUNK
     peaks = []
@@ -532,10 +635,11 @@ def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
         blob, _ = encode_to_bytes(p, symbols)
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            for _ in decode_chunks(blob):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in decode_chunks(blob):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
         # measured at 100-122 B per slot

@@ -146,6 +146,26 @@ def test_encode_stream_with_numpy_loaded_never_steps(monkeypatch):
         assert blob[swsc.coder.HEADER_BYTES:] == payload and report == want
 
 
+def test_decode_of_a_literal_stream_with_numpy_loaded_never_steps(monkeypatch):
+    # no uniform symbol reaches the threshold, so the block decoder decodes
+    # the whole stream with no loop step and no dictionary
+    p = swsc.derive_params(65536, 2.0, 1)
+    symbols = generate("uniform", sigma=65536, n=3 * p.ell, seed=3).tolist()
+    blob, _ = swsc.encode_to_bytes(p, symbols)
+    want = swsc.CoderState(p).decode_chunk(swsc.BitReader(blob[swsc.coder.HEADER_BYTES:]),
+                                            len(symbols))
+    assert want[0] == symbols
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a loop step or a dictionary put ran")
+
+    monkeypatch.setattr(swsc.CoderState, "_steps", no_steps)
+    monkeypatch.setattr(swsc.TrieDictionary, "put", no_steps)
+    monkeypatch.setattr(swsc.HashedDictionary, "put", no_steps)
+    for backend in ("trie", "hashed"):
+        assert swsc.decode_stream(blob, backend=backend) == want
+
+
 def test_corpus_names_load_on_first_use(tmp_path):
     _fresh_interpreter("""
         import sys

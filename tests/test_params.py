@@ -126,6 +126,10 @@ def test_from_frozen_roundtrip():
     {"lam": None},
     {"c": "10"},
     {"c": None},
+    # the integer fields as float, str or None, each at its derived value
+    *({field: kind(value)} for field, value in (("ell", 7680), ("threshold", 120),
+                                                ("l_max", 6), ("width", 12))
+      for kind in (float, str, lambda v: None)),
 ])
 def test_from_frozen_rejects_inconsistent_fields(patch):
     p = derive_params(4096, 2.0, 10)
