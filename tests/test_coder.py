@@ -621,12 +621,9 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
 
-@pytest.mark.parametrize("numpy_loaded", [True, False])
-@pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
-def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam, numpy_loaded):
+def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded):
     # a tracemalloc peak above the start while the chunks are drained, the
-    # stream already in memory; it must not grow with n. With numpy loaded
-    # the block decoder decodes these literal streams, otherwise the loop.
+    # stream already in memory; it must not grow with n
     p = derive_params(sigma, lam, 1)
     slots = p.ell + coder._CHUNK
     peaks = []
@@ -645,6 +642,17 @@ def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam, numpy
         # measured at 100-122 B per slot
         assert peaks[-1] < 300 * slots
     assert peaks[1] - peaks[0] <= 1 << 20
+
+
+@pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
+def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
+    # with numpy loaded the block decoder decodes these literal streams
+    _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded=True)
+
+
+@pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
+def test_loop_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
+    _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded=False)
 
 
 def test_intermediate_states_match_stepwise():
