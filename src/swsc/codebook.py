@@ -37,10 +37,12 @@ class Codebook:
 
     The codebook owns the slot of every record it holds: a record at
     lists[j][k] has length j and index k. List removal is swap-with-last, so
-    indices within a list are history-dependent but always dense.
+    indices within a list are history-dependent but always dense. It keeps
+    the report's counters: size peak, coded symbols, touches, worst step.
     """
 
-    __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size", "max_size")
+    __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size", "max_size",
+                 "coded", "max_step", "_step_start")
 
     def __init__(self, l_max: int):
         if l_max < 1:
@@ -52,6 +54,9 @@ class Codebook:
         self.capacity = 1 << l_max
         self.size = 0  # total coded symbols across all lists
         self.max_size = 0  # the largest size seen
+        self.coded = 0  # queries codeword and decode answered: the coded symbols
+        self.max_step = 0  # the most touches between two end_step calls
+        self._step_start = 0  # the touches at the last end_step
 
     def counts(self) -> list[int]:
         """C[j] = len(A[j]) for j = 0..l_max."""
@@ -85,6 +90,13 @@ class Codebook:
                 f"move from {j} to {j_to} is not one level within 0..{self.l_max}")
         self._unlink(rec)
         self._link(rec, j_to)
+
+    def end_step(self) -> None:
+        """Close a coding step: max_step keeps the most touches one step made."""
+        t = self.kraft.touches
+        if t - self._step_start > self.max_step:
+            self.max_step = t - self._step_start
+        self._step_start = t
 
     def _link(self, rec, j):
         # append rec to A[j] at (j, end) and add its weight; insert and move
@@ -128,6 +140,7 @@ class Codebook:
         j = rec.length
         if j is None:
             raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
+        self.coded += 1
         return (self.kraft.prefix(j) >> (self.l_max - j)) + rec.index
 
     def decode(self, b: int):
@@ -144,10 +157,11 @@ class Codebook:
         if j > self.l_max:
             raise CorruptStreamError("peeked bits fall outside the coded range" if self.size
                                      else "coded flag with no matching codeword")
+        self.coded += 1
         return self.lists[j][(b - base) >> (self.l_max - j)]
 
     def check(self, d) -> None:
-        """Validate internal consistency; d must hold each listed record (test hook)."""
+        """Validate consistency, counting no touches; d must hold each record (test hook)."""
         total = 0
         size = 0
         for j, lst in enumerate(self.lists):
@@ -159,7 +173,9 @@ class Codebook:
             for k, rec in enumerate(lst):
                 if d.get(rec.sym) is not rec or rec.length != j or rec.index != k:
                     raise InternalInconsistencyError(f"record for {rec.sym} out of sync")
-        if total != self.kraft_total or total != self.kraft.total():
+        touches, tree_total = self.kraft.touches, self.kraft.total()
+        self.kraft.touches = touches
+        if total != self.kraft_total or total != tree_total:
             raise InternalInconsistencyError("Kraft total out of sync")
         if size != self.size:
             raise InternalInconsistencyError("size out of sync")

@@ -72,9 +72,7 @@ class CoderState:
         self.codebook = Codebook(params.l_max)
         self._buf = deque(maxlen=params.ell)  # window records, oldest first
         self.position = 0  # symbols processed
-        # report counters carried across chunks: payload bits, literals, the
-        # worst single-step partial-sums touches
-        self._bits = self._literals = self._max_step = 0
+        self._bits = 0  # payload bits, carried across chunks for the report
 
     def resume_after_literals(self, position: int, window) -> None:
         """Take a new state to where position symbols, all literals, leave it.
@@ -97,7 +95,6 @@ class CoderState:
             self.dictionary.put(a, rec)
         self._buf.extend(records[a] for a in window)
         self.position, self._bits = position, position * (p.width + 1)
-        self._literals = position
 
     def window_contents(self) -> list[int]:
         """Window symbols oldest to newest (test and audit hook)."""
@@ -127,8 +124,7 @@ class CoderState:
         return out, self._report()
 
     def _report(self):
-        return make_report(self.params, self.position, self._bits, self._literals,
-                           self.codebook, self._max_step)
+        return make_report(self.params, self.position, self._bits, self.codebook)
 
     def _steps(self, symbols, count, writer=None, reader=None):
         """The one coding loop behind encode_chunk and decode_chunk.
@@ -146,8 +142,9 @@ class CoderState:
         length_bounds, so codeword_length runs only on insert. The codebook
         checks the Kraft bound itself on every insert and move, the only
         updates that raise the sum, and rejects a class outside 0..l_max.
-        Bit window and counters live in locals and are written back when the
-        chunk ends. Returns the decoded symbols when decoding.
+        The codebook counts coded symbols and closes each step that touched
+        it. The bit window lives in locals and is written back when the chunk
+        ends. Returns the decoded symbols when decoding.
         """
         p = self.params
         sigma, width, l_max = p.sigma, p.width, p.l_max
@@ -157,12 +154,10 @@ class CoderState:
         d = self.dictionary
         lookup, put, delete = d.lookup, d.put, d.delete
         cb = self.codebook
-        insert, remove, move, kraft = cb.insert, cb.remove, cb.move, cb.kraft
+        insert, remove, move, end_step = cb.insert, cb.remove, cb.move, cb.end_step
         buf = self._buf
         push = buf.append  # once the ring is full, this drops buf[0]
         room = ell - len(buf)  # steps i >= room find the ring full
-        literals, max_step = self._literals, self._max_step
-        t_prev = kraft.touches
         decoding = reader is not None
         out = [] if decoding else None
         if decoding:
@@ -185,7 +180,6 @@ class CoderState:
                     v = (win >> (hi - pos - w1)) & lit_mask
                     if v < half:
                         a, k, touched = v, w1, False
-                        literals += 1
                     else:
                         rec = cb_decode((v >> b_shift) & b_mask)
                         a, k, touched = rec.sym, rec.length + 1, True
@@ -206,7 +200,6 @@ class CoderState:
                         v, k, touched = (1 << j) | codeword(rec), j + 1, True  # flag 1 first
                     else:
                         v, k, touched = a, w1, False
-                        literals += 1
                     if wbits + k > WRITE_BATCH:
                         write(wacc, wbits)
                         wacc, wbits = v, k
@@ -249,14 +242,10 @@ class CoderState:
                 push(rec)
                 # only codebook events and coded symbols change the touches
                 if touched:
-                    t = kraft.touches
-                    if t - t_prev > max_step:
-                        max_step = t - t_prev
-                    t_prev = t
+                    end_step()
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"symbol {self.position + i}: {exc}") from exc
         self.position += count
-        self._literals, self._max_step = literals, max_step
         if decoding:
             reader.position = pos
         elif wbits:
@@ -279,14 +268,14 @@ class CoderReport:
     cost_units: int  # sum of 1 + handled codeword length
 
 
-def make_report(params: CoderParams, n: int, bits: int, literals: int,
-                codebook: Codebook, max_step: int) -> CoderReport:
-    """The report of n coded symbols; the codebook keeps its size peak and touches."""
+def make_report(params: CoderParams, n: int, bits: int, codebook: Codebook) -> CoderReport:
+    """The report of n symbols in bits payload bits; every other field is the codebook's."""
+    literals = n - codebook.coded  # the symbols it answered no query for
     # a step costs 1 + its codeword length: its bits, less a literal's index width
     return CoderReport(n=n, payload_bits=bits, payload_bytes=(bits + 7) // 8,
-                       literal_count=literals, coded_count=n - literals,
+                       literal_count=literals, coded_count=codebook.coded,
                        max_code_size=codebook.max_size, ps_touches=codebook.kraft.touches,
-                       ps_touches_max_step=max_step,
+                       ps_touches_max_step=codebook.max_step,
                        cost_units=bits - literals * params.width)
 
 

@@ -6,6 +6,8 @@ mix(seed + (i+1) * 0x9E3779B97F4A7C15) with the standard finalizer, so a
 stream vectorizes. Generation is single-pass.
 """
 
+import numbers
+
 import numpy as np
 
 from .dictionary import symbol_model_bytes
@@ -27,15 +29,17 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _check_common(sigma, n):
+def _check_common(sigma, n, seed):
     check_sigma(sigma)  # symbols are written at most 4 bytes wide
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
+    if not isinstance(n, numbers.Integral) or n < 0:  # numpy ints are Integral
+        raise ParameterError("n must be a nonnegative integer")
+    if not isinstance(seed, numbers.Integral):
+        raise ParameterError("seed must be an integer")
 
 
 def gen_uniform(sigma: int, n: int, seed: int) -> np.ndarray:
     """n i.i.d. symbols uniform over [0, sigma)."""
-    _check_common(sigma, n)
+    _check_common(sigma, n, seed)
     z = splitmix64(seed, n)
     return (z % np.uint64(sigma)).astype(f"u{symbol_model_bytes(sigma)}")
 
@@ -46,12 +50,12 @@ def gen_zipf(sigma: int, n: int, s: float, seed: int) -> np.ndarray:
     The cdf is a table of sigma floats, 8 bytes per alphabet symbol whatever
     n is, so sigma is capped at ZIPF_MAX_SIGMA.
     """
-    _check_common(sigma, n)
+    _check_common(sigma, n, seed)
     if sigma > ZIPF_MAX_SIGMA:
         raise ParameterError(f"zipf needs sigma <= 2**24 = {ZIPF_MAX_SIGMA}, "
                              f"got {sigma}")
-    if s < 0:
-        raise ParameterError("zipf exponent must be nonnegative")
+    if not s >= 0:  # NaN too
+        raise ParameterError("zipf exponent must be a nonnegative number")
     cdf = np.arange(1, sigma + 1, dtype=np.float64)  # the ranks, then in place
     cdf **= -s
     np.cumsum(cdf, out=cdf)
@@ -73,9 +77,9 @@ def gen_markov(sigma: int, n: int, states: int, stickiness: float,
     included). Three independent splitmix64 streams drive switches, state
     draws and emissions.
     """
-    _check_common(sigma, n)
-    if not 1 <= states <= sigma:
-        raise ParameterError("states must lie in [1, sigma]")
+    _check_common(sigma, n, seed)
+    if not isinstance(states, numbers.Integral) or not 1 <= states <= sigma:
+        raise ParameterError("states must be an integer in [1, sigma]")
     if not 0.0 <= stickiness <= 1.0:
         raise ParameterError("stickiness must lie in [0, 1]")
     if n == 0:

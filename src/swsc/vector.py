@@ -8,8 +8,9 @@ one per event. So each block of _BLOCK steps is counted in numpy, the
 carried window entering as leading events, and only the codebook work runs
 in Python: one time-ordered action list, in the order of CoderState._steps
 (each step's codeword query, then its evicted and its incoming symbol's
-insert, move or remove). It touches the same Fenwick nodes as the loop
-does, so ps_touches and ps_touches_max_step are read off the codebook.
+insert, move or remove), closing each step with Codebook.end_step. It
+makes the same codebook calls as the loop does, so the codebook's counters,
+and with them every report field but n and the bits, come out the same.
 
 The decoder must run the codebook to parse a code, but while the codebook
 is empty every code is a flag 0 and a width-bit literal. So block_decoder
@@ -50,13 +51,12 @@ def encode_blocks(params, symbols, writer):
     crossings = np.array(down, dtype=np.int64)
     insert_length = codeword_length(ell, threshold)
     cb = Codebook(l_max)
-    insert, remove, move, codeword = cb.insert, cb.remove, cb.move, cb.codeword
-    kraft = cb.kraft
+    insert, remove, move, codeword, end_step = (cb.insert, cb.remove, cb.move,
+                                                cb.codeword, cb.end_step)
     coded = {}  # symbol -> record, for coded symbols only
     get, pop = coded.__getitem__, coded.pop
     window = _empty_window(dtype)
     start = writer.bit_length
-    literals = max_step = t_prev = 0
     for lo in range(0, len(symbols), _BLOCK):
         blk = _checked(symbols[lo:lo + _BLOCK], sigma, lo, dtype)
         size = len(blk)
@@ -95,10 +95,7 @@ def encode_blocks(params, symbols, writer):
                 rec = get(sym)
                 move(rec, rec.length - 1)
             if end:
-                t = kraft.touches
-                if t - t_prev > max_step:
-                    max_step = t - t_prev
-                t_prev = t
+                end_step()
         # a literal is flag 0 then the width-bit symbol; a code is flag 1 then
         # its codeword, at most 33 bits, so frexp gives its exact bit length
         vals = blk.astype(np.uint64)
@@ -106,9 +103,7 @@ def encode_blocks(params, symbols, writer):
         vals[queried] = values
         lens[queried] = np.frexp(vals[queried])[1]
         _emit(writer.write_bits, vals, lens)
-        literals += size - len(values)
-    bits = writer.bit_length - start
-    return make_report(params, len(symbols), bits, literals, cb, max_step)
+    return make_report(params, len(symbols), writer.bit_length - start, cb)
 
 
 def block_decoder(state):
@@ -145,8 +140,7 @@ def block_decoder(state):
         reader.position += k * w1
         symbols = lits[:k].tolist()
         if k == count:
-            return symbols, make_report(p, position, position * w1, position,
-                                        state.codebook, 0)
+            return symbols, make_report(p, position, position * w1, state.codebook)
         state.resume_after_literals(position, np.concatenate((ring, lits[:k]))[-ell:])
         window = None
         rest, report = state.decode_chunk(reader, count - k)

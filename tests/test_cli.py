@@ -220,6 +220,14 @@ def test_gen_zipf_past_its_sigma_cap_exits_five(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_zipf_with_a_nan_exponent_exits_five(tmp_path, capsys):
+    out = tmp_path / "corpus.bin"
+    assert run(["gen", str(out), "--dist", "zipf", "--sigma", "256", "--n", "10",
+                "--s", "nan"]) == 5
+    assert "zipf exponent" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_for_symbol_out_of_range(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes([200]))

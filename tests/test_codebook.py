@@ -166,6 +166,41 @@ def test_codeword_validates_arguments():
             cb.codeword(rec)
 
 
+def test_coded_counts_answered_queries_only():
+    cb = Codebook(4)
+    rec = rec_of(7)
+    cb.insert(rec, 1)  # counts [0, 1, 0, 0, 0]; an update is no query
+    assert cb.coded == 0
+    assert cb.decode(3) is rec and cb.codeword(rec) == 0
+    assert cb.coded == 2
+    with pytest.raises(CorruptStreamError):
+        cb.decode(8)  # past the coded range
+    with pytest.raises(ValueError):
+        cb.decode(16)
+    with pytest.raises(InternalInconsistencyError):
+        cb.codeword(rec_of(9))  # never inserted
+    assert cb.coded == 2
+
+
+def test_end_step_keeps_the_most_touches_of_any_step():
+    cb, d = Codebook(4), {a: rec_of(a) for a in (1, 2)}
+    steps = []
+    for update in (lambda: cb.insert(d[1], 4),
+                   lambda: (cb.insert(d[2], 2), cb.codeword(d[1])),
+                   lambda: cb.codeword(d[2])):
+        before = cb.kraft.touches
+        update()
+        cb.end_step()
+        steps.append(cb.kraft.touches - before)
+        assert cb.max_step == max(steps)
+    assert steps == [1, 3, 1]
+    cb.end_step()  # a step with no touches
+    assert cb.max_step == 3
+    cb.codeword(d[1])
+    cb.end_step()  # measured from the last step's end, not from the empty one
+    assert cb.max_step == 3
+
+
 def test_insert_guards():
     cb = Codebook(2)
     rec = rec_of(5)

@@ -207,10 +207,14 @@ def test_a_count_above_the_payload_bits_fails_before_any_chunk():
 # one stream per dictionary and width regime, each 3,000 symbols at c 1
 FUZZ_STREAMS = [
     encode_to_bytes(derive_params(sigma, lam, 1),
-                    generate(dist, sigma=sigma, n=3000, seed=i).tolist())[0]
-    for i, (sigma, lam, dist) in enumerate([
-        (3, 1.0, "uniform"), (256, 1.0, "zipf"), (4096, 2.0, "markov"),
-        (65536, 2.0, "uniform"), (70000, 3.0, "zipf"), (2**32 - 1, 4.0, "uniform")])
+                    generate(dist, sigma=sigma, n=3000, seed=seed, **kw).tolist())[0]
+    for sigma, lam, dist, seed, kw in [
+        (3, 1.0, "uniform", 0, {}), (256, 1.0, "zipf", 1, {}),
+        (4096, 2.0, "markov", 2, {}), (65536, 2.0, "uniform", 3, {}),
+        (70000, 3.0, "zipf", 4, {}), (2**32 - 1, 4.0, "uniform", 5, {}),
+        # 8 states code none of their symbols; 1024 code 65, so the block
+        # decoder hands a markov stream to the loop
+        (4096, 2.0, "markov", 2, {"states": 1024})]
 ]
 
 
@@ -525,6 +529,17 @@ def test_encoder_and_decoder_states_stay_in_lockstep():
     assert enc.codebook.lists == dec.codebook.lists
     enc.codebook.check(enc.dictionary)
     dec.codebook.check(dec.dictionary)
+
+
+def test_a_codebook_check_between_chunks_leaves_the_report_alone():
+    # check reads the Fenwick total; an audit must not count as coding work
+    p = derive_params(256, 1.0, 1)
+    syms = generate("zipf", sigma=256, n=3000, seed=1).tolist()
+    want = CoderState(p).encode_chunk(syms, BitWriter())
+    state, writer = CoderState(p), BitWriter()
+    state.encode_chunk(syms[:1500], writer)
+    state.codebook.check(state.dictionary)
+    assert state.encode_chunk(syms[1500:], writer) == want
 
 
 def test_coding_loop_stops_when_an_insert_overfills_the_code():

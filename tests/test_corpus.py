@@ -162,10 +162,23 @@ def test_zero_length_outputs():
     lambda: gen_uniform(2**32, 10, seed=0),
     lambda: gen_zipf(2**40, 10, s=1.0, seed=0),
     lambda: gen_markov(2**40, 10, states=4, stickiness=0.5, seed=0),
+    # a NaN exponent, or an n, seed or state count that is not an integer
+    lambda: gen_zipf(256, 10, s=float("nan"), seed=0),
+    lambda: generate("uniform", 256, 2.5, 1),
+    lambda: generate("zipf", 256, 10.0, 1),
+    lambda: generate("uniform", 256, 10, 1.5),
+    lambda: generate("markov", 256, 10, "1"),
+    lambda: gen_markov(256, 10, states=2.5, stickiness=0.5, seed=0),
 ])
 def test_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def test_numpy_integer_arguments_are_accepted():
+    for dist in DISTRIBUTIONS:
+        assert np.array_equal(generate(dist, 256, np.int64(50), np.uint64(7)),
+                              generate(dist, 256, 50, 7))
 
 
 def test_zipf_past_its_sigma_cap_raises_before_allocating():

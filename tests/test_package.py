@@ -87,6 +87,24 @@ def test_no_module_reads_another_modules_private_names():
     assert reach == []
 
 
+def test_only_make_report_builds_a_coder_report():
+    # a coder passes n and its payload bits; make_report reads every other
+    # field off the codebook, so no other function builds a report
+    builds = []
+    for path in sorted(Path(swsc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> its innermost function: ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(fn):
+                    owner[node] = getattr(fn, "name", "<lambda>")
+        builds += [f"{path.name}: {owner.get(node, '<module>')}"
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and "CoderReport" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))]
+    assert builds == ["coder.py: make_report"]
+
+
 def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
