@@ -34,9 +34,9 @@ reports and errors. CoderState._steps is the online loop: the stepping API
 and the CLI run on it, and so do encode_stream and decode_chunks when numpy
 is not loaded. When numpy is already imported, encode_stream hands the whole
 stream to the block encoder in swsc.vector, which counts the window in numpy
-and runs only the codebook in Python; decode_chunks decodes the stream's
-literal-only prefix, up to the first codebook insert, with the block decoder
-there, and the loop decodes the rest.
+and runs only the codebook in Python; decode_chunks decodes whole chunks of
+literals with no codebook insert with the block decoder there, and the loop
+decodes the first chunk that is not, from its first symbol, and the rest.
 """
 
 import io
@@ -375,10 +375,10 @@ def decode_chunks(data, backend: str | None = None):
     payload's bits is rejected before any chunk. The end of the stream is
     checked before the last chunk is yielded, so its report is the whole
     stream's. backend is as for decode_stream. With numpy already imported,
-    the block decoder of swsc.vector decodes the literal-only prefix in
-    numpy and hands off to CoderState at the first codebook insert;
-    otherwise CoderState decodes every chunk. Both yield the same chunks and
-    raise the same errors.
+    the block decoder of swsc.vector decodes whole chunks of literals in
+    numpy and hands off to CoderState at the start of the first chunk that
+    inserts into the codebook or holds any other code; otherwise CoderState
+    decodes every chunk. Both yield the same chunks and raise the same errors.
     """
     params, n = read_header(data)
     bits = 8 * (len(data) - HEADER_BYTES)

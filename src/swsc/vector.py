@@ -15,9 +15,9 @@ and with them every report field but n and the bits, come out the same.
 The decoder must run the codebook to parse a code, but while the codebook
 is empty every code is a flag 0 and a width-bit literal. So block_decoder
 slices a chunk's codes as fixed fields and counts the window the same way,
-up to the first codebook insert or the first code that is not such a
-literal. There it hands the window to a CoderState, whose loop decodes the
-rest of the stream.
+and commits the chunk only when every code is such a literal and no step
+inserts. The first chunk that is not commits nothing: a CoderState takes the
+window at that chunk's start, and its loop decodes the rest of the stream.
 
 Working memory is O(ell + _BLOCK): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
@@ -107,16 +107,17 @@ def encode_blocks(params, symbols, writer):
 
 
 def block_decoder(state):
-    """state.decode_chunk for a new state, with the literal-only prefix decoded in numpy.
+    """state.decode_chunk for a new state, with the chunks before the first insert in numpy.
 
     While the codebook is empty every code is a flag 0 and a width-bit
     literal, so numpy slices a chunk's codes as fixed fields and counts the
-    window as encode_blocks does. A chunk commits its steps up to the first
-    that is not such a literal (a set flag bit, a literal of sigma or more,
-    bits past the payload) or whose incoming count reaches the threshold:
-    the first codebook insert. There the state takes the window, once,
-    through resume_after_literals, and decodes that step and every later one
-    in CoderState._steps, so a corrupt stream fails as it does there.
+    window as encode_blocks does. It commits a chunk only whole: each of its
+    codes such a literal (flag bit 0, a value below sigma, within the
+    payload) and no incoming count reaching the threshold, the first
+    codebook insert. The first chunk that fails this commits nothing: the
+    state takes the window at that chunk's start, once, through
+    resume_after_literals, and decodes that chunk and every later one in
+    CoderState._steps, so a corrupt stream fails as it does there.
     """
     p = state.params
     sigma, ell, threshold, w1 = p.sigma, p.ell, p.threshold, p.width + 1
@@ -128,36 +129,31 @@ def block_decoder(state):
         nonlocal window, position
         if window is None:  # handed off
             return state.decode_chunk(reader, count)
-        ring = window[0]
-        lits = _literals(reader, count, w1, sigma).astype(dtype)
-        k = len(lits)
-        if k:
-            window, _, _, _, fa = _slide(window, lits, ell)
-            inserts = np.flatnonzero(fa >= threshold)
-            if len(inserts):
-                k = int(inserts[0])
-        position += k
-        reader.position += k * w1
-        symbols = lits[:k].tolist()
-        if k == count:
-            return symbols, make_report(p, position, position * w1, state.codebook)
-        state.resume_after_literals(position, np.concatenate((ring, lits[:k]))[-ell:])
+        lits = _literals(reader, count, w1, sigma)
+        if count and lits is not None:  # an empty stream goes to the loop: no empty _slide
+            lits = lits.astype(dtype)
+            after, _, _, _, fa = _slide(window, lits, ell)
+            if fa.max() < threshold:
+                window, position = after, position + count
+                reader.position += count * w1
+                return lits.tolist(), make_report(p, position, position * w1, state.codebook)
+        state.resume_after_literals(position, window[0])
         window = None
-        rest, report = state.decode_chunk(reader, count - k)
-        return symbols + rest, report
+        return state.decode_chunk(reader, count)
 
     return decode
 
 
 def _literals(reader, count, w1, sigma):
-    """The w1-bit fields of reader's next count codes, up to the first that is no literal.
+    """The w1-bit fields of reader's next count codes, or None if any is no literal.
 
     A code is a literal when its bits lie in the payload and its field, the
     flag bit then the width-bit value, is below sigma: sigma <= 2**width, so
     one comparison checks both. Reads only the bytes those codes span.
     """
     pos = reader.position
-    count = min(count, (reader.limit - pos) // w1)  # the codes within the payload
+    if pos + count * w1 > reader.limit:
+        return None
     lo, hi = pos >> 3, (pos + count * w1 + 7) >> 3
     # a field spans at most 40 bits from its first byte: 7 + 33
     buf = np.zeros(hi - lo + 4, np.uint64)
@@ -168,8 +164,7 @@ def _literals(reader, count, w1, sigma):
     for j in range(1, 5):
         v = (v << np.uint64(8)) | buf[first + np.uint64(j)]
     v = (v >> (np.uint64(40 - w1) - (at & np.uint64(7)))) & np.uint64((1 << w1) - 1)
-    bad = np.flatnonzero(v >= sigma)
-    return v[:bad[0]] if len(bad) else v
+    return None if (v >= sigma).any() else v
 
 
 def _checked(chunk, sigma, position, dtype):

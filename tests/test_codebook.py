@@ -209,6 +209,8 @@ def test_insert_guards():
         cb.insert(rec, 1)  # already coded
     with pytest.raises(InternalInconsistencyError):
         cb.insert(rec_of(6), 3)  # length out of range
+    with pytest.raises(ValueError, match="l_max must be >= 1"):
+        Codebook(0)
 
 
 def test_insert_past_kraft_capacity_is_internal_error():
@@ -244,6 +246,14 @@ def test_remove_uncoded_record_is_internal_error():
     cb = Codebook(2)
     with pytest.raises(InternalInconsistencyError):
         cb.remove(rec_of(9))
+    with pytest.raises(InternalInconsistencyError, match="symbol 9 is not coded"):
+        cb.move(rec_of(9), 1)
+    first, last = rec_of(1), rec_of(2)
+    cb.insert(first, 1)
+    cb.insert(last, 1)
+    first.index = 5  # a slot past the list's end, once the last record is popped
+    with pytest.raises(InternalInconsistencyError, match="stale index 5 for symbol 1"):
+        cb.remove(first)
 
 
 def test_check_detects_a_record_missing_from_the_dictionary():
@@ -289,6 +299,20 @@ def test_check_detects_desync():
     cb, d = build_example()
     cb.kraft.add(1, 1)  # corrupt the scaled sums behind the codebook's back
     with pytest.raises(InternalInconsistencyError):
+        cb.check(d)
+    for field, message in (("kraft_total", "Kraft total out of sync"),
+                           ("size", "size out of sync")):
+        cb, d = build_example()
+        setattr(cb, field, getattr(cb, field) + 1)
+        with pytest.raises(InternalInconsistencyError, match=message):
+            cb.check(d)
+    # a failed insert at length 0 leaves its record linked past capacity
+    cb = Codebook(1)
+    d = {1: rec_of(1), 2: rec_of(2)}
+    cb.insert(d[1], 1)
+    with pytest.raises(InternalInconsistencyError, match="exceeds capacity 2"):
+        cb.insert(d[2], 0)
+    with pytest.raises(InternalInconsistencyError, match="Kraft sum exceeds capacity"):
         cb.check(d)
 
 

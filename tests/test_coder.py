@@ -287,7 +287,8 @@ def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam
                                                          dist, kw, insert, chunk):
     # every (symbols, report) pair, or the error, is the loop's, when the
     # first insert falls inside a chunk, on a chunk boundary or at step 0,
-    # and when the payload ends inside the literal prefix
+    # and when the payload ends inside the literal prefix; and the loop
+    # takes over at a chunk's first symbol and decodes that whole chunk
     p = derive_params(sigma, lam, c)
     symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
     assert _first_insert(p, symbols) == insert
@@ -295,9 +296,21 @@ def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam
         chunk = max(insert, 1)
     if chunk is not None:
         monkeypatch.setattr(coder, "_CHUNK", chunk)
+    calls = []  # (state.position, count) of each CoderState._steps call
+    steps = CoderState._steps
+
+    def recorded_steps(self, symbols, count, writer=None, reader=None):
+        calls.append((self.position, count))
+        return steps(self, symbols, count, writer=writer, reader=reader)
+
+    monkeypatch.setattr(CoderState, "_steps", recorded_steps)
 
     def same_as_the_loop(stream):
+        calls.clear()
         block = _outcome(stream)
+        at, count = calls[0]
+        assert at % coder._CHUNK == 0
+        assert count == min(coder._CHUNK, read_header(stream)[1] - at)
         with _numpy_hidden():
             assert block == _outcome(stream)
         return block

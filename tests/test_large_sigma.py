@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import swsc
-from swsc.analysis import EntropyStats, check_bound
+from swsc.analysis import EntropyStats, check_bound, memory_audit
 from swsc.bitio import BitWriter
 from swsc.coder import (_CHUNK, HEADER_BYTES, CoderState, decode_stream, encode_to_bytes,
                         write_symbols)
@@ -169,17 +169,21 @@ def sweep():
             t0 = time.perf_counter()
             out, dec_report = decode_stream(blob)
             decode_s = time.perf_counter() - t0
+            stats = EntropyStats.from_symbols(symbols)
             runs.append({
                 "p": p, "dist": dist, "n": len(symbols),
                 "same_bytes": writer.finish() == blob[HEADER_BYTES:]
                 and loop_report == block_report,
                 "decoded": out == symbols,
-                "bound": check_bound(block_report, EntropyStats.from_symbols(symbols), p),
+                "bound": check_bound(block_report, stats, p),
                 "touches": max(block_report.ps_touches_max_step,
                                dec_report.ps_touches_max_step),
                 "dictionary": type(state.dictionary).__name__,
                 "dict_ratio": worst,
                 "decode_s": decode_s,
+                "memory": memory_audit(state).total_bytes,  # after the last chunk
+                "bits": block_report.payload_bits / len(symbols),
+                "lam_h0": p.lam * stats.h0,
             })
     return runs
 
@@ -212,10 +216,24 @@ def test_sweep_dictionary_stays_within_the_stated_bound(sweep):
 
 def test_sweep_prints_decode_time_per_symbol(sweep, capsys):
     # printed, not gated: the paper's O(log log sigma) per step predicts a
-    # flat line at fixed lambda, but timings on a shared host drift
+    # flat line at fixed lambda, but timings on a shared host drift. Beside
+    # it, the paper's three quantities: the loop encoder's modeled memory,
+    # whose slope against sigma at lambda 4 should sit a little above 1/4;
+    # bits/symbol against lambda * H0; and the worst step's touches against
+    # 4 * bitlen(l_max + 1), the log log sigma part of the touch budget
     with capsys.disabled():
         for r in sweep:
+            p = r["p"]
             us = 1e6 * r["decode_s"] / r["n"]
-            print(f"\n  sweep sigma {r['p'].sigma} lambda {r['p'].lam:g} {r['dist']}: "
-                  f"n {r['n']}, decode {us:.2f} us/sym", end="")
+            print(f"\n  sweep sigma {p.sigma} lambda {p.lam:g} {r['dist']}: "
+                  f"n {r['n']}, decode {us:.2f} us/sym, memory {r['memory']} B, "
+                  f"{r['bits']:.3f} bits/sym against lambda*H0 {r['lam_h0']:.3f}, "
+                  f"worst step {r['touches']} of {4 * (p.l_max + 1).bit_length()} touches",
+                  end="")
+        for dist in ("uniform", "zipf"):
+            cells = [r for r in sweep if r["dist"] == dist and r["p"].lam == 4.0]
+            slope = np.polyfit(np.log([r["p"].sigma for r in cells]),
+                               np.log([r["memory"] for r in cells]), 1)[0]
+            print(f"\n  sweep lambda 4 {dist}: memory slope {slope:.3f} against "
+                  f"1/lambda 0.250, over sigma {[r['p'].sigma for r in cells]}", end="")
         print()
