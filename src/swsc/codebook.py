@@ -9,10 +9,16 @@ The codeword of the record at A[j][k] (0-based k) is the first j bits of
 written as an l_max-bit value, where C[h] = len(A[h]). The scaled Kraft
 weights C[h] * 2**(l_max - h) are kept in a searchable partial-sums structure
 so encode needs one prefix query and decode one prefix-sum search.
+
+An insert, move or remove starts a new epoch of the code. codeword keeps
+A[j]'s first codeword in bases[j] and decode b's record in peeks[b], with the
+epoch and touches; a coder reads entries of this epoch and credits them.
 """
 
 from .errors import CorruptStreamError, InternalInconsistencyError
 from .partial_sums import PartialSums
+
+NO_ANSWER = (-1, None, 0)  # (epoch, answer, touches) of no epoch
 
 
 def codeword_length(ell: int, f: int) -> int:
@@ -42,7 +48,7 @@ class Codebook:
     """
 
     __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size", "max_size",
-                 "coded", "max_step", "_step_start")
+                 "coded", "max_step", "_step_start", "epoch", "bases", "peeks")
 
     def __init__(self, l_max: int):
         if l_max < 1:
@@ -57,6 +63,9 @@ class Codebook:
         self.coded = 0  # queries codeword and decode answered: the coded symbols
         self.max_step = 0  # the most touches between two end_step calls
         self._step_start = 0  # the touches at the last end_step
+        self.epoch = 0  # insert, move and remove advance it: answers of older ones are stale
+        self.bases = [NO_ANSWER] * (l_max + 1)  # class j -> (epoch, first codeword, touches)
+        self.peeks = {}  # peeked bits b -> (epoch, record, touches); at most 2**l_max
 
     def counts(self) -> list[int]:
         """C[j] = len(A[j]) for j = 0..l_max."""
@@ -98,9 +107,20 @@ class Codebook:
             self.max_step = t - self._step_start
         self._step_start = t
 
+    def credit(self, coded: int, touches: int, open_touches: int = 0) -> None:
+        """Bill coded queries read from bases or peeks, with the touches they record.
+
+        open_touches of them are the open step's, for its end_step to count. A
+        closed step of one read made no more than its first answer's step.
+        """
+        self.coded += coded
+        self.kraft.touches += touches
+        self._step_start += touches - open_touches
+
     def _link(self, rec, j):
         # append rec to A[j] at (j, end) and add its weight; insert and move
         # are the only updates that raise the Kraft sum, so this is its check
+        self.epoch += 1
         lst = self.lists[j]
         lst.append(rec)
         rec.length = j
@@ -117,6 +137,7 @@ class Codebook:
     def _unlink(self, rec):
         # swap the last record of A[j] into rec's slot, renumber it and drop
         # rec's weight; rec keeps its stale (length, index)
+        self.epoch += 1
         j = rec.length
         lst = self.lists[j]
         k = rec.index
@@ -135,13 +156,17 @@ class Codebook:
         """The rec.length-bit codeword of the coded record rec, read off its slot.
 
         A[j]'s first codeword is prefix(j) >> (l_max - j), with no bits lost:
-        each weight of a class below j is a multiple of 2**(l_max - j + 1).
+        each weight of a class below j is a multiple of 2**(l_max - j + 1),
+        and goes to bases[j].
         """
         j = rec.length
         if j is None:
             raise InternalInconsistencyError(f"symbol {rec.sym} is not coded")
         self.coded += 1
-        return (self.kraft.prefix(j) >> (self.l_max - j)) + rec.index
+        t = self.kraft.touches
+        base = self.kraft.prefix(j) >> (self.l_max - j)
+        self.bases[j] = (self.epoch, base, self.kraft.touches - t)
+        return base + rec.index
 
     def decode(self, b: int):
         """Map l_max peeked bits b to the record whose codeword they start with.
@@ -149,16 +174,19 @@ class Codebook:
         One prefix-sum search finds the largest j with prefix(j) <= b. When
         j <= l_max, entry j + 1 exceeds b - prefix(j), so class j is nonempty
         and holds b's codeword; j = l_max + 1 means b >= kraft_total, under no
-        codeword's interval, and raises CorruptStreamError.
+        codeword's interval, and raises CorruptStreamError; a record found goes to peeks[b].
         """
         if not 0 <= b < self.capacity:
             raise ValueError(f"peeked value {b} out of range")
+        t = self.kraft.touches
         j, base = self.kraft.search_with_prefix(b)
         if j > self.l_max:
             raise CorruptStreamError("peeked bits fall outside the coded range" if self.size
                                      else "coded flag with no matching codeword")
         self.coded += 1
-        return self.lists[j][(b - base) >> (self.l_max - j)]
+        rec = self.lists[j][(b - base) >> (self.l_max - j)]
+        self.peeks[b] = (self.epoch, rec, self.kraft.touches - t)
+        return rec
 
     def check(self, d) -> None:
         """Validate consistency, counting no touches; d must hold each record (test hook)."""

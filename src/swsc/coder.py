@@ -37,6 +37,7 @@ stream to the block encoder in swsc.vector, which counts the window in numpy
 and runs only the codebook in Python; decode_chunks decodes whole chunks of
 literals with no codebook insert with the block decoder there, and the loop
 decodes the first chunk that is not, from its first symbol, and the rest.
+Between two codebook events, both read a repeat query's answer off the codebook.
 """
 
 import io
@@ -47,7 +48,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .bitio import WRITE_BATCH, BitReader, BitWriter, window
-from .codebook import Codebook, codeword_length, length_bounds
+from .codebook import NO_ANSWER, Codebook, codeword_length, length_bounds
 from .dictionary import (BACKENDS, CodeRecord, choose_backend, make_dictionary,
                          symbol_model_bytes)
 from .errors import CorruptStreamError, ParameterError
@@ -143,8 +144,10 @@ class CoderState:
         checks the Kraft bound itself on every insert and move, the only
         updates that raise the sum, and rejects a class outside 0..l_max.
         The codebook counts coded symbols and closes each step that touched
-        it. The bit window lives in locals and is written back when the chunk
-        ends. Returns the decoded symbols when decoding.
+        it. A query answered in this epoch by cb.bases or cb.peeks reads no
+        tree and is credited when its step has an event or the chunk ends. The
+        bit window lives in locals and is written back when the chunk ends.
+        Returns the decoded symbols when decoding.
         """
         p = self.params
         sigma, width, l_max = p.sigma, p.width, p.l_max
@@ -155,13 +158,14 @@ class CoderState:
         lookup, put, delete = d.lookup, d.put, d.delete
         cb = self.codebook
         insert, remove, move, end_step = cb.insert, cb.remove, cb.move, cb.end_step
+        hits, spent, hit_at = 0, 0, -1  # answers read off the codebook, their touches, last step
         buf = self._buf
         push = buf.append  # once the ring is full, this drops buf[0]
         room = ell - len(buf)  # steps i >= room find the ring full
         decoding = reader is not None
         out = [] if decoding else None
         if decoding:
-            append, cb_decode = out.append, cb.decode
+            append, cb_decode, peeks = out.append, cb.decode, cb.peeks
             data, pos, limit = reader.data, reader.position, reader.limit
             win = hi = 0  # the bit window, as bitio.window loads it
             half, lit_mask = 1 << width, (1 << w1) - 1
@@ -169,7 +173,7 @@ class CoderState:
         else:
             # the chunk is rejected before any of it is coded
             symbols = check_symbols(symbols, sigma, self.position)
-            codeword, write = cb.codeword, writer.write_bits
+            codeword, write, bases = cb.codeword, writer.write_bits, cb.bases
             wacc = wbits = 0
         i = 0
         try:
@@ -178,26 +182,38 @@ class CoderState:
                     if hi - pos < w1:
                         win, hi = window(data, pos)
                     v = (win >> (hi - pos - w1)) & lit_mask
-                    if v < half:
-                        a, k, touched = v, w1, False
-                    else:
-                        rec = cb_decode((v >> b_shift) & b_mask)
-                        a, k, touched = rec.sym, rec.length + 1, True
-                    pos += k
-                    if pos > limit:
-                        raise CorruptStreamError("bit stream truncated")
-                    if not touched:  # a literal: a codeword brought its record
-                        if a >= sigma:
+                    if v < half:  # a literal
+                        pos += w1
+                        if pos > limit:
+                            raise CorruptStreamError("bit stream truncated")
+                        if v >= sigma:
                             raise CorruptStreamError(
-                                f"literal {a} out of range for sigma {sigma}")
-                        rec = lookup(a)
+                                f"literal {v} out of range for sigma {sigma}")
+                        a, rec, touched = v, lookup(v), False
+                    else:
+                        b = (v >> b_shift) & b_mask
+                        e, rec, t = peeks.get(b, NO_ANSWER)
+                        if e == cb.epoch:  # answered in this epoch: no tree reads
+                            hits, spent = hits + 1, spent + t
+                            hit_at, touched = i, False
+                        else:
+                            rec, touched = cb_decode(b), True
+                        a, pos = rec.sym, pos + rec.length + 1
+                        if pos > limit:
+                            raise CorruptStreamError("bit stream truncated")
                     append(a)
                 else:
                     a = symbols[i]
                     rec = lookup(a)
                     if rec is not None and rec.length is not None:
                         j = rec.length
-                        v, k, touched = (1 << j) | codeword(rec), j + 1, True  # flag 1 first
+                        e, base, t = bases[j]
+                        if e == cb.epoch:  # answered in this epoch: no tree reads
+                            hits, spent = hits + 1, spent + t
+                            hit_at, touched = i, False
+                        else:
+                            base, touched = codeword(rec) - rec.index, True
+                        v, k = (1 << j) | (base + rec.index), j + 1  # flag 1 first
                     else:
                         v, k, touched = a, w1, False
                     if wbits + k > WRITE_BATCH:
@@ -240,11 +256,15 @@ class CoderState:
                         touched = True
                 # the ring takes the incoming record, which 4. may have made
                 push(rec)
-                # only codebook events and coded symbols change the touches
+                # only codebook events and tree queries change the touches
                 if touched:
+                    if hit_at == i:  # an answered query shares its step with an event
+                        cb.credit(hits, spent, t)
+                        hits = spent = 0
                     end_step()
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"symbol {self.position + i}: {exc}") from exc
+        cb.credit(hits, spent)
         self.position += count
         if decoding:
             reader.position = pos

@@ -9,7 +9,7 @@ carried window entering as leading events, and only the codebook work runs
 in Python: one time-ordered action list, in the order of CoderState._steps
 (each step's codeword query, then its evicted and its incoming symbol's
 insert, move or remove), closing each step with Codebook.end_step. It
-makes the same codebook calls as the loop does, so the codebook's counters,
+answers and credits queries as the loop does, so the codebook's counters,
 and with them every report field but n and the bits, come out the same.
 
 The decoder must run the codebook to parse a code, but while the codebook
@@ -41,7 +41,8 @@ _BLOCK = 1 << 16  # steps counted per numpy pass
 def encode_blocks(params, symbols, writer):
     """Encode symbols to writer; the same bits and report as CoderState.encode_chunk.
 
-    Each block's codebook work is one time-ordered action list, run in one loop.
+    Each block's codebook work is one time-ordered action list, run in one
+    loop; a query answered from Codebook.bases is credited, not closed.
     """
     sigma, ell, threshold, l_max = params.sigma, params.ell, params.threshold, params.l_max
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
@@ -51,8 +52,9 @@ def encode_blocks(params, symbols, writer):
     crossings = np.array(down, dtype=np.int64)
     insert_length = codeword_length(ell, threshold)
     cb = Codebook(l_max)
-    insert, remove, move, codeword, end_step = (cb.insert, cb.remove, cb.move,
-                                                cb.codeword, cb.end_step)
+    insert, remove, move, codeword, end_step, bases = (cb.insert, cb.remove, cb.move,
+                                                       cb.codeword, cb.end_step, cb.bases)
+    hits = spent = 0  # queries answered from this epoch's entries, and their touches
     coded = {}  # symbol -> record, for coded symbols only
     get, pop = coded.__getitem__, coded.pop
     window = _empty_window(dtype)
@@ -82,7 +84,16 @@ def encode_blocks(params, symbols, writer):
         for act, sym, end in zip(acts[at].tolist(), syms.tolist(), last.tolist()):
             if act == 1:
                 rec = get(sym)
-                push((1 << rec.length) | codeword(rec))  # flag 1 first
+                j = rec.length
+                e, base, t = bases[j]
+                if e == cb.epoch:  # answered in this epoch: no tree reads
+                    push((1 << j) | (base + rec.index))  # flag 1 first
+                    hits, spent = hits + 1, spent + t
+                    if not end:  # an event follows: bill the query to the step it ends
+                        cb.credit(hits, spent, t)
+                        hits = spent = 0
+                    continue  # no end_step: a step of this query alone is credited whole
+                push((1 << j) | codeword(rec))
             elif act == 2:
                 remove(pop(sym))
             elif act == 3:
@@ -103,6 +114,7 @@ def encode_blocks(params, symbols, writer):
         vals[queried] = values
         lens[queried] = np.frexp(vals[queried])[1]
         _emit(writer.write_bits, vals, lens)
+    cb.credit(hits, spent)
     return make_report(params, len(symbols), writer.bit_length - start, cb)
 
 

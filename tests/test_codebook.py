@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swsc.codebook import Codebook, codeword_length, length_bounds
+from swsc.codebook import NO_ANSWER, Codebook, codeword_length, length_bounds
 from swsc.dictionary import CodeRecord
 from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from swsc.params import CoderParams, derive_params
@@ -180,6 +180,9 @@ def test_coded_counts_answered_queries_only():
     with pytest.raises(InternalInconsistencyError):
         cb.codeword(rec_of(9))  # never inserted
     assert cb.coded == 2
+    touches = cb.kraft.touches
+    cb.credit(3, 5)  # three queries answered from the tables, at 5 touches in all
+    assert (cb.coded, cb.kraft.touches) == (5, touches + 5)
 
 
 def test_end_step_keeps_the_most_touches_of_any_step():
@@ -199,6 +202,40 @@ def test_end_step_keeps_the_most_touches_of_any_step():
     cb.codeword(d[1])
     cb.end_step()  # measured from the last step's end, not from the empty one
     assert cb.max_step == 3
+    cb.credit(2, 40)  # answers billed to closed steps: no step of its own
+    cb.end_step()
+    assert cb.max_step == 3
+    cb.credit(2, 4, 2)  # the last 2 touches are the open step's
+    cb.remove(d[2])  # 2 touches of the step's own
+    cb.end_step()
+    assert cb.max_step == 4
+
+
+def answered(entry, cb):
+    """What a coder takes from a bases or peeks entry: its answer if current, else None."""
+    epoch, answer, _ = entry
+    return answer if epoch == cb.epoch else None
+
+
+def test_an_answer_holds_until_the_next_insert_move_or_remove():
+    cb, d = build_example()  # A[1] [10], A[2] [20], A[4] [30, 40, 50, 60]
+    for event, b, before, after in [
+            (lambda: cb.remove(d[30]), 12, 30, 60),  # 60 swaps into 30's slot
+            (lambda: cb.move(d[20], 3), 10, 20, 60),  # A[4] now starts at 10
+            (lambda: cb.insert(d.setdefault(70, rec_of(70)), 3), 10, 60, 70)]:
+        t = cb.kraft.touches
+        assert cb.decode(b) is d[before]
+        assert cb.peeks[b] == (cb.epoch, d[before], cb.kraft.touches - t)  # what it cost
+        t = cb.kraft.touches
+        assert cb.codeword(d[10]) == 0
+        assert cb.bases[1] == (cb.epoch, 0, cb.kraft.touches - t)
+        assert answered(cb.peeks.get(b, NO_ANSWER), cb) is d[before]
+        assert answered(cb.bases[1], cb) == 0
+        event()
+        assert answered(cb.peeks.get(b, NO_ANSWER), cb) is None
+        assert answered(cb.bases[1], cb) is None  # A[1]'s base held, yet the epoch moved
+        assert cb.decode(b) is d[after] and answered(cb.peeks.get(b, NO_ANSWER), cb) is d[after]
+    assert answered(cb.peeks.get(3, NO_ANSWER), cb) is None  # never asked
 
 
 def test_insert_guards():

@@ -84,6 +84,71 @@ def test_reports_frozen(knobs, digest, enc, dec):
                                   *dec, cost)
 
 
+# v1 conformance: per sigma, 8 hex digits for each stream of CONFORMANCE_STREAMS
+# in order. A change of format on purpose updates them and says why.
+CONFORMANCE_DIGESTS = {
+    3: "fa3f0b846c3b15883ec8088e717f653f285c8eef1073b869090cd1cc39ba2fc1d712a823",
+    256: "d35d503bf4d675ba9c84cb83acd63f9b46b340b080d58da980e14afd45cf788a0fbbb39b",
+    4096: "485c57795e2408f3f6dd904c490df6bf18c4c52585ba56e9c8e9491231241634e6a2948d",
+    65536: "f04d5074c923dd8f9d1bec64a7cdab3a8799660b3231c71c72422db4cacf94fda1758ffe",
+    70000: "c3495d44ced3b53f47beca7520dcefdc51e1020026654966ff28a421ba7cdbde2c70ca96",
+    2**24: "32c3ea123e1747d60ffcf1e35fbc5ce5b9564408d7ba2d64cdc0b8de111598a3e230fae8",
+}
+CONFORMANCE_STREAMS = [(dist, lam) for dist in ("uniform", "zipf", "markov")
+                       for lam in (1.0, 2.0, 3.0)]
+
+
+def _conformance_digits(monkeypatch, p, symbols):
+    """8 hex digits over a stream's bytes, reports and decode outcomes.
+
+    They hash the block encoder's bytes and report, the loop's report after
+    each 7-symbol encode_chunk, and the decode_chunks outcome of the stream
+    whole, with each of three payload bit flips and cut at 2/3 of its
+    payload, at _CHUNK 7 and at the default. The block encoder at _BLOCK 7
+    and the decoders with numpy hidden must give the same.
+    """
+    h = hashlib.sha256()
+    blob, report = encode_to_bytes(p, symbols)  # numpy is loaded: the block encoder
+    h.update(blob + repr(report).encode())
+    with monkeypatch.context() as m:
+        m.setattr(vector, "_BLOCK", 7)
+        assert encode_to_bytes(p, symbols) == (blob, report), "the block encoder at _BLOCK 7"
+    state, writer = CoderState(p), BitWriter()
+    for lo in range(0, len(symbols), 7):
+        h.update(repr(state.encode_chunk(symbols[lo:lo + 7], writer)).encode())
+    payload = len(blob) - HEADER_BYTES
+    streams = {"whole": blob, "cut": blob[:HEADER_BYTES + 2 * payload // 3]}
+    for k in (1, 2, 3):
+        bit = 8 * HEADER_BYTES + k * 8 * payload // 4
+        flipped = bytearray(blob)
+        flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+        streams[f"flip {k}"] = bytes(flipped)
+    for name, stream in streams.items():
+        for chunk in (7, coder._CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr(coder, "_CHUNK", chunk)
+                got = _outcome(stream)
+                with _numpy_hidden():
+                    assert _outcome(stream) == got, f"{name} at _CHUNK {chunk}, numpy hidden"
+            h.update(repr(got).encode())
+    return h.hexdigest()[:8]
+
+
+@pytest.mark.parametrize("sigma", sorted(CONFORMANCE_DIGESTS))
+def test_v1_conformance_digest(monkeypatch, sigma):
+    # sigma x {uniform, zipf, markov with min(sigma, 8) states} x lambda {1, 2, 3},
+    # c 1, 1,500 symbols from seed sigma mod 97
+    digits = []
+    for dist, lam in CONFORMANCE_STREAMS:
+        kw = {"states": min(sigma, 8)} if dist == "markov" else {}
+        symbols = generate(dist, sigma=sigma, n=1500, seed=sigma % 97, **kw).tolist()
+        digits.append(_conformance_digits(monkeypatch, derive_params(sigma, lam, 1), symbols))
+    want = CONFORMANCE_DIGESTS[sigma]
+    for i, (dist, lam) in enumerate(CONFORMANCE_STREAMS):
+        assert digits[i] == want[8 * i:8 * i + 8], (
+            f"first differing stream: {dist} lambda {lam:g}; digest {''.join(digits)}")
+
+
 def test_distinct_literals_cost_width_plus_flag():
     p = derive_params(256, 2.0, 10)
     blob, report = encode_to_bytes(p, [10, 20, 30, 40, 50])

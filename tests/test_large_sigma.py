@@ -9,6 +9,7 @@ half, and run each guarantee over a sweep of sigma from 2^20 to 2^32 - 1.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import swsc
-from swsc.analysis import EntropyStats, check_bound, memory_audit
+from swsc.analysis import EntropyStats, check_bound, delta_term, memory_audit
 from swsc.bitio import BitWriter
 from swsc.coder import (_CHUNK, HEADER_BYTES, CoderState, decode_stream, encode_to_bytes,
                         write_symbols)
@@ -218,22 +219,29 @@ def test_sweep_prints_decode_time_per_symbol(sweep, capsys):
     # printed, not gated: the paper's O(log log sigma) per step predicts a
     # flat line at fixed lambda, but timings on a shared host drift. Beside
     # it, the paper's three quantities: the loop encoder's modeled memory,
-    # whose slope against sigma at lambda 4 should sit a little above 1/4;
-    # bits/symbol against lambda * H0; and the worst step's touches against
+    # whose slope against sigma at lambda 4 should sit a little above 1/4,
+    # beside the slope of ell, which the model bills per slot; bits/symbol
+    # against lambda * H0, and bits - H0 against the bound's linear term
+    # lambda ln 2 + 2 + delta; and the worst step's touches against
     # 4 * bitlen(l_max + 1), the log log sigma part of the touch budget
     with capsys.disabled():
         for r in sweep:
             p = r["p"]
             us = 1e6 * r["decode_s"] / r["n"]
+            linear = p.lam * math.log(2) + 2 + delta_term(p.lam, p.c)
             print(f"\n  sweep sigma {p.sigma} lambda {p.lam:g} {r['dist']}: "
                   f"n {r['n']}, decode {us:.2f} us/sym, memory {r['memory']} B, "
                   f"{r['bits']:.3f} bits/sym against lambda*H0 {r['lam_h0']:.3f}, "
+                  f"bits - H0 {r['bits'] - r['lam_h0'] / p.lam:.3f} against "
+                  f"lambda ln 2 + 2 + delta {linear:.3f}, "
                   f"worst step {r['touches']} of {4 * (p.l_max + 1).bit_length()} touches",
                   end="")
         for dist in ("uniform", "zipf"):
             cells = [r for r in sweep if r["dist"] == dist and r["p"].lam == 4.0]
-            slope = np.polyfit(np.log([r["p"].sigma for r in cells]),
-                               np.log([r["memory"] for r in cells]), 1)[0]
-            print(f"\n  sweep lambda 4 {dist}: memory slope {slope:.3f} against "
-                  f"1/lambda 0.250, over sigma {[r['p'].sigma for r in cells]}", end="")
+            log_sigma = np.log([r["p"].sigma for r in cells])
+            slope = np.polyfit(log_sigma, np.log([r["memory"] for r in cells]), 1)[0]
+            ell_slope = np.polyfit(log_sigma, np.log([r["p"].ell for r in cells]), 1)[0]
+            print(f"\n  sweep lambda 4 {dist}: memory slope {slope:.3f}, ell slope "
+                  f"{ell_slope:.3f}, against 1/lambda 0.250, over sigma "
+                  f"{[r['p'].sigma for r in cells]}", end="")
         print()

@@ -105,6 +105,20 @@ def test_only_make_report_builds_a_coder_report():
     assert builds == ["coder.py: make_report"]
 
 
+def test_only_the_codebook_stores_the_report_counters():
+    # the codebook owns coded, max_step and the step start, and shares
+    # touches with the partial sums; a coder credits them, never assigns them
+    owners = {"coded": ["codebook.py"], "max_step": ["codebook.py"],
+              "_step_start": ["codebook.py"], "touches": ["codebook.py", "partial_sums.py"]}
+    stores = []
+    for path in sorted(Path(swsc.__file__).parent.glob("*.py")):
+        stores += [f"{path.name}:{node.lineno}: {node.attr}"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and path.name not in owners.get(node.attr, [path.name])]
+    assert stores == []
+
+
 def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
