@@ -52,7 +52,11 @@ class EntropyStats:
 
     @classmethod
     def from_symbols(cls, symbols) -> "EntropyStats":
-        counts = Counter(symbols)
+        return cls.from_counts(Counter(symbols))
+
+    @classmethod
+    def from_counts(cls, counts: Counter) -> "EntropyStats":
+        """The stats of a histogram, as a Counter updated chunk by chunk builds it."""
         n = sum(counts.values())
         return cls(n=n, counts=counts, h0=entropy(counts, n))
 

@@ -3,6 +3,9 @@
 The writer pads the final byte with zero bits; the reader mirrors that by
 letting peeks past the end read as zeros, while consuming past the end is a
 corrupt-stream error, and so is anything but that padding after the end.
+Either end can hold just a window of the payload: the writer hands over its
+whole bytes as it goes (take), and the reader's data may be a slice of the
+payload that slide moves on, while its limit stays the payload's end.
 """
 
 from .errors import CorruptStreamError
@@ -26,17 +29,18 @@ def window(data, pos: int) -> tuple[int, int]:
 class BitWriter:
     """Accumulates bits most-significant-first and emits whole bytes."""
 
-    __slots__ = ("_buf", "_acc", "_nbits")
+    __slots__ = ("_buf", "_acc", "_nbits", "_taken")
 
     def __init__(self):
         self._buf = bytearray()
         self._acc = 0
         self._nbits = 0
+        self._taken = 0  # bytes handed over by take
 
     @property
     def bit_length(self) -> int:
         """Bits written so far; after finish, the padding counts too."""
-        return 8 * len(self._buf) + self._nbits
+        return 8 * (self._taken + len(self._buf)) + self._nbits
 
     def write_bits(self, value: int, count: int) -> None:
         """Write the count-bit value, most significant bit first."""
@@ -54,8 +58,14 @@ class BitWriter:
         self._acc = acc
         self._nbits = n
 
+    def take(self) -> bytearray:
+        """Hand over the whole bytes written since the last take; they leave the writer."""
+        done, self._buf = self._buf, bytearray()
+        self._taken += len(done)
+        return done
+
     def finish(self) -> bytes:
-        """Flush, zero-padding the last partial byte, and return the bytes."""
+        """Flush, zero-padding the last partial byte, and return the bytes not yet taken."""
         if self._nbits:
             self._buf.append((self._acc << (8 - self._nbits)) & 0xFF)
             self._acc = 0
@@ -66,18 +76,27 @@ class BitWriter:
 class BitReader:
     """Reads bits most-significant-first from a byte string.
 
-    Its state is data, position (the bit cursor) and limit (the bits in
-    data); the decoder reads and advances them directly. peek_bits never
-    fails at the end of data: missing bits read as zeros. consume is bounded
-    by the real data.
+    Its state is data, position (the bit cursor) and limit (the payload's
+    bits); the decoder reads and advances them directly. data holds the
+    payload from its first byte, or only a window of it: then position and
+    limit count from data's first byte, and slide moves the window on.
+    peek_bits never fails at the end of data: missing bits read as zeros.
+    consume is bounded by limit, the real payload.
     """
 
     __slots__ = ("data", "position", "limit")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, limit: int | None = None):
         self.data = data
         self.position = 0
-        self.limit = 8 * len(data)
+        self.limit = 8 * len(data) if limit is None else limit
+
+    def slide(self, more: bytes) -> None:
+        """Drop data's whole bytes before the cursor and append more to it."""
+        q = self.position >> 3
+        self.data = bytes(self.data[q:]) + more
+        self.position -= 8 * q
+        self.limit -= 8 * q
 
     def peek_bits(self, count: int) -> int:
         """Return the next count bits without advancing; zeros past the end."""
@@ -96,9 +115,9 @@ class BitReader:
         self.position = pos
 
     def finish(self) -> None:
-        """Check that only the writer's zero padding follows the cursor."""
+        """Check that only the writer's zero padding follows the cursor to limit."""
         pos = self.position
-        extra = len(self.data) - ((pos + 7) >> 3)
+        extra = (self.limit >> 3) - ((pos + 7) >> 3)
         if extra:
             raise CorruptStreamError(f"{extra} trailing bytes after the payload")
         if pos & 7 and self.data[pos >> 3] & ((1 << (8 - (pos & 7))) - 1):

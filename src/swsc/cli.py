@@ -4,11 +4,21 @@ Exit codes: 0 success, 2 usage, 3 I/O failure, 4 corrupt stream,
 5 parameter error. File arguments accept '-' for the standard streams.
 Reports for commands that produce data go to stderr so piped output stays
 clean; --json switches reports to a single JSON document.
+
+encode, decode and stats read a regular file a chunk at a time, and encode
+and decode write one a chunk at a time, so a file-to-file run holds the
+coder's window and one chunk, not the file. stdin is read whole first, as
+its length is unknown, and stdout gets one write at the end. A file output
+is written under a temporary name in the same directory and renamed once
+the whole stream has coded, so a failed run leaves no output behind.
 """
 
 import argparse
+import io
 import json
+import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import analysis, coder, dictionary
@@ -16,20 +26,45 @@ from .errors import CorruptStreamError, ParameterError
 from .params import DISTRIBUTIONS, derive_params
 
 
-def _read_bytes(path: str) -> bytes:
+def _open_input(path: str):
+    """path opened for reading, seekable: stdin or a pipe is read whole first."""
     if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+        return io.BytesIO(sys.stdin.buffer.read())
+    fh = open(path, "rb")
+    if fh.seekable():
+        return fh
+    with fh:
+        return io.BytesIO(fh.read())
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_to(path: str, produce):
+    """Call produce(sink) and let path have what it writes only if it returns.
+
+    A regular or new file is written under a temporary name in its own
+    directory, renamed over path at the end and removed on any failure.
+    stdout ('-') and any other existing path, such as /dev/null, get the
+    bytes buffered, in one write at the end. Returns what produce returns.
+    """
+    if path != "-" and (os.path.isfile(path) or not os.path.exists(path)):
+        tmp = f"{path}.{os.getpid()}.tmp"
+        fh = open(tmp, "xb")  # never another's file: that one is left alone
+        try:
+            with fh:
+                result = produce(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+        return result
+    buf = io.BytesIO()
+    result = produce(buf)
     if path == "-":
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(buf.getvalue())
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.write(buf.getvalue())
+    return result
 
 
 def _text_lines(section: dict) -> list[str]:
@@ -54,15 +89,24 @@ def _params_doc(params) -> dict:
 
 def _cmd_encode(args) -> int:
     params = derive_params(args.sigma, args.lam, args.c)
-    symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
-                                      args.symbol_bytes)
-    blob, report = coder.encode_to_bytes(params, symbols)
-    _write_bytes(args.output, blob)
+    counts = Counter() if args.verify_bound else None  # the symbols, chunk by chunk
+    with _open_input(args.input) as source:
+        n, chunks = coder.read_symbol_chunks(source, args.sigma, args.symbol_bytes)
+
+        def encode(sink):
+            encoder = coder.Encoder(params, sink, n)
+            for symbols in chunks:
+                encoder.feed(symbols)
+                if counts is not None:
+                    counts.update(symbols)
+            return encoder.finish()
+
+        report = _write_to(args.output, encode)
     doc = {"command": "encode", "params": _params_doc(params),
            "report": asdict(report)}
     lines = _text_lines(doc["report"])
     if args.verify_bound:
-        stats = analysis.EntropyStats.from_symbols(symbols)
+        stats = analysis.EntropyStats.from_counts(counts)
         bound = analysis.check_bound(report, stats, params)
         doc["stats"] = stats.to_dict()
         doc["bound"] = asdict(bound)
@@ -75,18 +119,22 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    data = _read_bytes(args.input)
-    params, _n = coder.read_header(data)
-    for name, given, actual in (("sigma", args.sigma, params.sigma),
-                                ("lambda", args.lam, params.lam),
-                                ("c", args.c, params.c)):
-        if given is not None and given != actual:
-            raise ParameterError(
-                f"--{name} {given} contradicts the stream header ({actual})")
-    raw = bytearray()  # nothing is written unless the whole stream decodes
-    for symbols, report in coder.decode_chunks(data):
-        raw += coder.write_symbols(symbols, params.sigma, args.symbol_bytes)
-    _write_bytes(args.output, raw)
+    with _open_input(args.input) as source:
+        decoder = coder.Decoder(source)
+        params = decoder.params
+        for name, given, actual in (("sigma", args.sigma, params.sigma),
+                                    ("lambda", args.lam, params.lam),
+                                    ("c", args.c, params.c)):
+            if given is not None and given != actual:
+                raise ParameterError(
+                    f"--{name} {given} contradicts the stream header ({actual})")
+
+        def decode(sink):
+            for symbols, report in decoder:
+                sink.write(coder.write_symbols(symbols, params.sigma, args.symbol_bytes))
+            return report
+
+        report = _write_to(args.output, decode)
     doc = {"command": "decode", "params": _params_doc(params),
            "backend": dictionary.choose_backend(None, params.sigma),
            "report": asdict(report)}
@@ -95,9 +143,12 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    symbols = coder.read_symbol_array(_read_bytes(args.input), args.sigma,
-                                      args.symbol_bytes)
-    stats = analysis.EntropyStats.from_symbols(symbols)
+    counts = Counter()
+    with _open_input(args.input) as source:
+        _, chunks = coder.read_symbol_chunks(source, args.sigma, args.symbol_bytes)
+        for symbols in chunks:
+            counts.update(symbols)
+    stats = analysis.EntropyStats.from_counts(counts)
     doc = {"command": "stats", "sigma": args.sigma, "stats": stats.to_dict()}
     _emit_report(doc, _text_lines(doc["stats"]), args, sys.stdout)
     return 0
@@ -108,7 +159,8 @@ def _cmd_gen(args) -> int:
 
     arr = corpus.generate(args.dist, args.sigma, args.n, args.seed, s=args.s,
                           states=args.states, stickiness=args.stickiness)
-    _write_bytes(args.output, coder.write_symbols(arr, args.sigma, args.symbol_bytes))
+    raw = coder.write_symbols(arr, args.sigma, args.symbol_bytes)
+    _write_to(args.output, lambda sink: sink.write(raw))
     return 0
 
 

@@ -29,15 +29,19 @@ bit are corrupt.
 Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 4 bytes per symbol, the smallest width covering sigma - 1.
 
-Encode and decode each have two paths, which give the same bytes, symbols,
-reports and errors. CoderState._steps is the online loop: the stepping API
-and the CLI run on it, and so do encode_stream and decode_chunks when numpy
-is not loaded. When numpy is already imported, encode_stream hands the whole
-stream to the block encoder in swsc.vector, which counts the window in numpy
-and runs only the codebook in Python; decode_chunks decodes whole chunks of
-literals with no codebook insert with the block decoder there, and the loop
-decodes the first chunk that is not, from its first symbol, and the rest.
-Between two codebook events, both read a repeat query's answer off the codebook.
+Every whole stream goes through Encoder and Decoder, which code it piece by
+piece: encode_stream feeds an Encoder its whole input, the CLI a file's
+symbols a chunk at a time, and decode_chunks and decode_stream iterate a
+Decoder, which reads a file's payload one chunk's span at a time. Encode
+and decode each have two paths, which give the same bytes, symbols, reports
+and errors. CoderState._steps is the online loop: the stepping API and the
+CLI run on it, and so do Encoder and Decoder when numpy is not loaded. When
+numpy is already imported, Encoder hands each feed to the block encoder in
+swsc.vector, which counts the window in numpy and runs only the codebook in
+Python; Decoder decodes whole chunks of literals with no codebook insert
+with the block decoder there, and the loop decodes the first chunk that is
+not, from its first symbol, and the rest. Between two codebook events, both
+read a repeat query's answer off the codebook.
 """
 
 import io
@@ -59,8 +63,8 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBIIIBBQdI")
 HEADER_BYTES = _HEADER.size
 
-# symbols per encode_chunk/decode_chunk call in the whole-stream functions, so
-# a stream is coded holding O(ell + _CHUNK) Python objects, not O(n)
+# symbols per loop call and per Decoder chunk, so a stream is coded holding
+# O(ell + _CHUNK) Python objects, not O(n)
 _CHUNK = 1 << 14
 
 
@@ -351,32 +355,150 @@ def read_header(data: bytes) -> tuple[CoderParams, int]:
     return params, n
 
 
+class Encoder:
+    """Encode a stream of n symbols to the binary sink out, fed piece by piece.
+
+    Each feed codes its symbols and writes their whole bytes to out, the
+    header before the first; finish writes the last byte. Any split of the
+    symbols into feeds writes the same bytes and returns the same reports.
+    With numpy already imported, the block encoder of swsc.vector codes each
+    feed whole, with no dictionary; otherwise CoderState codes it _CHUNK
+    symbols at a time, so the loop holds O(ell + _CHUNK) Python objects. A
+    feed that raises writes nothing of itself and leaves the encoder
+    unusable. A feed past n symbols, or a finish short of them, raises
+    ParameterError.
+    """
+
+    def __init__(self, params: CoderParams, out, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ParameterError(f"a stream holds a count of symbols, not {n!r}")
+        self.params, self.n, self.position = params, n, 0
+        self._out = out
+        self._writer = BitWriter()
+        self._report = None  # the report after the last feed
+        if "numpy" in sys.modules:  # never import numpy just to encode
+            from .vector import BlockEncoder
+
+            self._coder, self._piece = BlockEncoder(params), None
+        else:
+            self._coder, self._piece = CoderState(params), _CHUNK
+
+    def feed(self, symbols) -> "CoderReport":
+        """Encode the next symbols; returns the report of all fed so far."""
+        total = self.position + len(symbols)
+        if total > self.n:
+            raise ParameterError(f"{total} symbols fed to a stream of {self.n}")
+        code, writer, piece = self._coder.encode_chunk, self._writer, self._piece
+        first = self._report is None
+        if piece is None or len(symbols) <= piece:  # one call: no copy of the symbols
+            self._report = code(symbols, writer)
+        else:
+            for lo in range(0, len(symbols), piece):
+                self._report = code(symbols[lo:lo + piece], writer)
+        if first:
+            write_header(self._out, self.params, self.n)
+        self.position = total
+        self._out.write(writer.take())
+        return self._report
+
+    def finish(self) -> "CoderReport":
+        """Write the payload's last byte; returns the whole stream's report."""
+        if self.position != self.n:
+            raise ParameterError(f"{self.position} symbols fed to a stream of {self.n}")
+        if self._report is None:  # nothing fed: an empty stream
+            self.feed([])
+        self._out.write(self._writer.finish())
+        return self._report
+
+
+class Decoder:
+    """Decode a stream chunk by chunk; iterating yields (symbols, report so far).
+
+    source is the stream as bytes or a memoryview, whose payload the reader
+    takes whole with no copy, or a seekable binary file, read from its
+    position. The header is read when the Decoder is built; params and n
+    are its fields. A Decoder is iterated once. A file's payload is read one
+    chunk's span at a time: no code is longer than width + 1 bits, so a
+    chunk reads at most _CHUNK times that, and the decoder holds
+    O(ell + _CHUNK) of the stream. Every source gives the same chunks,
+    reports and errors.
+
+    Each chunk holds at most _CHUNK symbols; an empty stream yields one
+    empty chunk. Every symbol costs at least its flag bit, so a count above
+    the payload's bits is rejected before any chunk. The end of the stream
+    is checked before the last chunk is yielded, so its report is the whole
+    stream's. backend is as for choose_backend, whatever the header's flag
+    says, and never changes the result. With numpy already imported, the
+    block decoder of swsc.vector decodes whole chunks of literals in numpy
+    and hands off to CoderState at the start of the first chunk that
+    inserts into the codebook or holds any other code; otherwise CoderState
+    decodes every chunk.
+    """
+
+    def __init__(self, source, backend: str | None = None):
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            data = memoryview(source)
+            self.params, self.n = read_header(data)
+            self._file, payload = None, data[HEADER_BYTES:]  # the payload, not a copy
+            size = len(payload)
+        else:
+            self.params, self.n = read_header(source.read(HEADER_BYTES))
+            self._file, payload = source, b""
+            here = source.tell()
+            size = source.seek(0, io.SEEK_END) - here
+            source.seek(here)
+        self._reader = BitReader(payload, 8 * size)
+        self._backend = backend
+
+    def __iter__(self):
+        n, reader = self.n, self._reader
+        if n > reader.limit:
+            raise CorruptStreamError(f"{n} symbols cannot fit in {reader.limit} payload bits")
+        state = CoderState(self.params, backend=self._backend)
+        decode = state.decode_chunk
+        if "numpy" in sys.modules:  # never import numpy just to decode
+            from .vector import block_decoder
+
+            decode = block_decoder(state)
+        for lo in range(0, n or 1, _CHUNK):
+            count = min(_CHUNK, n - lo)
+            self._fill(count)
+            symbols, report = decode(reader, count)
+            if lo + _CHUNK >= n:
+                reader.finish()
+            yield symbols, report
+
+    def _fill(self, count):
+        """Have the reader's window hold every byte the next count codes can read.
+
+        No code, and no peek of the decode loop, reaches past width + 1 bits
+        from its start; bits the bit window reads beyond those are masked off.
+        """
+        r = self._reader
+        end = min(((r.position + count * (self.params.width + 1)) >> 3) + 1, r.limit >> 3)
+        want = end - len(r.data)
+        if want > 0:  # only a file's window falls short
+            more = self._file.read(want)
+            r.slide(more)
+            if len(more) < want:  # the file ended before its size: the stream is cut there
+                r.limit = 8 * len(r.data)
+
+
 def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
                   seed: int = 0) -> CoderReport:
     """Encode a symbol sequence to the binary sink out; returns the report.
 
     symbols is any sliceable sequence of ints: a list, array.array or numpy
-    array. backend is checked as choose_backend checks it and has no other
-    effect: the loop encoder runs the dictionary sigma selects. With numpy
-    already imported, the block encoder of swsc.vector codes it with
-    no dictionary; otherwise CoderState codes it _CHUNK symbols at a time.
-    Both give the same bytes and the same report. Nothing is written to out
-    unless the whole stream codes. seed is accepted and ignored; it goes
-    with ROADMAP item 1.
+    array. It goes to an Encoder in one feed, which checks every symbol
+    before it writes any byte, so nothing is written to out for a rejected
+    input. backend is checked as choose_backend checks it and has no other
+    effect: the loop encoder runs the dictionary sigma selects. seed is
+    accepted and ignored; it goes with ROADMAP item 1.
     """
     choose_backend(backend, params.sigma)  # a rejected backend raises before coding
-    writer = BitWriter()
-    if "numpy" in sys.modules:  # never import numpy just to encode
-        from .vector import encode_blocks
-
-        report = encode_blocks(params, symbols, writer)
-    else:
-        state = CoderState(params)
-        for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty input: one empty chunk
-            report = state.encode_chunk(symbols[lo:lo + _CHUNK], writer)
-    write_header(out, params, len(symbols))
-    out.write(writer.finish())
-    return report
+    encoder = Encoder(params, out, len(symbols))
+    encoder.feed(symbols)
+    return encoder.finish()
 
 
 def encode_to_bytes(params: CoderParams, symbols, backend: str | None = None,
@@ -387,35 +509,13 @@ def encode_to_bytes(params: CoderParams, symbols, backend: str | None = None,
     return out.getvalue(), report
 
 
-def decode_chunks(data, backend: str | None = None):
-    """Decode a complete stream's bytes chunk by chunk; yields (symbols, report so far).
+def decode_chunks(source, backend: str | None = None):
+    """Iterate a Decoder of source: a stream's bytes, a memoryview or a binary file.
 
-    Each chunk holds at most _CHUNK symbols; an empty stream yields one empty
-    chunk. Every symbol costs at least its flag bit, so a count above the
-    payload's bits is rejected before any chunk. The end of the stream is
-    checked before the last chunk is yielded, so its report is the whole
-    stream's. backend is as for decode_stream. With numpy already imported,
-    the block decoder of swsc.vector decodes whole chunks of literals in
-    numpy and hands off to CoderState at the start of the first chunk that
-    inserts into the codebook or holds any other code; otherwise CoderState
-    decodes every chunk. Both yield the same chunks and raise the same errors.
+    Yields (symbols, report so far) per chunk. Nothing is read, and no error
+    raised, until the first chunk is asked for.
     """
-    params, n = read_header(data)
-    bits = 8 * (len(data) - HEADER_BYTES)
-    if n > bits:
-        raise CorruptStreamError(f"{n} symbols cannot fit in {bits} payload bits")
-    state = CoderState(params, backend=backend)
-    decode = state.decode_chunk
-    if "numpy" in sys.modules:  # never import numpy just to decode
-        from .vector import block_decoder
-
-        decode = block_decoder(state)
-    reader = BitReader(memoryview(data)[HEADER_BYTES:])  # the payload, not a copy
-    for lo in range(0, n or 1, _CHUNK):
-        symbols, report = decode(reader, min(_CHUNK, n - lo))
-        if lo + _CHUNK >= n:
-            reader.finish()
-        yield symbols, report
+    yield from Decoder(source, backend=backend)
 
 
 def decode_stream(data, backend: str | None = None,
@@ -424,11 +524,11 @@ def decode_stream(data, backend: str | None = None,
 
     backend is as for choose_backend, whatever the header's flag says, and
     never changes the result; a rejected one raises before any decoding.
-    decode_chunks picks the decoder, by whether numpy is loaded. seed is
+    The Decoder picks the decoder, by whether numpy is loaded. seed is
     accepted and ignored; it goes with ROADMAP item 1.
     """
     symbols = []
-    for chunk, report in decode_chunks(data, backend=backend):
+    for chunk, report in Decoder(data, backend=backend):
         symbols += chunk
     return symbols, report
 
@@ -454,6 +554,28 @@ def write_symbols(symbols, sigma: int, sym_bytes: int | None = None) -> bytes:
     if sys.byteorder == "big":
         arr.byteswap()
     return arr.tobytes()
+
+
+def read_symbol_chunks(source, sigma: int, sym_bytes: int | None = None):
+    """(n, chunks): a raw symbol file's symbol count and an iterator over its symbols.
+
+    source is a seekable binary file, read from its position to its end.
+    Its length must be a multiple of the symbol width, which is checked
+    first; then each chunk of up to _CHUNK symbols is read, and checked, as
+    read_symbol_array reads it.
+    """
+    width = array(_raw_typecode(sigma, sym_bytes)).itemsize
+    here = source.tell()
+    size = source.seek(0, io.SEEK_END) - here
+    source.seek(here)
+    if size % width:
+        raise ParameterError(f"raw input length {size} is not a multiple of {width} bytes")
+
+    def chunks():
+        for _ in range(0, size, _CHUNK * width):
+            yield read_symbol_array(source.read(_CHUNK * width), sigma, sym_bytes)
+
+    return size // width, chunks()
 
 
 def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:

@@ -14,15 +14,18 @@ and with them every report field but n and the bits, come out the same.
 
 The decoder must run the codebook to parse a code, but while the codebook
 is empty every code is a flag 0 and a width-bit literal. So block_decoder
-slices a chunk's codes as fixed fields and counts the window the same way,
-and commits the chunk only when every code is such a literal and no step
-inserts. The first chunk that is not commits nothing: a CoderState takes the
-window at that chunk's start, and its loop decodes the rest of the stream.
+slices a chunk's codes as fixed fields, out of the reader's window of the
+payload, and counts the window the same way, and commits the chunk only
+when every code is such a literal and no step inserts. The first chunk that
+is not commits nothing: a CoderState takes the window at that chunk's
+start, and its loop decodes the rest of the stream.
 
 Working memory is O(ell + _BLOCK): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
 indexed by symbol. Symbols are only compared and sorted, never combined into
-wider keys, so sigma up to 2**32 - 1 cannot overflow.
+wider keys, so sigma up to 2**32 - 1 cannot overflow. Both carry their
+state from call to call, so swsc.coder's Encoder and Decoder can feed them
+a stream piece by piece.
 
 swsc.coder imports this module, and numpy with it, only when numpy is
 already loaded; the CLI and `import swsc` never do.
@@ -38,84 +41,106 @@ from .dictionary import CodeRecord, symbol_model_bytes
 _BLOCK = 1 << 16  # steps counted per numpy pass
 
 
-def encode_blocks(params, symbols, writer):
-    """Encode symbols to writer; the same bits and report as CoderState.encode_chunk.
+class BlockEncoder:
+    """CoderState.encode_chunk's bits and reports, the window counted in numpy.
 
-    Each block's codebook work is one time-ordered action list, run in one
-    loop; a query answered from Codebook.bases is credited, not closed.
+    It carries the window, the codebook and the coded symbols' records from
+    one call to the next, so any split of a stream into calls gives the same
+    bits and reports. Each call's codebook work is one time-ordered action
+    list per block, run in one loop; a query answered from Codebook.bases is
+    credited, not closed, and the credits are handed over before the call
+    returns its report.
     """
-    sigma, ell, threshold, l_max = params.sigma, params.ell, params.threshold, params.l_max
-    dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
-    down, _ = length_bounds(ell, l_max)
-    # a count reaching one of these leaves its length class: f is in class j
-    # iff down[j] <= f < down[j - 1]
-    crossings = np.array(down, dtype=np.int64)
-    insert_length = codeword_length(ell, threshold)
-    cb = Codebook(l_max)
-    insert, remove, move, codeword, end_step, bases = (cb.insert, cb.remove, cb.move,
-                                                       cb.codeword, cb.end_step, cb.bases)
-    hits = spent = 0  # queries answered from this epoch's entries, and their touches
-    coded = {}  # symbol -> record, for coded symbols only
-    get, pop = coded.__getitem__, coded.pop
-    window = _empty_window(dtype)
-    start = writer.bit_length
-    for lo in range(0, len(symbols), _BLOCK):
-        blk = _checked(symbols[lo:lo + _BLOCK], sigma, lo, dtype)
-        size = len(blk)
-        window, gone, evicts, fe, fa = _slide(window, blk, ell)
-        fb = fa - 1 + (evicts & (gone == blk))  # the incoming count before the step
-        # each step's actions, coded 0 for none: 1 its codeword query; then
-        # 2 or 3 when the evicted count falls below the threshold or into a
-        # longer class; then 4 or 5 when the incoming one reaches the
-        # threshold or a shorter class
-        queried = fb >= threshold
-        e_kind = np.where(fe == threshold - 1, 2, 0)
-        e_kind[(fe >= threshold) & np.isin(fe + 1, crossings)] = 3
-        e_kind[~evicts] = 0
-        a_kind = np.where(fa == threshold, 4, 0)
-        a_kind[(fa > threshold) & np.isin(fa, crossings)] = 5
-        # row-major, action 3 * step + phase sits at that index, in time order
-        acts = np.stack((queried, e_kind, a_kind), axis=1).ravel()
-        at = np.flatnonzero(acts)
-        syms = np.stack((blk, gone, blk), axis=1).ravel()[at]
-        last = np.append(np.diff(at // 3) > 0, True)  # a step's last action
-        values = []
-        push = values.append
-        for act, sym, end in zip(acts[at].tolist(), syms.tolist(), last.tolist()):
-            if act == 1:
-                rec = get(sym)
-                j = rec.length
-                e, base, t = bases[j]
-                if e == cb.epoch:  # answered in this epoch: no tree reads
-                    push((1 << j) | (base + rec.index))  # flag 1 first
-                    hits, spent = hits + 1, spent + t
-                    if not end:  # an event follows: bill the query to the step it ends
-                        cb.credit(hits, spent, t)
-                        hits = spent = 0
-                    continue  # no end_step: a step of this query alone is credited whole
-                push((1 << j) | codeword(rec))
-            elif act == 2:
-                remove(pop(sym))
-            elif act == 3:
-                rec = get(sym)
-                move(rec, rec.length + 1)
-            elif act == 4:
-                rec = coded[sym] = CodeRecord(None, sym)  # the count is in numpy
-                insert(rec, insert_length)
-            else:
-                rec = get(sym)
-                move(rec, rec.length - 1)
-            if end:
-                end_step()
-        # a literal is flag 0 then the width-bit symbol; a code is flag 1 then
-        # its codeword, at most 33 bits, so frexp gives its exact bit length
-        vals = blk.astype(np.uint64)
-        lens = np.full(size, params.width + 1, np.int64)
-        vals[queried] = values
-        lens[queried] = np.frexp(vals[queried])[1]
-        _emit(writer.write_bits, vals, lens)
-    cb.credit(hits, spent)
-    return make_report(params, len(symbols), writer.bit_length - start, cb)
+
+    def __init__(self, params):
+        self.params = params
+        self._dtype = np.dtype(f"u{symbol_model_bytes(params.sigma)}")
+        down, _ = length_bounds(params.ell, params.l_max)
+        # a count reaching one of these leaves its length class: f is in class j
+        # iff down[j] <= f < down[j - 1]
+        self._crossings = np.array(down, dtype=np.int64)
+        self._insert_length = codeword_length(params.ell, params.threshold)
+        self.codebook = Codebook(params.l_max)
+        self._coded = {}  # symbol -> record, for coded symbols only
+        self._window = _empty_window(self._dtype)
+        self.position = 0  # symbols encoded
+        self._bits = 0  # payload bits, carried across calls for the report
+
+    def encode_chunk(self, symbols, writer):
+        """Encode symbols to writer; returns the report of all encoded so far.
+
+        A symbol the encoder rejects raises before its block is coded, so a
+        call that raises may have coded the blocks before it.
+        """
+        params = self.params
+        sigma, ell, threshold = params.sigma, params.ell, params.threshold
+        crossings, insert_length = self._crossings, self._insert_length
+        cb = self.codebook
+        insert, remove, move, codeword, end_step, bases = (cb.insert, cb.remove, cb.move,
+                                                           cb.codeword, cb.end_step, cb.bases)
+        hits = spent = 0  # queries answered from this epoch's entries, and their touches
+        coded = self._coded
+        get, pop = coded.__getitem__, coded.pop
+        start = writer.bit_length
+        for lo in range(0, len(symbols), _BLOCK):
+            blk = _checked(symbols[lo:lo + _BLOCK], sigma, self.position + lo, self._dtype)
+            size = len(blk)
+            self._window, gone, evicts, fe, fa = _slide(self._window, blk, ell)
+            fb = fa - 1 + (evicts & (gone == blk))  # the incoming count before the step
+            # each step's actions, coded 0 for none: 1 its codeword query; then
+            # 2 or 3 when the evicted count falls below the threshold or into a
+            # longer class; then 4 or 5 when the incoming one reaches the
+            # threshold or a shorter class
+            queried = fb >= threshold
+            e_kind = np.where(fe == threshold - 1, 2, 0)
+            e_kind[(fe >= threshold) & np.isin(fe + 1, crossings)] = 3
+            e_kind[~evicts] = 0
+            a_kind = np.where(fa == threshold, 4, 0)
+            a_kind[(fa > threshold) & np.isin(fa, crossings)] = 5
+            # row-major, action 3 * step + phase sits at that index, in time order
+            acts = np.stack((queried, e_kind, a_kind), axis=1).ravel()
+            at = np.flatnonzero(acts)
+            syms = np.stack((blk, gone, blk), axis=1).ravel()[at]
+            last = np.append(np.diff(at // 3) > 0, True)  # a step's last action
+            values = []
+            push = values.append
+            for act, sym, end in zip(acts[at].tolist(), syms.tolist(), last.tolist()):
+                if act == 1:
+                    rec = get(sym)
+                    j = rec.length
+                    e, base, t = bases[j]
+                    if e == cb.epoch:  # answered in this epoch: no tree reads
+                        push((1 << j) | (base + rec.index))  # flag 1 first
+                        hits, spent = hits + 1, spent + t
+                        if not end:  # an event follows: bill the query to the step it ends
+                            cb.credit(hits, spent, t)
+                            hits = spent = 0
+                        continue  # no end_step: a step of this query alone is credited whole
+                    push((1 << j) | codeword(rec))
+                elif act == 2:
+                    remove(pop(sym))
+                elif act == 3:
+                    rec = get(sym)
+                    move(rec, rec.length + 1)
+                elif act == 4:
+                    rec = coded[sym] = CodeRecord(None, sym)  # the count is in numpy
+                    insert(rec, insert_length)
+                else:
+                    rec = get(sym)
+                    move(rec, rec.length - 1)
+                if end:
+                    end_step()
+            # a literal is flag 0 then the width-bit symbol; a code is flag 1 then
+            # its codeword, at most 33 bits, so frexp gives its exact bit length
+            vals = blk.astype(np.uint64)
+            lens = np.full(size, params.width + 1, np.int64)
+            vals[queried] = values
+            lens[queried] = np.frexp(vals[queried])[1]
+            _emit(writer.write_bits, vals, lens)
+        cb.credit(hits, spent)
+        self.position += len(symbols)
+        self._bits += writer.bit_length - start
+        return make_report(params, self.position, self._bits, cb)
 
 
 def block_decoder(state):
@@ -123,7 +148,7 @@ def block_decoder(state):
 
     While the codebook is empty every code is a flag 0 and a width-bit
     literal, so numpy slices a chunk's codes as fixed fields and counts the
-    window as encode_blocks does. It commits a chunk only whole: each of its
+    window as BlockEncoder does. It commits a chunk only whole: each of its
     codes such a literal (flag bit 0, a value below sigma, within the
     payload) and no incoming count reaching the threshold, the first
     codebook insert. The first chunk that fails this commits nothing: the

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from swsc.bitio import BitWriter
 from swsc.cli import run
 from swsc.coder import HEADER_BYTES
 from swsc.errors import CorruptStreamError
+from test_coder import _numpy_hidden
 
 
 def test_params_command_prints_derived_constants(capsys):
@@ -330,8 +332,47 @@ def test_cli_decode_of_a_stream_cut_mid_way_writes_nothing(tmp_path, capsysbinar
     assert run(["decode", str(whole), "-"]) == 0  # stdout is captured
     assert capsysbinary.readouterr().out == coder.write_symbols(syms, 256)
     assert run(["decode", str(bad), str(out)]) == 4
-    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["cut.swsc", "whole.swsc"]  # no temporary file
     assert run(["decode", str(bad), "-"]) == 4
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert b"truncated" in captured.err
+
+
+def test_a_failed_encode_leaves_neither_output_nor_temporary_file(tmp_path, capsys):
+    # the only out-of-range symbol sits in the last chunk, after the others coded
+    syms = corpus.generate("uniform", 200, 2 * coder._CHUNK + 100, seed=3).tolist()
+    syms[-1] = 250
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(bytes(syms))
+    assert run(["encode", str(raw), str(tmp_path / "p.swsc"), "--sigma", "200"]) == 5
+    assert "symbol 250 out of range" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["raw.bin"]
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_cli_memory_does_not_grow_with_n(tmp_path, capsys, command):
+    # file to file in process, with numpy hidden as in a CLI process: the
+    # tracemalloc peak at ell + 12 chunks is within 512 KB of the one at
+    # ell + 2, although the input grows by 10 chunks of 2-byte symbols
+    p = swsc.derive_params(65536, 2.0, 1)  # ell 4096, all literals
+    knobs = ["--sigma", "65536", "--lambda", "2", "--c", "1"]
+    peaks = []
+    for chunks in (2, 12):
+        syms = corpus.generate("uniform", 65536, p.ell + chunks * coder._CHUNK, seed=chunks)
+        raw, packed, out = (tmp_path / f"{chunks}.{ext}" for ext in ("raw", "swsc", "out"))
+        raw.write_bytes(coder.write_symbols(syms, 65536))
+        packed.write_bytes(swsc.encode_to_bytes(p, syms)[0])
+        source, want = (raw, packed) if command == "encode" else (packed, raw)
+        argv = [command, str(source), str(out)] + (knobs if command == "encode" else [])
+        with _numpy_hidden():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert run(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert out.read_bytes() == want.read_bytes()
+    assert peaks[1] - peaks[0] < 512 << 10, peaks

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import re
 import sys
 import tracemalloc
@@ -19,9 +20,9 @@ from swsc import coder, vector
 from swsc.analysis import oracle_state
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import Codebook, codeword_length
-from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, decode_chunks,
-                        decode_stream, encode_stream, encode_to_bytes, read_header,
-                        read_symbol_array, write_header, write_symbols)
+from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, Decoder, Encoder,
+                        decode_chunks, decode_stream, encode_stream, encode_to_bytes,
+                        read_header, read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.dictionary import TrieDictionary, choose_backend
 from swsc.errors import (CorruptStreamError, InternalInconsistencyError, ParameterError,
@@ -700,35 +701,45 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
     peaks, payloads = [], []
     for blocks in (3, 9):
         symbols = generate("uniform", sigma=sigma, n=p.ell + blocks * vector._BLOCK, seed=blocks)
-        writer = BitWriter()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            vector.encode_blocks(p, symbols, writer)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        finally:
-            tracemalloc.stop()
-        payloads.append(writer.bit_length // 8)
+        with open(os.devnull, "wb") as out:  # one feed: the payload is written at its end
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                encoder = Encoder(p, out, len(symbols))
+                encoder.feed(symbols)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+            payloads.append(encoder.finish().payload_bytes)
         # measured at 116-171 B per slot
         assert peaks[-1] < 300 * slots + 2 * payloads[-1]
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
 
-def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded):
+def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path=None):
     # a tracemalloc peak above the start while the chunks are drained, the
-    # stream already in memory; it must not grow with n
+    # stream already in memory, or, given tmp_path, in a file the Decoder
+    # reads; it must not grow with n
     p = derive_params(sigma, lam, 1)
     slots = p.ell + coder._CHUNK
     peaks = []
     for chunks in (2, 6):
         symbols = generate("uniform", sigma=sigma, n=p.ell + chunks * coder._CHUNK, seed=chunks)
         blob, _ = encode_to_bytes(p, symbols)
+        if tmp_path is not None:
+            path = tmp_path / f"{chunks}.swsc"
+            path.write_bytes(blob)
         tracemalloc.start()
         try:
             with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
                 start = tracemalloc.get_traced_memory()[0]
-                for _ in decode_chunks(blob):
-                    pass
+                if tmp_path is None:
+                    for _ in decode_chunks(blob):
+                        pass
+                else:
+                    with open(path, "rb") as source:
+                        for _ in Decoder(source):
+                            pass
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
@@ -746,6 +757,13 @@ def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
 @pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
 def test_loop_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
     _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded=False)
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+@pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
+def test_a_decoder_over_a_file_holds_the_window_and_one_chunk(tmp_path, sigma, lam,
+                                                             numpy_loaded):
+    _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path)
 
 
 def test_intermediate_states_match_stepwise():
@@ -868,6 +886,94 @@ def symbols_over(sigma, n=3000, seed=4):
     """n zipf symbols over 40 values spread across [0, sigma), so some get coded."""
     pool = [sigma - 1 - (sigma // 40) * k for k in range(40)]
     return [pool[i] for i in generate("zipf", sigma=40, n=n, seed=seed).tolist()]
+
+
+# one coded zipf stream per width regime, each 2,000 symbols at c 1
+SPLIT_CASES = {}
+for _sigma, _lam in ((3, 1.0), (256, 1.0), (65537, 2.0), (2**32 - 1, 4.0)):
+    _p = derive_params(_sigma, _lam, 1)
+    _symbols = symbols_over(_sigma, n=2000, seed=_sigma % 89)
+    SPLIT_CASES[_sigma] = (_p, _symbols) + encode_to_bytes(_p, _symbols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_any_split_into_feeds_writes_encode_to_bytes_bytes(data):
+    sigma = data.draw(st.sampled_from(sorted(SPLIT_CASES)))
+    p, symbols, blob, report = SPLIT_CASES[sigma]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(symbols)), max_size=5)))
+    with _numpy_hidden() if data.draw(st.booleans()) else contextlib.nullcontext():
+        out = io.BytesIO()
+        encoder = Encoder(p, out, len(symbols))
+        for lo, hi in zip([0] + cuts, cuts + [len(symbols)]):
+            encoder.feed(symbols[lo:hi])
+            assert out.getvalue()[:HEADER_BYTES] == blob[:HEADER_BYTES]  # the header first
+        assert encoder.finish() == report
+    assert out.getvalue() == blob
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_decoder_of_any_source_yields_decode_chunks_outcome(data):
+    # a file is read one chunk span at a time; bytes and a memoryview are
+    # sliced with no copy: all give the same chunks, reports and errors
+    sigma = data.draw(st.sampled_from(sorted(SPLIT_CASES)))
+    blob = bytearray(SPLIT_CASES[sigma][2])
+    mutation = data.draw(st.sampled_from(["none", "payload bit", "cut"]))
+    if mutation == "payload bit":
+        bit = data.draw(st.integers(8 * HEADER_BYTES, 8 * len(blob) - 1))
+        blob[bit >> 3] ^= 0x80 >> (bit & 7)
+    elif mutation == "cut":
+        del blob[data.draw(st.integers(HEADER_BYTES, len(blob) - 1)):]
+    blob = bytes(blob)
+    chunk = data.draw(st.sampled_from([1, 7, 333, coder._CHUNK]))
+    with (mock.patch.object(coder, "_CHUNK", chunk),
+          _numpy_hidden() if data.draw(st.booleans()) else contextlib.nullcontext()):
+        want = _outcome(blob)
+        for source in (io.BytesIO(blob), blob, memoryview(blob)):
+            try:
+                got = list(Decoder(source))
+            except SwscError as exc:
+                got = type(exc), str(exc)
+            assert got == want, type(source)
+
+
+def test_a_file_cut_while_it_decodes_fails_as_a_cut_stream(tmp_path):
+    # the Decoder takes the payload's size from the file when it is built; a
+    # file cut after that ends the stream where its bytes end
+    blob = SPLIT_CASES[256][2]
+    cut = blob[:HEADER_BYTES + (len(blob) - HEADER_BYTES) // 2]
+    kind, message = _outcome(cut)
+    assert kind is CorruptStreamError and message.endswith("truncated")
+    path = tmp_path / "cut.swsc"
+    path.write_bytes(blob)
+    with open(path, "rb") as source:
+        decoder = Decoder(source)
+        os.truncate(path, len(cut))
+        with pytest.raises(CorruptStreamError, match=f"^{message}$"):
+            list(decoder)
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_a_feed_total_other_than_n_raises(monkeypatch, numpy_loaded):
+    p = derive_params(256, 2.0, 1)
+    if not numpy_loaded:
+        monkeypatch.delitem(sys.modules, "numpy")
+    out = io.BytesIO()
+    encoder = Encoder(p, out, 5)
+    encoder.feed([1, 2, 3])
+    written = out.getvalue()
+    with pytest.raises(ParameterError, match="6 symbols fed to a stream of 5"):
+        encoder.feed([4, 5, 6])
+    assert out.getvalue() == written  # a rejected feed writes nothing
+    with pytest.raises(ParameterError, match="3 symbols fed to a stream of 5"):
+        encoder.finish()
+    encoder.feed([4, 5])
+    assert encoder.finish() == encode_to_bytes(p, [1, 2, 3, 4, 5])[1]
+    assert out.getvalue() == encode_to_bytes(p, [1, 2, 3, 4, 5])[0]
+    for n in (-1, 2.0):
+        with pytest.raises(ParameterError, match="count of symbols"):
+            Encoder(p, io.BytesIO(), n)
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])

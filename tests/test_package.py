@@ -152,9 +152,11 @@ def test_coding_never_imports_numpy(tmp_path):
         open('raw.bin', 'wb').write(bytes(range(200)) * 30)
         for argv in (['encode', 'raw.bin', 'p.swsc', '--sigma', '256'],
                      ['decode', 'p.swsc', 'out.bin'],
+                     ['encode', 'raw.bin', 'q.swsc', '--sigma', '256', '--verify-bound'],
                      ['stats', 'raw.bin', '--sigma', '256']):
             assert swsc.cli.run(argv) == 0
         assert open('out.bin', 'rb').read() == open('raw.bin', 'rb').read()
+        assert open('q.swsc', 'rb').read() == open('p.swsc', 'rb').read()
         assert 'numpy' not in sys.modules
         assert 'swsc.vector' not in sys.modules
         """, tmp_path)
