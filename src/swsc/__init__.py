@@ -7,9 +7,9 @@ state (window, frequency dictionary, codebook, partial sums) stays
 sublinear in the alphabet size for windows shorter than the alphabet.
 
 `generate` and `splitmix64` come from `swsc.corpus`, which needs numpy; it
-is imported on their first use. `encode_stream` uses the numpy block encoder
-of `swsc.vector` only when numpy is already loaded, so coding never loads
-numpy itself.
+is imported on their first use. `Encoder`, and `encode_stream` on it, uses
+the numpy block encoder of `swsc.vector` only when numpy is already loaded,
+so coding never loads numpy itself.
 """
 
 from .analysis import (
@@ -29,12 +29,15 @@ from .codebook import Codebook, codeword_length
 from .coder import (
     CoderReport,
     CoderState,
+    Decoder,
+    Encoder,
     decode_chunks,
     decode_stream,
     encode_stream,
     encode_to_bytes,
     read_header,
     read_symbol_array,
+    read_symbol_chunks,
     write_header,
     write_symbols,
 )
@@ -67,6 +70,8 @@ __all__ = [
     "CoderState",
     "CorruptStreamError",
     "DISTRIBUTIONS",
+    "Decoder",
+    "Encoder",
     "EntropyStats",
     "HashedDictionary",
     "InternalInconsistencyError",
@@ -91,6 +96,7 @@ __all__ = [
     "oracle_state",
     "read_header",
     "read_symbol_array",
+    "read_symbol_chunks",
     "splitmix64",
     "symbol_model_bytes",
     "theorem1_bound",

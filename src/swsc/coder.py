@@ -364,9 +364,10 @@ class Encoder:
     With numpy already imported, the block encoder of swsc.vector codes each
     feed whole, with no dictionary; otherwise CoderState codes it _CHUNK
     symbols at a time, so the loop holds O(ell + _CHUNK) Python objects. A
-    feed that raises writes nothing of itself and leaves the encoder
-    unusable. A feed past n symbols, or a finish short of them, raises
-    ParameterError.
+    feed past n symbols, or a finish short of them, raises ParameterError
+    and changes nothing. A feed that fails while it codes writes nothing of
+    itself; after it, or after a failed write to out, every later feed or
+    finish raises ParameterError.
     """
 
     def __init__(self, params: CoderParams, out, n: int):
@@ -376,6 +377,7 @@ class Encoder:
         self._out = out
         self._writer = BitWriter()
         self._report = None  # the report after the last feed
+        self._failed = False
         if "numpy" in sys.modules:  # never import numpy just to encode
             from .vector import BlockEncoder
 
@@ -385,11 +387,13 @@ class Encoder:
 
     def feed(self, symbols) -> "CoderReport":
         """Encode the next symbols; returns the report of all fed so far."""
+        self._check_usable()
         total = self.position + len(symbols)
         if total > self.n:
             raise ParameterError(f"{total} symbols fed to a stream of {self.n}")
         code, writer, piece = self._coder.encode_chunk, self._writer, self._piece
         first = self._report is None
+        self._failed = True  # until the whole feed has coded and gone to out
         if piece is None or len(symbols) <= piece:  # one call: no copy of the symbols
             self._report = code(symbols, writer)
         else:
@@ -399,16 +403,22 @@ class Encoder:
             write_header(self._out, self.params, self.n)
         self.position = total
         self._out.write(writer.take())
+        self._failed = False
         return self._report
 
     def finish(self) -> "CoderReport":
         """Write the payload's last byte; returns the whole stream's report."""
+        self._check_usable()
         if self.position != self.n:
             raise ParameterError(f"{self.position} symbols fed to a stream of {self.n}")
         if self._report is None:  # nothing fed: an empty stream
             self.feed([])
         self._out.write(self._writer.finish())
         return self._report
+
+    def _check_usable(self):
+        if self._failed:  # the window and the bits hold part of a failed feed
+            raise ParameterError("a feed failed, so the stream cannot go on")
 
 
 class Decoder:
@@ -444,9 +454,7 @@ class Decoder:
         else:
             self.params, self.n = read_header(source.read(HEADER_BYTES))
             self._file, payload = source, b""
-            here = source.tell()
-            size = source.seek(0, io.SEEK_END) - here
-            source.seek(here)
+            size = _bytes_left(source)
         self._reader = BitReader(payload, 8 * size)
         self._backend = backend
 
@@ -482,6 +490,14 @@ class Decoder:
             r.slide(more)
             if len(more) < want:  # the file ended before its size: the stream is cut there
                 r.limit = 8 * len(r.data)
+
+
+def _bytes_left(source) -> int:
+    """The bytes from a seekable file's position to its end; the position stays."""
+    here = source.tell()
+    end = source.seek(0, io.SEEK_END)
+    source.seek(here)
+    return end - here
 
 
 def encode_stream(params: CoderParams, symbols, out, backend: str | None = None,
@@ -565,9 +581,7 @@ def read_symbol_chunks(source, sigma: int, sym_bytes: int | None = None):
     read_symbol_array reads it.
     """
     width = array(_raw_typecode(sigma, sym_bytes)).itemsize
-    here = source.tell()
-    size = source.seek(0, io.SEEK_END) - here
-    source.seek(here)
+    size = _bytes_left(source)
     if size % width:
         raise ParameterError(f"raw input length {size} is not a multiple of {width} bytes")
 

@@ -912,19 +912,25 @@ def test_any_split_into_feeds_writes_encode_to_bytes_bytes(data):
     assert out.getvalue() == blob
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_a_decoder_of_any_source_yields_decode_chunks_outcome(data):
     # a file is read one chunk span at a time; bytes and a memoryview are
-    # sliced with no copy: all give the same chunks, reports and errors
-    sigma = data.draw(st.sampled_from(sorted(SPLIT_CASES)))
-    blob = bytearray(SPLIT_CASES[sigma][2])
-    mutation = data.draw(st.sampled_from(["none", "payload bit", "cut"]))
+    # sliced with no copy: all give the same chunks, reports and errors, on
+    # these streams and the mutation fuzz's
+    streams = [case[2] for _, case in sorted(SPLIT_CASES.items())] + FUZZ_STREAMS
+    blob = bytearray(data.draw(st.sampled_from(streams)))
+    mutation = data.draw(st.sampled_from(["none", "payload bit", "header byte", "cut",
+                                          "insert"]))
     if mutation == "payload bit":
         bit = data.draw(st.integers(8 * HEADER_BYTES, 8 * len(blob) - 1))
         blob[bit >> 3] ^= 0x80 >> (bit & 7)
+    elif mutation == "header byte":
+        blob[data.draw(st.integers(0, HEADER_BYTES - 1))] = data.draw(st.integers(0, 255))
     elif mutation == "cut":
-        del blob[data.draw(st.integers(HEADER_BYTES, len(blob) - 1)):]
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif mutation == "insert":
+        blob.insert(data.draw(st.integers(0, len(blob))), data.draw(st.integers(0, 255)))
     blob = bytes(blob)
     chunk = data.draw(st.sampled_from([1, 7, 333, coder._CHUNK]))
     with (mock.patch.object(coder, "_CHUNK", chunk),
@@ -950,7 +956,7 @@ def test_a_file_cut_while_it_decodes_fails_as_a_cut_stream(tmp_path):
     with open(path, "rb") as source:
         decoder = Decoder(source)
         os.truncate(path, len(cut))
-        with pytest.raises(CorruptStreamError, match=f"^{message}$"):
+        with pytest.raises(CorruptStreamError, match=f"^{re.escape(message)}$"):
             list(decoder)
 
 
@@ -974,6 +980,15 @@ def test_a_feed_total_other_than_n_raises(monkeypatch, numpy_loaded):
     for n in (-1, 2.0):
         with pytest.raises(ParameterError, match="count of symbols"):
             Encoder(p, io.BytesIO(), n)
+    # a feed that fails while it codes, here on its last symbol, ends the stream
+    out = io.BytesIO()
+    encoder = Encoder(p, out, 2 * coder._CHUNK)
+    with pytest.raises(ParameterError, match=f"symbol 256 at position {2 * coder._CHUNK - 1}"):
+        encoder.feed([1] * (2 * coder._CHUNK - 1) + [256])
+    assert out.getvalue() == b""
+    for call in (lambda: encoder.feed([]), encoder.finish):
+        with pytest.raises(ParameterError, match="a feed failed"):
+            call()
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])
