@@ -31,7 +31,6 @@ from .coder import (
     CoderState,
     Decoder,
     Encoder,
-    decode_chunks,
     decode_stream,
     encode_stream,
     encode_to_bytes,
@@ -82,7 +81,6 @@ __all__ = [
     "TrieDictionary",
     "check_bound",
     "codeword_length",
-    "decode_chunks",
     "decode_stream",
     "delta_term",
     "derive_params",

@@ -31,8 +31,8 @@ Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 
 Every whole stream goes through Encoder and Decoder, which code it piece by
 piece: encode_stream feeds an Encoder its whole input, the CLI a file's
-symbols a chunk at a time, and decode_chunks and decode_stream iterate a
-Decoder, which reads a file's payload one chunk's span at a time. Encode
+symbols a chunk at a time, and decode_stream and the CLI iterate a Decoder,
+which reads any source's payload one chunk's span at a time. Encode
 and decode each have two paths, which give the same bytes, symbols, reports
 and errors. CoderState._steps is the online loop: the stepping API and the
 CLI run on it, and so do Encoder and Decoder when numpy is not loaded. When
@@ -359,25 +359,26 @@ class Encoder:
     """Encode a stream of n symbols to the binary sink out, fed piece by piece.
 
     Each feed codes its symbols and writes their whole bytes to out, the
-    header before the first; finish writes the last byte. Any split of the
-    symbols into feeds writes the same bytes and returns the same reports.
-    With numpy already imported, the block encoder of swsc.vector codes each
-    feed whole, with no dictionary; otherwise CoderState codes it _CHUNK
-    symbols at a time, so the loop holds O(ell + _CHUNK) Python objects. A
-    feed past n symbols, or a finish short of them, raises ParameterError
-    and changes nothing. A feed that fails while it codes writes nothing of
-    itself; after it, or after a failed write to out, every later feed or
-    finish raises ParameterError.
+    header before the first; finish writes the last byte and ends the
+    stream. Any split of the symbols into feeds writes the same bytes and
+    returns the same reports. With numpy already imported, the block encoder
+    of swsc.vector codes each feed whole, with no dictionary; otherwise
+    CoderState codes it _CHUNK symbols at a time, so the loop holds
+    O(ell + _CHUNK) Python objects. A feed past n symbols, or a finish
+    short of them, raises ParameterError and changes nothing. A feed that
+    fails while it codes writes nothing of itself. After it, after a failed
+    write to out, or after finish, every later feed or finish raises
+    ParameterError and writes nothing.
     """
 
     def __init__(self, params: CoderParams, out, n: int):
         if not isinstance(n, int) or n < 0:
             raise ParameterError(f"a stream holds a count of symbols, not {n!r}")
-        self.params, self.n, self.position = params, n, 0
+        self.params, self.n = params, n
         self._out = out
         self._writer = BitWriter()
         self._report = None  # the report after the last feed
-        self._failed = False
+        self._ended = None  # once no feed or finish may follow, why not
         if "numpy" in sys.modules:  # never import numpy just to encode
             from .vector import BlockEncoder
 
@@ -387,13 +388,14 @@ class Encoder:
 
     def feed(self, symbols) -> "CoderReport":
         """Encode the next symbols; returns the report of all fed so far."""
-        self._check_usable()
-        total = self.position + len(symbols)
+        if self._ended:
+            raise ParameterError(self._ended)
+        total = self._coder.position + len(symbols)
         if total > self.n:
             raise ParameterError(f"{total} symbols fed to a stream of {self.n}")
         code, writer, piece = self._coder.encode_chunk, self._writer, self._piece
         first = self._report is None
-        self._failed = True  # until the whole feed has coded and gone to out
+        self._ended = "a feed failed, so the stream cannot go on"  # until it is all out
         if piece is None or len(symbols) <= piece:  # one call: no copy of the symbols
             self._report = code(symbols, writer)
         else:
@@ -401,37 +403,35 @@ class Encoder:
                 self._report = code(symbols[lo:lo + piece], writer)
         if first:
             write_header(self._out, self.params, self.n)
-        self.position = total
         self._out.write(writer.take())
-        self._failed = False
+        self._ended = None
         return self._report
 
     def finish(self) -> "CoderReport":
-        """Write the payload's last byte; returns the whole stream's report."""
-        self._check_usable()
-        if self.position != self.n:
-            raise ParameterError(f"{self.position} symbols fed to a stream of {self.n}")
+        """Write the payload's last byte and end the stream; returns its report."""
+        if self._ended:
+            raise ParameterError(self._ended)
+        if self._coder.position != self.n:
+            raise ParameterError(f"{self._coder.position} symbols fed to a stream of {self.n}")
         if self._report is None:  # nothing fed: an empty stream
             self.feed([])
+        self._ended = "the stream is finished"
         self._out.write(self._writer.finish())
         return self._report
-
-    def _check_usable(self):
-        if self._failed:  # the window and the bits hold part of a failed feed
-            raise ParameterError("a feed failed, so the stream cannot go on")
 
 
 class Decoder:
     """Decode a stream chunk by chunk; iterating yields (symbols, report so far).
 
-    source is the stream as bytes or a memoryview, whose payload the reader
-    takes whole with no copy, or a seekable binary file, read from its
-    position. The header is read when the Decoder is built; params and n
-    are its fields. A Decoder is iterated once. A file's payload is read one
-    chunk's span at a time: no code is longer than width + 1 bits, so a
-    chunk reads at most _CHUNK times that, and the decoder holds
-    O(ell + _CHUNK) of the stream. Every source gives the same chunks,
-    reports and errors.
+    source is a seekable binary file, read from its position, or the
+    stream's bytes-like contents, read through an io.BytesIO: it shares a
+    bytes object's buffer with no copy and copies any other bytes-like
+    once. The header is read when the Decoder is built; params and n are its
+    fields. A Decoder is iterated once: a second iteration raises
+    ParameterError before it yields. The payload is read one chunk's span at
+    a time: no code is longer than width + 1 bits, so a chunk reads at most
+    _CHUNK times that, and the decoder holds O(ell + _CHUNK) of the stream
+    besides its source.
 
     Each chunk holds at most _CHUNK symbols; an empty stream yields one
     empty chunk. Every symbol costs at least its flag bit, so a count above
@@ -447,19 +447,16 @@ class Decoder:
 
     def __init__(self, source, backend: str | None = None):
         if isinstance(source, (bytes, bytearray, memoryview)):
-            data = memoryview(source)
-            self.params, self.n = read_header(data)
-            self._file, payload = None, data[HEADER_BYTES:]  # the payload, not a copy
-            size = len(payload)
-        else:
-            self.params, self.n = read_header(source.read(HEADER_BYTES))
-            self._file, payload = source, b""
-            size = _bytes_left(source)
-        self._reader = BitReader(payload, 8 * size)
-        self._backend = backend
+            source = io.BytesIO(source)
+        self.params, self.n = read_header(source.read(HEADER_BYTES))
+        self._source, self._backend = source, backend
+        self._reader = BitReader(b"", 8 * _bytes_left(source))
 
     def __iter__(self):
-        n, reader = self.n, self._reader
+        reader, self._reader = self._reader, None
+        if reader is None:
+            raise ParameterError("a Decoder is iterated once")
+        n = self.n
         if n > reader.limit:
             raise CorruptStreamError(f"{n} symbols cannot fit in {reader.limit} payload bits")
         state = CoderState(self.params, backend=self._backend)
@@ -470,23 +467,22 @@ class Decoder:
             decode = block_decoder(state)
         for lo in range(0, n or 1, _CHUNK):
             count = min(_CHUNK, n - lo)
-            self._fill(count)
+            self._fill(reader, count)
             symbols, report = decode(reader, count)
             if lo + _CHUNK >= n:
                 reader.finish()
             yield symbols, report
 
-    def _fill(self, count):
-        """Have the reader's window hold every byte the next count codes can read.
+    def _fill(self, r, count):
+        """Have the reader r's window hold every byte the next count codes can read.
 
         No code, and no peek of the decode loop, reaches past width + 1 bits
         from its start; bits the bit window reads beyond those are masked off.
         """
-        r = self._reader
         end = min(((r.position + count * (self.params.width + 1)) >> 3) + 1, r.limit >> 3)
         want = end - len(r.data)
-        if want > 0:  # only a file's window falls short
-            more = self._file.read(want)
+        if want > 0:
+            more = self._source.read(want)
             r.slide(more)
             if len(more) < want:  # the file ended before its size: the stream is cut there
                 r.limit = 8 * len(r.data)
@@ -523,15 +519,6 @@ def encode_to_bytes(params: CoderParams, symbols, backend: str | None = None,
     out = io.BytesIO()
     report = encode_stream(params, symbols, out, backend=backend)
     return out.getvalue(), report
-
-
-def decode_chunks(source, backend: str | None = None):
-    """Iterate a Decoder of source: a stream's bytes, a memoryview or a binary file.
-
-    Yields (symbols, report so far) per chunk. Nothing is read, and no error
-    raised, until the first chunk is asked for.
-    """
-    yield from Decoder(source, backend=backend)
 
 
 def decode_stream(data, backend: str | None = None,
@@ -580,14 +567,15 @@ def read_symbol_chunks(source, sigma: int, sym_bytes: int | None = None):
     first; then each chunk of up to _CHUNK symbols is read, and checked, as
     read_symbol_array reads it.
     """
-    width = array(_raw_typecode(sigma, sym_bytes)).itemsize
+    typecode = _raw_typecode(sigma, sym_bytes)
+    width = array(typecode).itemsize
     size = _bytes_left(source)
     if size % width:
         raise ParameterError(f"raw input length {size} is not a multiple of {width} bytes")
 
     def chunks():
-        for _ in range(0, size, _CHUNK * width):
-            yield read_symbol_array(source.read(_CHUNK * width), sigma, sym_bytes)
+        for lo in range(0, size // width, _CHUNK):
+            yield _unpacked(source.read(_CHUNK * width), typecode, sigma, lo)
 
     return size // width, chunks()
 
@@ -595,16 +583,21 @@ def read_symbol_chunks(source, sigma: int, sym_bytes: int | None = None):
 def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:
     """Unpack a raw fixed-width little-endian symbol file into an array.array.
 
-    The array holds sym_bytes per symbol, not a Python int, and is checked
-    to lie in [0, sigma).
+    The array holds sym_bytes per symbol, not a Python int. A symbol of
+    sigma or more is rejected as the encoders reject it, by check_symbols.
     """
-    arr = array(_raw_typecode(sigma, sym_bytes))
+    return _unpacked(data, _raw_typecode(sigma, sym_bytes), sigma, 0)
+
+
+def _unpacked(data, typecode: str, sigma: int, position: int) -> array:
+    """read_symbol_array of data, whose first symbol is at the stream's position."""
+    arr = array(typecode)
     if len(data) % arr.itemsize:
         raise ParameterError(
             f"raw input length {len(data)} is not a multiple of {arr.itemsize} bytes")
     arr.frombytes(data)
     if sys.byteorder == "big":
         arr.byteswap()
-    if arr and max(arr) >= sigma:
-        raise ParameterError(f"symbol {max(arr)} out of range for sigma {sigma}")
+    if arr and max(arr) >= sigma:  # only then are the symbols checked one by one
+        check_symbols(arr, sigma, position)
     return arr

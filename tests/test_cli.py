@@ -322,7 +322,7 @@ def test_cli_decode_of_a_stream_cut_mid_way_writes_nothing(tmp_path, capsysbinar
     p, syms = _multi_chunk_case()
     blob, _ = swsc.encode_to_bytes(p, syms)
     cut = blob[:HEADER_BYTES + 2 * (len(blob) - HEADER_BYTES) // 3]
-    chunks = coder.decode_chunks(cut)
+    chunks = iter(coder.Decoder(cut))
     next(chunks)  # the first chunk still decodes: the cut is past it
     with pytest.raises(CorruptStreamError, match="truncated"):
         list(chunks)
@@ -346,8 +346,20 @@ def test_a_failed_encode_leaves_neither_output_nor_temporary_file(tmp_path, caps
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes(syms))
     assert run(["encode", str(raw), str(tmp_path / "p.swsc"), "--sigma", "200"]) == 5
-    assert "symbol 250 out of range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"symbol 250 at position {2 * coder._CHUNK + 99} out of range" in err
     assert os.listdir(tmp_path) == ["raw.bin"]
+
+
+@pytest.mark.parametrize("command", ["encode", "stats"])
+def test_cli_names_the_first_bad_symbol_and_its_position(tmp_path, capsys, command):
+    # the largest symbol, 255, is not the first out of range; both sit in the third chunk
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(bytes([1] * 40000 + [201, 255, 3]))
+    out = [str(tmp_path / "p.swsc")] if command == "encode" else []
+    assert run([command, str(raw)] + out + ["--sigma", "200"]) == 5
+    assert ("swsc: parameter error: symbol 201 at position 40000 out of range for sigma 200"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["encode", "decode"])

@@ -21,8 +21,8 @@ from swsc.analysis import oracle_state
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import Codebook, codeword_length
 from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, Decoder, Encoder,
-                        decode_chunks, decode_stream, encode_stream, encode_to_bytes,
-                        read_header, read_symbol_array, write_header, write_symbols)
+                        decode_stream, encode_stream, encode_to_bytes, read_header,
+                        read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.dictionary import TrieDictionary, choose_backend
 from swsc.errors import (CorruptStreamError, InternalInconsistencyError, ParameterError,
@@ -103,7 +103,7 @@ def _conformance_digits(monkeypatch, p, symbols):
     """8 hex digits over a stream's bytes, reports and decode outcomes.
 
     They hash the block encoder's bytes and report, the loop's report after
-    each 7-symbol encode_chunk, and the decode_chunks outcome of the stream
+    each 7-symbol encode_chunk, and the Decoder outcome of the stream
     whole, with each of three payload bit flips and cut at 2/3 of its
     payload, at _CHUNK 7 and at the default. The block encoder at _BLOCK 7
     and the decoders with numpy hidden must give the same.
@@ -260,7 +260,7 @@ def test_a_count_above_the_payload_bits_fails_before_any_chunk():
     def with_count(n):
         out = io.BytesIO()
         write_header(out, p, n)
-        return decode_chunks(out.getvalue() + payload)
+        return iter(Decoder(out.getvalue() + payload))
 
     with pytest.raises(CorruptStreamError, match=f"{bits + 1} symbols cannot fit"):
         next(with_count(bits + 1))
@@ -321,9 +321,9 @@ def _numpy_hidden():
 
 
 def _outcome(blob, backend=None):
-    """decode_chunks' (symbols, report) pairs, or the SwscError's type and message."""
+    """A Decoder's (symbols, report) pairs, or the SwscError's type and message."""
     try:
-        pairs = list(decode_chunks(blob, backend=backend))
+        pairs = list(Decoder(blob, backend=backend))
     except SwscError as exc:  # any other exception fails the test
         return type(exc), str(exc)
     assert all(isinstance(symbols, list) for symbols, _ in pairs)
@@ -734,7 +734,7 @@ def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path=None):
             with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
                 start = tracemalloc.get_traced_memory()[0]
                 if tmp_path is None:
-                    for _ in decode_chunks(blob):
+                    for _ in Decoder(blob):
                         pass
                 else:
                     with open(path, "rb") as source:
@@ -764,6 +764,24 @@ def test_loop_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
 def test_a_decoder_over_a_file_holds_the_window_and_one_chunk(tmp_path, sigma, lam,
                                                              numpy_loaded):
     _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path)
+
+
+def test_a_decoder_of_bytes_does_not_copy_them():
+    # a 4.25 MB stream, well above the pins' budget: the tracemalloc peak
+    # stays below its length, so the Decoder's io.BytesIO shares the bytes
+    p = derive_params(65536, 2.0, 1)
+    symbols = generate("uniform", sigma=65536, n=2_000_000, seed=4)
+    blob, _ = encode_to_bytes(p, symbols)
+    del symbols
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in Decoder(blob):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < len(blob)
 
 
 def test_intermediate_states_match_stepwise():
@@ -851,7 +869,7 @@ def test_unknown_backend_names_raise_parameter_error():
                  lambda: encode_to_bytes(p, [1], backend="x"),
                  lambda: encode_stream(p, [], io.BytesIO(), backend="btree"),
                  lambda: decode_stream(blob, backend="x"),
-                 lambda: next(decode_chunks(blob, backend=""))):
+                 lambda: next(iter(Decoder(blob, backend="")))):
         with pytest.raises(ParameterError, match="unknown dictionary backend"):
             call()
 
@@ -914,10 +932,10 @@ def test_any_split_into_feeds_writes_encode_to_bytes_bytes(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_a_decoder_of_any_source_yields_decode_chunks_outcome(data):
-    # a file is read one chunk span at a time; bytes and a memoryview are
-    # sliced with no copy: all give the same chunks, reports and errors, on
-    # these streams and the mutation fuzz's
+def test_a_decoder_of_any_source_yields_the_same_outcome(data):
+    # every source is read one chunk span at a time, a bytes-like one
+    # through an io.BytesIO: all give the same chunks, reports and errors,
+    # on these streams and the mutation fuzz's
     streams = [case[2] for _, case in sorted(SPLIT_CASES.items())] + FUZZ_STREAMS
     blob = bytearray(data.draw(st.sampled_from(streams)))
     mutation = data.draw(st.sampled_from(["none", "payload bit", "header byte", "cut",
@@ -936,7 +954,7 @@ def test_a_decoder_of_any_source_yields_decode_chunks_outcome(data):
     with (mock.patch.object(coder, "_CHUNK", chunk),
           _numpy_hidden() if data.draw(st.booleans()) else contextlib.nullcontext()):
         want = _outcome(blob)
-        for source in (io.BytesIO(blob), blob, memoryview(blob)):
+        for source in (io.BytesIO(blob), blob, bytearray(blob), memoryview(blob)):
             try:
                 got = list(Decoder(source))
             except SwscError as exc:
@@ -958,6 +976,23 @@ def test_a_file_cut_while_it_decodes_fails_as_a_cut_stream(tmp_path):
         os.truncate(path, len(cut))
         with pytest.raises(CorruptStreamError, match=f"^{re.escape(message)}$"):
             list(decoder)
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_a_decoder_is_iterated_once(numpy_loaded):
+    # a second iteration would start mid-payload with a new state
+    p = derive_params(65536, 2.0, 10)
+    symbols = generate("uniform", sigma=65536, n=50000, seed=3).tolist()
+    blob, _ = encode_to_bytes(p, symbols)
+    with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
+        decoder = Decoder(blob)
+        assert next(iter(decoder))[0] == symbols[:coder._CHUNK]
+        with pytest.raises(ParameterError, match="a Decoder is iterated once"):
+            next(iter(decoder))
+        drained = Decoder(blob)
+        assert [a for chunk, _ in drained for a in chunk] == symbols
+        with pytest.raises(ParameterError, match="a Decoder is iterated once"):
+            list(drained)
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])
@@ -989,6 +1024,23 @@ def test_a_feed_total_other_than_n_raises(monkeypatch, numpy_loaded):
     for call in (lambda: encoder.feed([]), encoder.finish):
         with pytest.raises(ParameterError, match="a feed failed"):
             call()
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_finish_ends_the_stream(monkeypatch, numpy_loaded):
+    p = derive_params(256, 2.0, 10)
+    if not numpy_loaded:
+        monkeypatch.delitem(sys.modules, "numpy")
+    out = io.BytesIO()
+    encoder = Encoder(p, out, 3)
+    encoder.feed([5, 7, 5])
+    report = encoder.finish()
+    assert len(out.getvalue()) == 44
+    for call in (encoder.finish, lambda: encoder.feed([])):
+        with pytest.raises(ParameterError, match="the stream is finished"):
+            call()
+    assert out.getvalue() == encode_to_bytes(p, [5, 7, 5])[0]  # nothing more written
+    assert decode_stream(out.getvalue()) == ([5, 7, 5], report)
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])
