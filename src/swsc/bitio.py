@@ -5,7 +5,9 @@ letting peeks past the end read as zeros, while consuming past the end is a
 corrupt-stream error, and so is anything but that padding after the end.
 Either end can hold just a window of the payload: the writer hands over its
 whole bytes as it goes (take), and the reader's data may be a slice of the
-payload that slide moves on, while its limit stays the payload's end.
+payload that slide moves on, while its limit stays the payload's end. The
+writer makes bytes of its bits once it holds _FLUSH_BITS of them, so it
+holds back fewer than _FLUSH_BITS + 64 bits until take or finish.
 """
 
 from .errors import CorruptStreamError
@@ -13,6 +15,7 @@ from .errors import CorruptStreamError
 _MAX_CHUNK = 64
 WRITE_BATCH = 63  # most bits per write_bits call of a coder; a batch fits a signed 64-bit int
 READ_BYTES = 16  # bytes per decode window: it holds a _MAX_CHUNK-bit peek from any bit
+_FLUSH_BITS = 512  # bits a writer holds before it makes bytes: one to_bytes per several calls
 
 
 def window(data, pos: int) -> tuple[int, int]:
@@ -27,7 +30,7 @@ def window(data, pos: int) -> tuple[int, int]:
 
 
 class BitWriter:
-    """Accumulates bits most-significant-first and emits whole bytes."""
+    """Accumulates bits MSB-first; it holds back < _FLUSH_BITS + 64 bits until take or finish."""
 
     __slots__ = ("_buf", "_acc", "_nbits", "_taken")
 
@@ -48,24 +51,29 @@ class BitWriter:
             raise ValueError(f"count {count} out of range 0..{_MAX_CHUNK}")
         if not 0 <= value < (1 << count):
             raise ValueError(f"value {value} does not fit in {count} bits")
-        acc = (self._acc << count) | value
-        n = self._nbits + count
-        if n >= 8:  # emit the whole bytes at once, keep the n % 8 low bits
-            rest = n & 7
-            self._buf += (acc >> rest).to_bytes(n >> 3, "big")
-            acc &= (1 << rest) - 1
-            n = rest
-        self._acc = acc
-        self._nbits = n
+        self._acc = (self._acc << count) | value
+        self._nbits = n = self._nbits + count
+        if n >= _FLUSH_BITS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Emit the whole bytes held at once, keeping the nbits % 8 low bits."""
+        n = self._nbits
+        rest = n & 7
+        self._buf += (self._acc >> rest).to_bytes(n >> 3, "big")
+        self._acc &= (1 << rest) - 1
+        self._nbits = rest
 
     def take(self) -> bytearray:
         """Hand over the whole bytes written since the last take; they leave the writer."""
+        self._flush()
         done, self._buf = self._buf, bytearray()
         self._taken += len(done)
         return done
 
     def finish(self) -> bytes:
         """Flush, zero-padding the last partial byte, and return the bytes not yet taken."""
+        self._flush()
         if self._nbits:
             self._buf.append((self._acc << (8 - self._nbits)) & 0xFF)
             self._acc = 0

@@ -312,12 +312,8 @@ def check_symbols(symbols, sigma: int, position: int):
     """
     if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
         symbols = symbols.tolist()
-    try:  # a sum that is not an int means some symbol is not one
-        if not symbols or (type(sum(symbols)) is int
-                           and min(symbols) >= 0 and max(symbols) < sigma):
-            return symbols
-    except TypeError:
-        pass
+    if not symbols or (all_ints(symbols) and min(symbols) >= 0 and max(symbols) < sigma):
+        return symbols
     for i, a in enumerate(symbols):
         if not isinstance(a, int):
             raise ParameterError(f"symbol {a!r} at position {position + i} "
@@ -326,6 +322,14 @@ def check_symbols(symbols, sigma: int, position: int):
             raise ParameterError(f"symbol {a} at position {position + i} "
                                  f"out of range for sigma {sigma}")
     return symbols
+
+
+def all_ints(symbols) -> bool:
+    """Whether every one of symbols is an int: just then is their sum an int."""
+    try:
+        return type(sum(symbols)) is int
+    except TypeError:  # a str, None or the like among them
+        return False
 
 
 def write_header(out, params: CoderParams, n: int) -> None:
@@ -358,17 +362,19 @@ def read_header(data: bytes) -> tuple[CoderParams, int]:
 class Encoder:
     """Encode a stream of n symbols to the binary sink out, fed piece by piece.
 
-    Each feed codes its symbols and writes their whole bytes to out, the
-    header before the first; finish writes the last byte and ends the
-    stream. Any split of the symbols into feeds writes the same bytes and
-    returns the same reports. With numpy already imported, the block encoder
-    of swsc.vector codes each feed whole, with no dictionary; otherwise
-    CoderState codes it _CHUNK symbols at a time, so the loop holds
-    O(ell + _CHUNK) Python objects. A feed past n symbols, or a finish
-    short of them, raises ParameterError and changes nothing. A feed that
-    fails while it codes writes nothing of itself. After it, after a failed
-    write to out, or after finish, every later feed or finish raises
-    ParameterError and writes nothing.
+    Each feed codes its symbols and writes their whole bytes to out, the header
+    before the first; finish writes the last byte and ends the stream. Any
+    split of the symbols into feeds writes the same bytes and returns the same
+    reports. With numpy already imported, the block encoder of swsc.vector
+    codes each feed whole, with no dictionary, but sorts the whole carried
+    window once per feed, so feed it at least vector._BLOCK (65,536) symbols at
+    a time: on a 2-vCPU host zipf64k coded at 0.555 us/symbol in one feed and
+    0.809 in 4,096-symbol feeds. Otherwise CoderState codes each feed _CHUNK
+    symbols at a time, so the loop holds O(ell + _CHUNK) Python objects. A feed
+    past n symbols, or a finish short of them, raises ParameterError and
+    changes nothing. A feed that fails while it codes writes nothing of itself.
+    After it, after a failed write to out, or after finish, every later feed or
+    finish raises ParameterError and writes nothing.
     """
 
     def __init__(self, params: CoderParams, out, n: int):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bitio import WRITE_BATCH
 from .codebook import Codebook, codeword_length, length_bounds
-from .coder import check_symbols, make_report
+from .coder import all_ints, check_symbols, make_report
 from .dictionary import CodeRecord, symbol_model_bytes
 
 _BLOCK = 1 << 16  # steps counted per numpy pass
@@ -205,7 +205,16 @@ def _literals(reader, count, w1, sigma):
 
 
 def _checked(chunk, sigma, position, dtype):
-    """chunk as an array of dtype, rejected as CoderState.encode_chunk rejects it."""
+    """chunk as an array of dtype, rejected as CoderState.encode_chunk rejects it.
+
+    A list of ints is screened in one numpy pass; any other chunk, or one the
+    screen fails, goes to check_symbols, which owns every rejection.
+    """
+    if type(chunk) is list and all_ints(chunk):
+        try:
+            chunk = np.fromiter(chunk, np.int64, len(chunk))
+        except OverflowError:  # beyond int64, so out of range
+            check_symbols(chunk, sigma, position)  # raises
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
         if len(chunk) and (chunk.min() < 0 or chunk.max() >= sigma):
             check_symbols(chunk, sigma, position)  # raises

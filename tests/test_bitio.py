@@ -141,6 +141,33 @@ def test_roundtrip_chunks(chunks):
     assert r.peek_bits(8 * len(payload) - r.position) == 0
 
 
+_WRITE = st.integers(0, 64).flatmap(
+    lambda c: st.tuples(st.integers(0, (1 << c) - 1), st.just(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_WRITE, _WRITE, _WRITE, st.sampled_from(["take", "bit_length"])),
+                min_size=48, max_size=300))
+def test_held_bits_survive_any_interleaving_of_take(ops):
+    # writes of ~1,000 to 7,000 bits cross the writer's flush point several
+    # times; one big integer of every bit written is the reference
+    w, takes = BitWriter(), []
+    big = total = 0
+    for op in ops:
+        if op == "take":
+            takes.append(bytes(w.take()))
+        elif op == "bit_length":
+            assert w.bit_length == total
+        else:
+            value, count = op
+            w.write_bits(value, count)
+            big, total = (big << count) | value, total + count
+    assert w.bit_length == total
+    pad = -total % 8
+    assert b"".join(takes) + w.finish() == (big << pad).to_bytes((total + pad) // 8, "big")
+    assert w.bit_length == total + pad
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=40), st.integers(0, 200), st.integers(0, 64))
 def test_peek_matches_big_integer_view(data, skip, count):

@@ -8,8 +8,10 @@ numpy is loaded) must also equal CoderState's loop report for report,
 partial-sums touches included.
 """
 
+import enum
 import io
 import random
+from array import array
 from collections import Counter, deque
 from unittest import mock
 
@@ -171,9 +173,19 @@ def test_block_encoder_equals_the_loop_and_the_reference(knobs, n, pool, seed, b
     check_block_encoder(p, symbols, block)
 
 
+class _Sym(enum.IntEnum):
+    A = 0
+    B = 7
+
+
 def test_block_encoder_short_and_empty_inputs():
+    # check_symbols accepts more than lists of plain ints: bools, int
+    # subclasses, array.array and memoryview come out as the loop's bytes too
     p = derive_params(MAX_SIGMA, 4.0, 1)  # ell 8192
-    for symbols in ([], [0], [MAX_SIGMA - 1] * 3, list(range(0, 2**32 - 1, 2**22))):
+    for symbols in ([], [0], [MAX_SIGMA - 1] * 3, list(range(0, 2**32 - 1, 2**22)),
+                    [True, 1, 0, True, True], [_Sym.B, _Sym.A, _Sym.B, _Sym.B],
+                    array("H", [65535, 3, 3, 0, 3]),
+                    memoryview(array("I", [MAX_SIGMA - 1, 9, 9, 2**31]))):
         assert len(symbols) < p.ell
         check_block_encoder(p, symbols, block=7)
 
