@@ -58,9 +58,8 @@ class BitWriter:
 
     def _flush(self) -> None:
         """Emit the whole bytes held at once, keeping the nbits % 8 low bits."""
-        n = self._nbits
-        rest = n & 7
-        self._buf += (self._acc >> rest).to_bytes(n >> 3, "big")
+        rest = self._nbits & 7
+        self._buf += (self._acc >> rest).to_bytes(self._nbits >> 3, "big")
         self._acc &= (1 << rest) - 1
         self._nbits = rest
 

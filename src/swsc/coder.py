@@ -312,8 +312,11 @@ def check_symbols(symbols, sigma: int, position: int):
     """
     if hasattr(symbols, "tolist"):  # array.array, numpy or memoryview
         symbols = symbols.tolist()
-    if not symbols or (all_ints(symbols) and min(symbols) >= 0 and max(symbols) < sigma):
-        return symbols
+    try:  # min and max raise for a symbol that passes all_ints but is no int
+        if not symbols or (all_ints(symbols) and min(symbols) >= 0 and max(symbols) < sigma):
+            return symbols
+    except TypeError:
+        pass
     for i, a in enumerate(symbols):
         if not isinstance(a, int):
             raise ParameterError(f"symbol {a!r} at position {position + i} "
@@ -325,7 +328,7 @@ def check_symbols(symbols, sigma: int, position: int):
 
 
 def all_ints(symbols) -> bool:
-    """Whether every one of symbols is an int: just then is their sum an int."""
+    """check_symbols' int test: whether symbols sum to an int, as ints do."""
     try:
         return type(sum(symbols)) is int
     except TypeError:  # a str, None or the like among them

@@ -213,8 +213,8 @@ def _checked(chunk, sigma, position, dtype):
     if type(chunk) is list and all_ints(chunk):
         try:
             chunk = np.fromiter(chunk, np.int64, len(chunk))
-        except OverflowError:  # beyond int64, so out of range
-            check_symbols(chunk, sigma, position)  # raises
+        except (OverflowError, TypeError):  # beyond int64, or no int: check_symbols rejects it
+            pass
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
         if len(chunk) and (chunk.min() < 0 or chunk.max() >= sigma):
             check_symbols(chunk, sigma, position)  # raises

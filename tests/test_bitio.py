@@ -154,8 +154,9 @@ def test_held_bits_survive_any_interleaving_of_take(ops):
     w, takes = BitWriter(), []
     big = total = 0
     for op in ops:
-        if op == "take":
+        if op == "take":  # hands over every whole byte written so far
             takes.append(bytes(w.take()))
+            assert 8 * sum(map(len, takes)) == total - total % 8
         elif op == "bit_length":
             assert w.bit_length == total
         else:

@@ -11,6 +11,7 @@ partial-sums touches included.
 import enum
 import io
 import random
+import re
 from array import array
 from collections import Counter, deque
 from unittest import mock
@@ -230,3 +231,24 @@ def test_block_encoder_rejects_what_the_loop_rejects(sigma, bad, at):
     seq = symbols.tolist() if isinstance(symbols, np.ndarray) else symbols
     first = next(i for i, a in enumerate(seq) if type(a) is not int or not 0 <= a < sigma)
     assert f"at position {first} " in str(loop_error.value)
+
+
+class _FakeSum:
+    """Not an int, but its sum with ints is one, so it passes the sum test."""
+
+    def __radd__(self, other):
+        return 0
+
+    def __repr__(self):
+        return "_FakeSum()"
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_symbol_that_fakes_an_int_sum_is_rejected_as_the_loop_rejects_it(at):
+    p = derive_params(256, 2.0, 1)
+    symbols = [1] * at + [_FakeSum()]
+    want = f"symbol _FakeSum() at position {at} is not an integer"
+    with pytest.raises(ParameterError, match=re.escape(want)):
+        CoderState(p).encode_chunk(symbols, BitWriter())
+    with pytest.raises(ParameterError, match=re.escape(want)):
+        encode_stream(p, symbols, io.BytesIO())
