@@ -10,15 +10,18 @@ written as an l_max-bit value, where C[h] = len(A[h]). The scaled Kraft
 weights C[h] * 2**(l_max - h) are kept in a searchable partial-sums structure
 so encode needs one prefix query and decode one prefix-sum search.
 
-An insert, move or remove starts a new epoch of the code. codeword keeps
-A[j]'s first codeword in bases[j] and decode b's record in peeks[b], with the
-epoch and touches; a coder reads entries of this epoch and credits them.
+An insert, move or remove at class j is an event. It moves no answer of a
+class h < j, as A[h]'s codewords depend only on C[0..h-1] and the order in A[h],
+so stamps[h] numbers the last event at a class <= h. codeword keeps A[j]'s first
+codeword in bases[j] and decode b's class and record in peeks[b], with the
+class's stamp and the touches; a coder reads an entry whose stamp is current.
 """
 
 from .errors import CorruptStreamError, InternalInconsistencyError
 from .partial_sums import PartialSums
 
-NO_ANSWER = (-1, None, 0)  # (epoch, answer, touches) of no epoch
+NO_ANSWER = (-1, None, 0)  # a bases entry (stamp, answer, touches) of no event
+NO_PEEK = (0, -1, None, 0)  # a peeks entry (class, stamp, record, touches) of none
 
 
 def codeword_length(ell: int, f: int) -> int:
@@ -48,7 +51,7 @@ class Codebook:
     """
 
     __slots__ = ("l_max", "lists", "kraft", "kraft_total", "capacity", "size", "max_size",
-                 "coded", "max_step", "_step_start", "epoch", "bases", "peeks")
+                 "coded", "max_step", "_step_start", "stamps", "bases", "peeks")
 
     def __init__(self, l_max: int):
         if l_max < 1:
@@ -63,9 +66,11 @@ class Codebook:
         self.coded = 0  # queries codeword and decode answered: the coded symbols
         self.max_step = 0  # the most touches between two end_step calls
         self._step_start = 0  # the touches at the last end_step
-        self.epoch = 0  # insert, move and remove advance it: answers of older ones are stale
-        self.bases = [NO_ANSWER] * (l_max + 1)  # class j -> (epoch, first codeword, touches)
-        self.peeks = {}  # peeked bits b -> (epoch, record, touches); at most 2**l_max
+        # class h -> the number of the last event at class h or below, the last
+        # that could move its answers; stamps[l_max] counts every event
+        self.stamps = [0] * (l_max + 1)
+        self.bases = [NO_ANSWER] * (l_max + 1)  # class j -> (stamp, first codeword, touches)
+        self.peeks = {}  # peeked bits b -> (class, stamp, record, touches); at most 2**l_max
 
     def counts(self) -> list[int]:
         """C[j] = len(A[j]) for j = 0..l_max."""
@@ -120,7 +125,7 @@ class Codebook:
     def _link(self, rec, j):
         # append rec to A[j] at (j, end) and add its weight; insert and move
         # are the only updates that raise the Kraft sum, so this is its check
-        self.epoch += 1
+        self.stamps[j:] = [self.stamps[-1] + 1] * (self.l_max + 1 - j)
         lst = self.lists[j]
         lst.append(rec)
         rec.length = j
@@ -137,8 +142,8 @@ class Codebook:
     def _unlink(self, rec):
         # swap the last record of A[j] into rec's slot, renumber it and drop
         # rec's weight; rec keeps its stale (length, index)
-        self.epoch += 1
         j = rec.length
+        self.stamps[j:] = [self.stamps[-1] + 1] * (self.l_max + 1 - j)
         lst = self.lists[j]
         k = rec.index
         last = lst.pop()
@@ -165,7 +170,7 @@ class Codebook:
         self.coded += 1
         t = self.kraft.touches
         base = self.kraft.prefix(j) >> (self.l_max - j)
-        self.bases[j] = (self.epoch, base, self.kraft.touches - t)
+        self.bases[j] = (self.stamps[j], base, self.kraft.touches - t)
         return base + rec.index
 
     def decode(self, b: int):
@@ -185,11 +190,14 @@ class Codebook:
                                      else "coded flag with no matching codeword")
         self.coded += 1
         rec = self.lists[j][(b - base) >> (self.l_max - j)]
-        self.peeks[b] = (self.epoch, rec, self.kraft.touches - t)
+        self.peeks[b] = (j, self.stamps[j], rec, self.kraft.touches - t)
         return rec
 
     def check(self, d) -> None:
-        """Validate consistency, counting no touches; d must hold each record (test hook)."""
+        """Validate consistency, counting no touches; d must hold each record (test hook).
+
+        Each cached answer whose stamp is current must match a fresh tree read.
+        """
         total = 0
         size = 0
         for j, lst in enumerate(self.lists):
@@ -201,11 +209,25 @@ class Codebook:
             for k, rec in enumerate(lst):
                 if d.get(rec.sym) is not rec or rec.length != j or rec.index != k:
                     raise InternalInconsistencyError(f"record for {rec.sym} out of sync")
-        touches, tree_total = self.kraft.touches, self.kraft.total()
-        self.kraft.touches = touches
-        if total != self.kraft_total or total != tree_total:
-            raise InternalInconsistencyError("Kraft total out of sync")
-        if size != self.size:
-            raise InternalInconsistencyError("size out of sync")
-        if total > self.capacity:
-            raise InternalInconsistencyError("Kraft sum exceeds capacity")
+        kraft, l_max, touches = self.kraft, self.l_max, self.kraft.touches
+        try:
+            if total != self.kraft_total or total != kraft.total():
+                raise InternalInconsistencyError("Kraft total out of sync")
+            if size != self.size:
+                raise InternalInconsistencyError("size out of sync")
+            if total > self.capacity:
+                raise InternalInconsistencyError("Kraft sum exceeds capacity")
+            for j, (e, base, t) in enumerate(self.bases):
+                t0 = kraft.touches
+                if e == self.stamps[j] and (kraft.prefix(j) >> (l_max - j),
+                                            kraft.touches - t0) != (base, t):
+                    raise InternalInconsistencyError(f"cached base of class {j} is stale")
+            for b, (j, e, rec, t) in self.peeks.items():
+                if e == self.stamps[j]:
+                    t0 = kraft.touches
+                    i, base = kraft.search_with_prefix(b)
+                    if ((i, kraft.touches - t0) != (j, t)
+                            or self.lists[j][(b - base) >> (l_max - j)] is not rec):
+                        raise InternalInconsistencyError(f"cached record of {b} is stale")
+        finally:
+            kraft.touches = touches

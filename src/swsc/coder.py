@@ -40,8 +40,8 @@ numpy is already imported, Encoder hands each feed to the block encoder in
 swsc.vector, which counts the window in numpy and runs only the codebook in
 Python; Decoder decodes whole chunks of literals with no codebook insert
 with the block decoder there, and the loop decodes the first chunk that is
-not, from its first symbol, and the rest. Between two codebook events, both
-read a repeat query's answer off the codebook.
+not, from its first symbol, and the rest. Both read a repeat query's answer
+off the codebook until an event at its length class or below.
 """
 
 import io
@@ -52,7 +52,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .bitio import WRITE_BATCH, BitReader, BitWriter, window
-from .codebook import NO_ANSWER, Codebook, codeword_length, length_bounds
+from .codebook import NO_PEEK, Codebook, codeword_length, length_bounds
 from .dictionary import (BACKENDS, CodeRecord, choose_backend, make_dictionary,
                          symbol_model_bytes)
 from .errors import CorruptStreamError, ParameterError
@@ -148,10 +148,10 @@ class CoderState:
         checks the Kraft bound itself on every insert and move, the only
         updates that raise the sum, and rejects a class outside 0..l_max.
         The codebook counts coded symbols and closes each step that touched
-        it. A query answered in this epoch by cb.bases or cb.peeks reads no
-        tree and is credited when its step has an event or the chunk ends. The
-        bit window lives in locals and is written back when the chunk ends.
-        Returns the decoded symbols when decoding.
+        it. A query whose cb.bases or cb.peeks entry holds its class's current
+        stamp reads no tree and is credited when its step has an event or the
+        chunk ends. The bit window lives in locals and is written back when
+        the chunk ends. Returns the decoded symbols when decoding.
         """
         p = self.params
         sigma, width, l_max = p.sigma, p.width, p.l_max
@@ -162,6 +162,7 @@ class CoderState:
         lookup, put, delete = d.lookup, d.put, d.delete
         cb = self.codebook
         insert, remove, move, end_step = cb.insert, cb.remove, cb.move, cb.end_step
+        stamps = cb.stamps  # updated in place by the events
         hits, spent, hit_at = 0, 0, -1  # answers read off the codebook, their touches, last step
         buf = self._buf
         push = buf.append  # once the ring is full, this drops buf[0]
@@ -196,8 +197,8 @@ class CoderState:
                         a, rec, touched = v, lookup(v), False
                     else:
                         b = (v >> b_shift) & b_mask
-                        e, rec, t = peeks.get(b, NO_ANSWER)
-                        if e == cb.epoch:  # answered in this epoch: no tree reads
+                        h, e, rec, t = peeks.get(b, NO_PEEK)
+                        if e == stamps[h]:  # no event at class h or below since: no tree reads
                             hits, spent = hits + 1, spent + t
                             hit_at, touched = i, False
                         else:
@@ -212,7 +213,7 @@ class CoderState:
                     if rec is not None and rec.length is not None:
                         j = rec.length
                         e, base, t = bases[j]
-                        if e == cb.epoch:  # answered in this epoch: no tree reads
+                        if e == stamps[j]:  # no event at class j or below since: no tree reads
                             hits, spent = hits + 1, spent + t
                             hit_at, touched = i, False
                         else:

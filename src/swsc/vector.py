@@ -76,9 +76,9 @@ class BlockEncoder:
         sigma, ell, threshold = params.sigma, params.ell, params.threshold
         crossings, insert_length = self._crossings, self._insert_length
         cb = self.codebook
-        insert, remove, move, codeword, end_step, bases = (cb.insert, cb.remove, cb.move,
-                                                           cb.codeword, cb.end_step, cb.bases)
-        hits = spent = 0  # queries answered from this epoch's entries, and their touches
+        insert, remove, move, codeword, end_step, bases, stamps = (
+            cb.insert, cb.remove, cb.move, cb.codeword, cb.end_step, cb.bases, cb.stamps)
+        hits = spent = 0  # queries answered from current bases entries, and their touches
         coded = self._coded
         get, pop = coded.__getitem__, coded.pop
         start = writer.bit_length
@@ -109,7 +109,7 @@ class BlockEncoder:
                     rec = get(sym)
                     j = rec.length
                     e, base, t = bases[j]
-                    if e == cb.epoch:  # answered in this epoch: no tree reads
+                    if e == stamps[j]:  # no event at class j or below since: no tree reads
                         push((1 << j) | (base + rec.index))  # flag 1 first
                         hits, spent = hits + 1, spent + t
                         if not end:  # an event follows: bill the query to the step it ends

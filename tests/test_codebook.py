@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swsc.codebook import NO_ANSWER, Codebook, codeword_length, length_bounds
+from swsc.codebook import NO_PEEK, Codebook, codeword_length, length_bounds
 from swsc.dictionary import CodeRecord
 from swsc.errors import CorruptStreamError, InternalInconsistencyError, ParameterError
 from swsc.params import CoderParams, derive_params
@@ -211,31 +211,93 @@ def test_end_step_keeps_the_most_touches_of_any_step():
     assert cb.max_step == 4
 
 
-def answered(entry, cb):
-    """What a coder takes from a bases or peeks entry: its answer if current, else None."""
-    epoch, answer, _ = entry
-    return answer if epoch == cb.epoch else None
+def base_of(cb, j):
+    """What an encoder takes from bases[j]: A[j]'s first codeword if current, else None."""
+    stamp, base, _ = cb.bases[j]
+    return base if stamp == cb.stamps[j] else None
 
 
-def test_an_answer_holds_until_the_next_insert_move_or_remove():
+def peek_of(cb, b):
+    """What a decoder takes from peeks for the bits b: the record if current, else None."""
+    h, stamp, rec, _ = cb.peeks.get(b, NO_PEEK)
+    return rec if stamp == cb.stamps[h] else None
+
+
+def test_an_answer_holds_until_an_event_at_its_class_or_below():
     cb, d = build_example()  # A[1] [10], A[2] [20], A[4] [30, 40, 50, 60]
-    for event, b, before, after in [
-            (lambda: cb.remove(d[30]), 12, 30, 60),  # 60 swaps into 30's slot
-            (lambda: cb.move(d[20], 3), 10, 20, 60),  # A[4] now starts at 10
-            (lambda: cb.insert(d.setdefault(70, rec_of(70)), 3), 10, 60, 70)]:
+    for event, h, b, before, after in [
+            (lambda: cb.remove(d[30]), 4, 12, 30, 60),  # 60 swaps into 30's slot
+            (lambda: cb.move(d[20], 3), 2, 10, 20, 60),  # A[4] now starts at 10
+            (lambda: cb.insert(d.setdefault(70, rec_of(70)), 3), 3, 10, 60, 70)]:
         t = cb.kraft.touches
         assert cb.decode(b) is d[before]
-        assert cb.peeks[b] == (cb.epoch, d[before], cb.kraft.touches - t)  # what it cost
+        j = d[before].length
+        assert cb.peeks[b] == (j, cb.stamps[j], d[before], cb.kraft.touches - t)  # what it cost
         t = cb.kraft.touches
         assert cb.codeword(d[10]) == 0
-        assert cb.bases[1] == (cb.epoch, 0, cb.kraft.touches - t)
-        assert answered(cb.peeks.get(b, NO_ANSWER), cb) is d[before]
-        assert answered(cb.bases[1], cb) == 0
-        event()
-        assert answered(cb.peeks.get(b, NO_ANSWER), cb) is None
-        assert answered(cb.bases[1], cb) is None  # A[1]'s base held, yet the epoch moved
-        assert cb.decode(b) is d[after] and answered(cb.peeks.get(b, NO_ANSWER), cb) is d[after]
-    assert answered(cb.peeks.get(3, NO_ANSWER), cb) is None  # never asked
+        assert cb.bases[1] == (cb.stamps[1], 0, cb.kraft.touches - t)
+        for rec in d.values():  # every answer, so the event has them all to keep or void
+            if rec.length is not None:
+                cb.codeword(rec)
+        for c in range(cb.kraft_total):
+            cb.decode(c)
+        bases = [base_of(cb, j) for j in range(cb.l_max + 1)]
+        peeks = {c: (entry[0], peek_of(cb, c)) for c, entry in cb.peeks.items()}
+        event()  # at class h: the answers of classes h and up are stale, the rest served
+        assert [base_of(cb, j) for j in range(cb.l_max + 1)] == [
+            base if j < h else None for j, base in enumerate(bases)]
+        for c, (j, rec) in peeks.items():
+            assert peek_of(cb, c) is (rec if j < h else None)
+        assert base_of(cb, 1) == 0 and peek_of(cb, 0) is d[10]  # A[1] is below every h here
+        assert cb.decode(b) is d[after] and peek_of(cb, b) is d[after]
+    assert peek_of(cb, 15) is None  # never asked since A[4] shrank
+
+
+def assert_current_answers_are_fresh(cb):
+    """Each bases and peeks entry with a current stamp matches a fresh tree read:
+    the same answer and the same touches."""
+    kraft, l_max = cb.kraft, cb.l_max
+    for j, (stamp, base, t) in enumerate(cb.bases):
+        if stamp == cb.stamps[j]:
+            t0 = kraft.touches
+            assert kraft.prefix(j) >> (l_max - j) == base
+            assert kraft.touches - t0 == t
+    for b, (j, stamp, rec, t) in cb.peeks.items():
+        if stamp == cb.stamps[j]:
+            t0 = kraft.touches
+            i, base = kraft.search_with_prefix(b)
+            assert (i, kraft.touches - t0) == (j, t)
+            assert cb.lists[j][(b - base) >> (l_max - j)] is rec
+
+
+@settings(max_examples=200, deadline=None)
+@given(l_max=st.integers(1, 5),
+       events=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63), st.booleans()),
+                       max_size=60))
+def test_current_answers_match_fresh_tree_reads_under_random_events(l_max, events):
+    cb, d = Codebook(l_max), {}  # d holds the coded records
+    for sym, (op, pick, query) in enumerate(events):
+        coded = list(d.values())
+        if op == 0:
+            j = pick % (l_max + 1)
+            if cb.kraft_total + (1 << (l_max - j)) <= cb.capacity:
+                d[sym] = rec_of(sym)
+                cb.insert(d[sym], j)
+        elif coded:
+            rec = coded[pick % len(coded)]
+            j_to = rec.length + (1 if pick & 1 else -1)
+            if op == 1:
+                cb.remove(d.pop(rec.sym))
+            elif (0 <= j_to <= l_max and cb.kraft_total - (1 << (l_max - rec.length))
+                  + (1 << (l_max - j_to)) <= cb.capacity):
+                cb.move(rec, j_to)
+        assert_current_answers_are_fresh(cb)
+        cb.check(d)
+        if query:  # answers for the next events to keep or void
+            for rec in d.values():
+                cb.codeword(rec)
+            for b in range(pick % (cb.kraft_total + 1)):
+                cb.decode(b)
 
 
 def test_insert_guards():
@@ -351,6 +413,28 @@ def test_check_detects_desync():
         cb.insert(d[2], 0)
     with pytest.raises(InternalInconsistencyError, match="Kraft sum exceeds capacity"):
         cb.check(d)
+
+
+def test_check_audits_the_current_cached_answers():
+    cb, d = build_example()
+    assert cb.codeword(d[20]) == 0b10 and cb.decode(12) is d[30]
+    touches, bases, peeks = cb.kraft.touches, list(cb.bases), dict(cb.peeks)
+    cb.check(d)  # its tree reads count no touches and cache nothing
+    assert (cb.kraft.touches, cb.bases, cb.peeks) == (touches, bases, peeks)
+    stamp, base, t = cb.bases[2]
+    for planted in ((stamp, base + 1, t), (stamp, base, t + 1)):  # a wrong answer or cost
+        cb.bases[2] = planted
+        with pytest.raises(InternalInconsistencyError, match="cached base of class 2 is stale"):
+            cb.check(d)
+        assert cb.kraft.touches == touches
+    cb.bases[2] = (stamp - 1, base + 1, t)  # an old stamp: never served, so not audited
+    cb.check(d)
+    j, stamp, rec, t = cb.peeks[12]
+    for planted in ((j, stamp, d[40], t), (2, cb.stamps[2], rec, t)):  # wrong record, class
+        cb.peeks[12] = planted
+        with pytest.raises(InternalInconsistencyError, match="cached record of 12 is stale"):
+            cb.check(d)
+        assert cb.kraft.touches == touches
 
 
 def test_codewords_are_prefix_free_under_random_mutation():
