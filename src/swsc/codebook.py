@@ -10,11 +10,11 @@ written as an l_max-bit value, where C[h] = len(A[h]). The scaled Kraft
 weights C[h] * 2**(l_max - h) are kept in a searchable partial-sums structure
 so encode needs one prefix query and decode one prefix-sum search.
 
-An insert, move or remove at class j is an event. It moves no answer of a
-class h < j, as A[h]'s codewords depend only on C[0..h-1] and the order in A[h],
-so stamps[h] numbers the last event at a class <= h. codeword keeps A[j]'s first
-codeword in bases[j] and decode b's class and record in peeks[b], with the
-class's stamp and the touches; a coder reads an entry whose stamp is current.
+An insert, move or remove at class j is an event. A[h]'s codewords depend only
+on C[0..h-1] and the order in A[h], so an event moves no answer of a class h < j,
+nor of j when it appends to A[j]; stamps[h] numbers the last event that can.
+codeword keeps A[j]'s first codeword in bases[j] and decode b's class and record
+in peeks[b], with the class's stamp and touches; a coder reads a current entry.
 """
 
 from .errors import CorruptStreamError, InternalInconsistencyError
@@ -66,8 +66,8 @@ class Codebook:
         self.coded = 0  # queries codeword and decode answered: the coded symbols
         self.max_step = 0  # the most touches between two end_step calls
         self._step_start = 0  # the touches at the last end_step
-        # class h -> the number of the last event at class h or below, the last
-        # that could move its answers; stamps[l_max] counts every event
+        # class h -> the number of the last event that could move its answers:
+        # an append below h or a removal at h or below; stamps[l_max] is the largest
         self.stamps = [0] * (l_max + 1)
         self.bases = [NO_ANSWER] * (l_max + 1)  # class j -> (stamp, first codeword, touches)
         self.peeks = {}  # peeked bits b -> (class, stamp, record, touches); at most 2**l_max
@@ -125,7 +125,7 @@ class Codebook:
     def _link(self, rec, j):
         # append rec to A[j] at (j, end) and add its weight; insert and move
         # are the only updates that raise the Kraft sum, so this is its check
-        self.stamps[j:] = [self.stamps[-1] + 1] * (self.l_max + 1 - j)
+        self.stamps[j + 1:] = [self.stamps[-1] + 1] * (self.l_max - j)
         lst = self.lists[j]
         lst.append(rec)
         rec.length = j

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 from .bitio import WRITE_BATCH, BitReader, BitWriter, window
 from .codebook import NO_PEEK, Codebook, codeword_length, length_bounds
-from .dictionary import (BACKENDS, CodeRecord, choose_backend, make_dictionary,
-                         symbol_model_bytes)
+from .dictionary import (BACKENDS, CodeRecord, TrieDictionary, choose_backend,
+                         make_dictionary, symbol_model_bytes)
 from .errors import CorruptStreamError, ParameterError
 from .params import CoderParams
 
@@ -76,6 +76,7 @@ class CoderState:
         self.dictionary = make_dictionary(backend, params.sigma)
         self.codebook = Codebook(params.l_max)
         self._buf = deque(maxlen=params.ell)  # window records, oldest first
+        self._spare = []  # records the window dropped, for the next new symbols
         self.position = 0  # symbols processed
         self._bits = 0  # payload bits, carried across chunks for the report
 
@@ -142,7 +143,10 @@ class CoderState:
 
         The ring is a deque bounded at ell that holds each window symbol's
         record, so the evicted record, buf[0] once the ring is full, needs no
-        lookup; a record is dropped only when no slot holds it. A coded
+        lookup; a record is dropped only when no slot holds it, and kept for
+        the next symbols that enter: a CodeRecord is made only when none is
+        kept. The trie's tables are edited in place, with no call; hashed
+        put and delete stay calls, as they keep its capacity model. A coded
         record moves one length class when its frequency crosses a bound of
         length_bounds, so codeword_length runs only on insert. The codebook
         checks the Kraft bound itself on every insert and move, the only
@@ -159,7 +163,13 @@ class CoderState:
         down, up = length_bounds(ell, l_max)
         w1 = width + 1  # a literal: flag 0 then the plain index
         d = self.dictionary
-        lookup, put, delete = d.lookup, d.put, d.delete
+        if isinstance(d, TrieDictionary):
+            root, shift, csize = d.tables
+            low, empty = csize - 1, [None] * csize + [0]  # read where no child is; never written
+        else:
+            root, lookup, put, delete = None, d.lookup, d.put, d.delete
+        spare = self._spare
+        keep, take = spare.append, spare.pop
         cb = self.codebook
         insert, remove, move, end_step = cb.insert, cb.remove, cb.move, cb.end_step
         stamps = cb.stamps  # updated in place by the events
@@ -194,11 +204,12 @@ class CoderState:
                         if v >= sigma:
                             raise CorruptStreamError(
                                 f"literal {v} out of range for sigma {sigma}")
-                        a, rec, touched = v, lookup(v), False
+                        a, touched = v, False
+                        rec = lookup(a) if root is None else (root[a >> shift] or empty)[a & low]
                     else:
                         b = (v >> b_shift) & b_mask
                         h, e, rec, t = peeks.get(b, NO_PEEK)
-                        if e == stamps[h]:  # no event at class h or below since: no tree reads
+                        if e == stamps[h]:  # no event since that moves class h: no tree reads
                             hits, spent = hits + 1, spent + t
                             hit_at, touched = i, False
                         else:
@@ -209,11 +220,11 @@ class CoderState:
                     append(a)
                 else:
                     a = symbols[i]
-                    rec = lookup(a)
+                    rec = lookup(a) if root is None else (root[a >> shift] or empty)[a & low]
                     if rec is not None and rec.length is not None:
                         j = rec.length
                         e, base, t = bases[j]
-                        if e == stamps[j]:  # no event at class j or below since: no tree reads
+                        if e == stamps[j]:  # no event since that moves class j: no tree reads
                             hits, spent = hits + 1, spent + t
                             hit_at, touched = i, False
                         else:
@@ -233,8 +244,17 @@ class CoderState:
                     erec = buf[0]
                     f = erec.freq - 1
                     erec.freq = f
-                    if f == 0:
-                        delete(erec.sym)
+                    if f == 0:  # dropped: kept, literal once this step ends
+                        s = erec.sym
+                        if root is None:
+                            delete(s)
+                        else:
+                            node = root[s >> shift]
+                            node[s & low] = None
+                            node[csize] -= 1
+                            if not node[csize]:
+                                root[s >> shift] = None
+                        keep(erec)
                         if erec is rec:
                             rec = None  # the record was just dropped
                     length = erec.length
@@ -247,8 +267,16 @@ class CoderState:
                             touched = True
                 # 4. + 5. the incoming symbol gains one
                 if rec is None:
-                    rec = CodeRecord(0, a)
-                    put(a, rec)
+                    rec = take() if spare else CodeRecord(0)
+                    rec.sym = a
+                    if root is None:
+                        put(a, rec)
+                    else:
+                        node = root[a >> shift]
+                        if node is None:
+                            node = root[a >> shift] = empty.copy()
+                        node[a & low] = rec
+                        node[csize] += 1
                 f = rec.freq + 1
                 rec.freq = f
                 if f >= threshold:

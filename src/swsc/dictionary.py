@@ -35,9 +35,10 @@ def symbol_model_bytes(sigma: int) -> int:
 class CodeRecord:
     """Mutable per-symbol state: the symbol, its window frequency and codebook slot.
 
-    sym is set when the record is created and never changes. A new record is
-    literal (length None); the codebook sets length and index when it holds
-    the record at lists[length][index].
+    sym is set when the record enters a dictionary. A new record is literal
+    (length None); the codebook sets length and index when it holds the
+    record at lists[length][index]. The loop coder reuses a record the window
+    drops, literal at frequency 0, for the next symbol that enters.
     """
 
     __slots__ = ("freq", "length", "index", "sym")
@@ -64,7 +65,8 @@ class TrieDictionary:
     The root table is indexed by the high ceil(width / 2) bits and each child
     table by the low floor(width / 2) bits, so every operation touches at
     most two tables. Child tables are allocated lazily and freed when they
-    empty, so the table count is O(stored keys). sigma > TRIE_MAX_SIGMA is refused.
+    empty, so the table count is O(stored keys); len, table_count and
+    report_memory recount the root (<= 2^8 slots). sigma > TRIE_MAX_SIGMA is refused.
     """
 
     def __init__(self, sigma: int):
@@ -76,11 +78,23 @@ class TrieDictionary:
         self._low = (1 << self._shift) - 1
         self._csize = 1 << self._shift
         self._root = [None] * (1 << (width - self._shift))
-        self._n = 0  # records stored
-        self.table_count = 1  # the root plus the live child tables
 
     def __len__(self):
-        return self._n
+        csize = self._csize
+        return sum(node[csize] for node in self._root if node is not None)
+
+    @property
+    def table_count(self) -> int:
+        """The root plus the live child tables."""
+        return 1 + len(self._root) - self._root.count(None)
+
+    @property
+    def tables(self):
+        """(root, shift, csize): a is at root[a >> shift][a % csize], if that child exists.
+
+        A child's cell csize counts its records: an edit keeps it, and frees an emptied child.
+        """
+        return self._root, self._shift, self._csize
 
     def get(self, a: int):
         """Record for symbol a, or None."""
@@ -102,14 +116,10 @@ class TrieDictionary:
         csize = self._csize
         if node is None:
             # slots 0..csize-1 hold records; the trailing cell counts them
-            node = [None] * (csize + 1)
-            node[csize] = 0
-            self._root[hi] = node
-            self.table_count += 1
+            node = self._root[hi] = [None] * csize + [0]
         lo = a & self._low
         if node[lo] is None:
             node[csize] += 1
-            self._n += 1
         node[lo] = record
 
     def delete(self, a: int) -> None:
@@ -121,13 +131,10 @@ class TrieDictionary:
         if node is None or node[lo] is None:
             raise InternalInconsistencyError(f"delete of absent symbol {a}")
         node[lo] = None
-        self._n -= 1
         csize = self._csize
-        left = node[csize] - 1
-        node[csize] = left
-        if left == 0:
+        node[csize] -= 1
+        if not node[csize]:
             self._root[hi] = None
-            self.table_count -= 1
 
     def items(self):
         """Yield (symbol, record) pairs in symbol order."""
@@ -141,7 +148,7 @@ class TrieDictionary:
     def report_memory(self) -> int:
         """Modeled bytes: all allocated table slots plus stored records."""
         slots = len(self._root) + (self.table_count - 1) * self._csize
-        return slots * SLOT_MODEL_BYTES + self._n * RECORD_MODEL_BYTES
+        return slots * SLOT_MODEL_BYTES + len(self) * RECORD_MODEL_BYTES
 
 
 class HashedDictionary:

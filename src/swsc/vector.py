@@ -109,7 +109,7 @@ class BlockEncoder:
                     rec = get(sym)
                     j = rec.length
                     e, base, t = bases[j]
-                    if e == stamps[j]:  # no event at class j or below since: no tree reads
+                    if e == stamps[j]:  # no event since that moves class j: no tree reads
                         push((1 << j) | (base + rec.index))  # flag 1 first
                         hits, spent = hits + 1, spent + t
                         if not end:  # an event follows: bill the query to the step it ends

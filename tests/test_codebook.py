@@ -223,12 +223,14 @@ def peek_of(cb, b):
     return rec if stamp == cb.stamps[h] else None
 
 
-def test_an_answer_holds_until_an_event_at_its_class_or_below():
+def test_an_answer_holds_until_an_event_that_can_move_it():
+    # h is the lowest class an event voids: a removal's own class, or the
+    # class above an append, which moves no slot of its own class
     cb, d = build_example()  # A[1] [10], A[2] [20], A[4] [30, 40, 50, 60]
     for event, h, b, before, after in [
             (lambda: cb.remove(d[30]), 4, 12, 30, 60),  # 60 swaps into 30's slot
             (lambda: cb.move(d[20], 3), 2, 10, 20, 60),  # A[4] now starts at 10
-            (lambda: cb.insert(d.setdefault(70, rec_of(70)), 3), 3, 10, 60, 70)]:
+            (lambda: cb.insert(d.setdefault(70, rec_of(70)), 3), 4, 10, 60, 70)]:  # A[3] keeps 20
         t = cb.kraft.touches
         assert cb.decode(b) is d[before]
         j = d[before].length
@@ -243,7 +245,7 @@ def test_an_answer_holds_until_an_event_at_its_class_or_below():
             cb.decode(c)
         bases = [base_of(cb, j) for j in range(cb.l_max + 1)]
         peeks = {c: (entry[0], peek_of(cb, c)) for c, entry in cb.peeks.items()}
-        event()  # at class h: the answers of classes h and up are stale, the rest served
+        event()  # the answers of classes h and up are stale, the rest served
         assert [base_of(cb, j) for j in range(cb.l_max + 1)] == [
             base if j < h else None for j, base in enumerate(bases)]
         for c, (j, rec) in peeks.items():

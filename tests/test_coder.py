@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import random
 import re
 import sys
 import tracemalloc
@@ -24,7 +25,8 @@ from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, Decoder, Encoder,
                         decode_stream, encode_stream, encode_to_bytes, read_header,
                         read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
-from swsc.dictionary import TrieDictionary, choose_backend
+from swsc.dictionary import (RECORD_MODEL_BYTES, SLOT_MODEL_BYTES, CodeRecord,
+                             TrieDictionary, choose_backend)
 from swsc.errors import (CorruptStreamError, InternalInconsistencyError, ParameterError,
                          SwscError)
 from swsc.params import CoderParams, derive_params
@@ -608,6 +610,104 @@ def test_encoder_and_decoder_states_stay_in_lockstep():
     assert enc.codebook.lists == dec.codebook.lists
     enc.codebook.check(enc.dictionary)
     dec.codebook.check(dec.dictionary)
+
+
+def trie_recount(d):
+    """(records, tables, model bytes, keys) read off the trie's tables alone."""
+    root, shift, csize = d.tables
+    children = [(hi, node) for hi, node in enumerate(root) if node is not None]
+    keys = set()
+    for hi, node in children:
+        held = [lo for lo, rec in enumerate(node[:csize]) if rec is not None]
+        assert node[csize] == len(held) > 0  # the count cell, and no emptied child left
+        assert all(node[lo].sym == (hi << shift) | lo for lo in held)
+        keys.update((hi << shift) | lo for lo in held)
+    slots = len(root) + len(children) * csize
+    model = slots * SLOT_MODEL_BYTES + len(keys) * RECORD_MODEL_BYTES
+    return len(keys), 1 + len(children), model, keys
+
+
+@pytest.mark.parametrize("p, source, n, piece", [
+    (derive_params(65536, 2.0, 10), "uniform", 2 * 40960 + 5000, 1 << 14),
+    # threshold 1 codes every window symbol, and child tables of 16 slots often empty
+    (CoderParams(sigma=256, lam=1.0, c=1, ell=64, threshold=1, l_max=6, width=8),
+     "uniform", 3000, 97),
+])
+def test_the_loops_trie_edits_match_a_recount_of_its_tables(p, source, n, piece):
+    # the loop edits the trie's tables in place; what the trie reports is
+    # recounted from them, so both must agree with a walk of the tables
+    syms = generate(source, p.sigma, n, seed=3).tolist()
+    assert n >= 2 * p.ell  # the window churns
+
+    def check(state):
+        d = state.dictionary
+        records, tables, model, keys = trie_recount(d)
+        assert (len(d), d.table_count, d.report_memory()) == (records, tables, model)
+        assert keys == set(state.window_contents())
+
+    enc, dec, writer = CoderState(p, backend="trie"), CoderState(p, backend="trie"), BitWriter()
+    for lo in range(0, n, piece):
+        enc.encode_chunk(syms[lo:lo + piece], writer)
+        check(enc)
+    reader, got = BitReader(writer.finish()), []
+    for lo in range(0, n, piece):
+        got += dec.decode_chunk(reader, min(piece, n - lo))[0]
+        check(dec)
+    assert got == syms
+
+
+def counted_records(monkeypatch):
+    """A list that grows by one for each CodeRecord the loop coder makes."""
+    made = []
+
+    class Counted(CodeRecord):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(coder, "CodeRecord", Counted)
+    return made
+
+
+def test_the_loop_makes_a_record_only_when_none_was_dropped(monkeypatch):
+    # the loop reuses the records the window drops, so it makes no more than
+    # the window ever held at once; one per put made about 118k here
+    p = derive_params(65536, 2.0, 10)
+    syms = generate("uniform", 65536, 5 * p.ell, seed=7).tolist()
+    made = counted_records(monkeypatch)
+    state, writer = CoderState(p), BitWriter()
+    for lo in range(0, len(syms), 1 << 14):
+        state.encode_chunk(syms[lo:lo + (1 << 14)], writer)
+    window, peak = Counter(), 0
+    for i, a in enumerate(syms):  # the most distinct symbols one window held
+        if i >= p.ell:
+            old = syms[i - p.ell]
+            window[old] -= 1
+            if not window[old]:
+                del window[old]
+        window[a] += 1
+        peak = max(peak, len(window))
+    assert len(made) <= peak + 1
+
+
+@pytest.mark.parametrize("backend", ["trie", "hashed"])
+def test_a_coded_record_dropped_and_removed_in_one_step_is_reused(monkeypatch, backend):
+    # threshold 1 codes every window symbol, so each drop is also a remove.
+    # Step 4 drops 1's record and hands it to 5; step 5 drops 2's and hands
+    # it straight back to 2, as the evicted symbol is the incoming one
+    p = CoderParams(sigma=256, lam=1.0, c=1, ell=4, threshold=1, l_max=2, width=8)
+    rng = random.Random(5)
+    syms = [1, 2, 3, 4, 5, 2, 3, 4, 2, 1] + [rng.randrange(8) for _ in range(600)]
+    blob = encode_to_bytes(p, syms)[0]
+    report = decode_stream(blob)[1]
+    made = counted_records(monkeypatch)
+    state, reader, got = CoderState(p, backend=backend), BitReader(blob[HEADER_BYTES:]), []
+    while len(got) < len(syms):
+        out, chunked = state.decode_chunk(reader, min(rng.randint(1, 3), len(syms) - len(got)))
+        got += out
+        state.codebook.check(state.dictionary)
+    assert got == syms and chunked == report
+    assert len(made) <= p.ell + 1
 
 
 def test_a_codebook_check_between_chunks_leaves_the_report_alone():
