@@ -5,7 +5,8 @@ frequency plus codebook position) for exactly the symbols currently in the
 window: a two-level radix trie over the symbol's bits and a built-in dict
 billed as an open-addressed hash table. Both expose get/put/delete plus a
 deterministic memory report, and lookup: get without the range check, for
-callers that checked the symbol.
+callers that checked the symbol. The trie also exposes its tables, which the
+loop coder edits in place.
 
 Reported bytes follow a packed layout model (what a careful C implementation
 would allocate), so audits are platform-independent: 8 bytes per trie table

@@ -25,11 +25,11 @@ from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, Decoder, Encoder,
                         decode_stream, encode_stream, encode_to_bytes, read_header,
                         read_symbol_array, write_header, write_symbols)
 from swsc.corpus import generate
-from swsc.dictionary import (RECORD_MODEL_BYTES, SLOT_MODEL_BYTES, CodeRecord,
-                             TrieDictionary, choose_backend)
+from swsc.dictionary import CodeRecord, TrieDictionary, choose_backend
 from swsc.errors import (CorruptStreamError, InternalInconsistencyError, ParameterError,
                          SwscError)
 from swsc.params import CoderParams, derive_params
+from test_dictionary import _recount_trie
 
 TINY_STREAM_HEX = (
     "53575343010002000000020000000100000001010300000000000000"
@@ -612,21 +612,6 @@ def test_encoder_and_decoder_states_stay_in_lockstep():
     dec.codebook.check(dec.dictionary)
 
 
-def trie_recount(d):
-    """(records, tables, model bytes, keys) read off the trie's tables alone."""
-    root, shift, csize = d.tables
-    children = [(hi, node) for hi, node in enumerate(root) if node is not None]
-    keys = set()
-    for hi, node in children:
-        held = [lo for lo, rec in enumerate(node[:csize]) if rec is not None]
-        assert node[csize] == len(held) > 0  # the count cell, and no emptied child left
-        assert all(node[lo].sym == (hi << shift) | lo for lo in held)
-        keys.update((hi << shift) | lo for lo in held)
-    slots = len(root) + len(children) * csize
-    model = slots * SLOT_MODEL_BYTES + len(keys) * RECORD_MODEL_BYTES
-    return len(keys), 1 + len(children), model, keys
-
-
 @pytest.mark.parametrize("p, source, n, piece", [
     (derive_params(65536, 2.0, 10), "uniform", 2 * 40960 + 5000, 1 << 14),
     # threshold 1 codes every window symbol, and child tables of 16 slots often empty
@@ -641,9 +626,10 @@ def test_the_loops_trie_edits_match_a_recount_of_its_tables(p, source, n, piece)
 
     def check(state):
         d = state.dictionary
-        records, tables, model, keys = trie_recount(d)
-        assert (len(d), d.table_count, d.report_memory()) == (records, tables, model)
-        assert keys == set(state.window_contents())
+        tables, slots, records = _recount_trie(d)
+        assert (len(d), d.table_count, d.report_memory()) == (records, tables,
+                                                               slots * 8 + records * 7)
+        assert {a for a, rec in d.items() if rec.sym == a} == set(state.window_contents())
 
     enc, dec, writer = CoderState(p, backend="trie"), CoderState(p, backend="trie"), BitWriter()
     for lo in range(0, n, piece):
