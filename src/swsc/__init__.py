@@ -7,23 +7,15 @@ state (window, frequency dictionary, codebook, partial sums) stays
 sublinear in the alphabet size for windows shorter than the alphabet.
 
 `generate` and `splitmix64` come from `swsc.corpus`, which needs numpy; it
-is imported on their first use. `Encoder`, and `encode_stream` on it, uses
+is imported on their first use. So is `swsc.analysis`, with the ten names
+it exports here (entropy, the bound, the memory audit and the oracle), as
+coding never uses it. `Encoder`, and `encode_stream` on it, uses
 the numpy block encoder of `swsc.vector` only when numpy is already loaded,
 so coding never loads numpy itself.
 """
 
-from .analysis import (
-    BoundReport,
-    EntropyStats,
-    MemoryAudit,
-    check_bound,
-    delta_term,
-    entropy,
-    memory_audit,
-    naive_table_bytes,
-    oracle_state,
-    theorem1_bound,
-)
+import importlib
+
 from .bitio import BitReader, BitWriter
 from .codebook import Codebook, codeword_length
 from .coder import (
@@ -103,9 +95,16 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    if name in ("generate", "splitmix64"):
-        from . import corpus
+# name -> the module that defines it, imported when the name is first read
+_ON_FIRST_USE = dict.fromkeys(("generate", "splitmix64"), ".corpus")
+_ON_FIRST_USE.update(dict.fromkeys((
+    "analysis", "BoundReport", "EntropyStats", "MemoryAudit", "check_bound", "delta_term",
+    "entropy", "memory_audit", "naive_table_bytes", "oracle_state", "theorem1_bound"),
+    ".analysis"))
 
-        return getattr(corpus, name)
+
+def __getattr__(name):
+    if name in _ON_FIRST_USE:
+        module = importlib.import_module(_ON_FIRST_USE[name], __name__)
+        return module if name == "analysis" else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,13 +15,11 @@ the whole stream has coded, so a failed run leaves no output behind.
 
 import argparse
 import io
-import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 
-from . import analysis, coder, dictionary
+from . import coder, dictionary
 from .errors import CorruptStreamError, ParameterError
 from .params import DISTRIBUTIONS, derive_params
 
@@ -75,6 +73,7 @@ def _text_lines(section: dict) -> list[str]:
 
 def _emit_report(doc: dict, text_lines, args, stream) -> None:
     if args.json:
+        import json  # a cold encode or decode child loads only what codes
         print(json.dumps(doc), file=stream)
     else:
         for line in text_lines:
@@ -103,13 +102,14 @@ def _cmd_encode(args) -> int:
 
         report = _write_to(args.output, encode)
     doc = {"command": "encode", "params": _params_doc(params),
-           "report": asdict(report)}
+           "report": vars(report)}
     lines = _text_lines(doc["report"])
     if args.verify_bound:
+        from . import analysis
         stats = analysis.EntropyStats.from_counts(counts)
         bound = analysis.check_bound(report, stats, params)
         doc["stats"] = stats.to_dict()
-        doc["bound"] = asdict(bound)
+        doc["bound"] = vars(bound)
         lines += _text_lines(doc["stats"]) + _text_lines(doc["bound"])
         lines.append(f"bound_check={'PASS' if bound.passed else 'FAIL'}")
     _emit_report(doc, lines, args, sys.stderr)
@@ -137,12 +137,13 @@ def _cmd_decode(args) -> int:
         report = _write_to(args.output, decode)
     doc = {"command": "decode", "params": _params_doc(params),
            "backend": dictionary.choose_backend(None, params.sigma),
-           "report": asdict(report)}
+           "report": vars(report)}
     _emit_report(doc, _text_lines(doc["report"]), args, sys.stderr)
     return 0
 
 
 def _cmd_stats(args) -> int:
+    from . import analysis
     counts = Counter()
     with _open_input(args.input) as source:
         _, chunks = coder.read_symbol_chunks(source, args.sigma, args.symbol_bytes)
@@ -165,6 +166,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from . import analysis
     params = derive_params(args.sigma, args.lam, args.c)
     delta = analysis.delta_term(params.lam, params.c)
     doc = {"command": "params", "params": _params_doc(params), "delta": delta}

@@ -49,7 +49,6 @@ import struct
 import sys
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from .bitio import WRITE_BATCH, BitReader, BitWriter, window
 from .codebook import NO_PEEK, Codebook, codeword_length, length_bounds
@@ -306,19 +305,28 @@ class CoderState:
         return out
 
 
-@dataclass
 class CoderReport:
-    """Counters from one encoding or decoding run."""
+    """Counters from one encoding or decoding run; vars() gives them in order.
 
-    n: int
-    payload_bits: int
-    payload_bytes: int
-    literal_count: int
-    coded_count: int
-    max_code_size: int  # largest coded-symbol set seen
-    ps_touches: int  # partial-sums node touches over the run
-    ps_touches_max_step: int  # worst single-symbol touch count
-    cost_units: int  # sum of 1 + handled codeword length
+    max_code_size        largest coded-symbol set seen
+    ps_touches           partial-sums node touches over the run
+    ps_touches_max_step  worst single-symbol touch count
+    cost_units           sum of 1 + handled codeword length
+    """
+
+    def __init__(self, n, payload_bits, payload_bytes, literal_count, coded_count,
+                 max_code_size, ps_touches, ps_touches_max_step, cost_units):
+        self.n, self.payload_bits, self.payload_bytes = n, payload_bits, payload_bytes
+        self.literal_count, self.coded_count = literal_count, coded_count
+        self.max_code_size, self.ps_touches = max_code_size, ps_touches
+        self.ps_touches_max_step, self.cost_units = ps_touches_max_step, cost_units
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def make_report(params: CoderParams, n: int, bits: int, codebook: Codebook) -> CoderReport:

@@ -8,7 +8,7 @@ values travel in the stream header; the decoder never re-derives them.
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codebook import codeword_length
 from .errors import ParameterError
@@ -50,42 +50,42 @@ def _frozen_ceil(x: float) -> int:
     return math.ceil(x)
 
 
-@dataclass(frozen=True)
-class CoderParams:
+class CoderParams(namedtuple("CoderParams", "sigma lam c ell threshold l_max width")):
     """Frozen integer constants shared by encoder and decoder.
 
     ell         window length in symbols
     threshold   minimum window frequency for a symbol to be coded
     l_max       maximum codeword length in bits
     width       bits of a literal symbol index
+
+    A named tuple that is checked however it is built: directly, by
+    _replace or by _make.
     """
 
-    sigma: int
-    lam: float
-    c: int
-    ell: int
-    threshold: int
-    l_max: int
-    width: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_knobs(self.sigma, self.lam, self.c)
-        if not all(isinstance(v, int) for v in (self.ell, self.threshold,
-                                                self.l_max, self.width)):
+    def __new__(cls, sigma, lam, c, ell, threshold, l_max, width):
+        _check_knobs(sigma, lam, c)
+        if not all(isinstance(v, int) for v in (ell, threshold, l_max, width)):
             raise ParameterError("ell, threshold, l_max and width must be integers")
-        if not 1 <= self.ell <= MAX_ELL:
-            raise ParameterError(f"window length {self.ell} out of range")
-        if not 1 <= self.threshold <= self.ell:
+        if not 1 <= ell <= MAX_ELL:
+            raise ParameterError(f"window length {ell} out of range")
+        if not 1 <= threshold <= ell:
             raise ParameterError("threshold must lie in [1, ell]")
-        if self.width != (self.sigma - 1).bit_length():
+        if width != (sigma - 1).bit_length():
             raise ParameterError("width inconsistent with sigma")
-        if not 1 <= self.l_max <= self.width:
+        if not 1 <= l_max <= width:
             raise ParameterError("l_max must lie in [1, width]")
         # Shannon lengths of frequencies in [threshold, ell] must fit in
         # [0, l_max]; the length is nonincreasing in f and 0 at f = ell, so
         # the threshold decides
-        if codeword_length(self.ell, self.threshold) > self.l_max:
+        if codeword_length(ell, threshold) > l_max:
             raise ParameterError("threshold admits codewords longer than l_max")
+        return super().__new__(cls, sigma, lam, c, ell, threshold, l_max, width)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def derive_params(sigma: int, lam: float, c: int) -> CoderParams:

@@ -153,10 +153,17 @@ def test_text_report_renders_the_json_report(tmp_path, capsys):
             for k, v in doc[section].items() if v is not None]
     assert text == want + ["bound_check=PASS"]
     assert run(["decode", str(packed), str(tmp_path / "out.bin"), "--json"]) == 0
-    decoded = json.loads(capsys.readouterr().err)["report"]
+    decoded_doc = json.loads(capsys.readouterr().err)
+    decoded = decoded_doc["report"]
     for key in ("payload_bits", "payload_bytes", "literal_count", "coded_count",
                 "max_code_size", "cost_units"):
         assert decoded[key] == doc["report"][key]
+    # the documents' key order is the report's field order and the params'
+    report_keys = ["n", "payload_bits", "payload_bytes", "literal_count", "coded_count",
+                   "max_code_size", "ps_touches", "ps_touches_max_step", "cost_units"]
+    params_keys = ["sigma", "lambda", "c", "ell", "threshold", "l_max", "width"]
+    assert [(list(d["report"]), list(d["params"])) for d in (doc, decoded_doc)] == [
+        (report_keys, params_keys)] * 2
 
 
 def test_stats_command(tmp_path, capsys):

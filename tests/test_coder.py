@@ -1,7 +1,6 @@
 """Stream coder: frozen bytes, lockstep state, corruption handling."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -757,7 +756,7 @@ def test_a_rejected_encode_writes_nothing(monkeypatch, numpy_loaded, fault):
     syms, backend = list(range(256)) * 4, None
     if fault == "params":  # bad params cannot even be built
         with pytest.raises(ParameterError):
-            dataclasses.replace(p, threshold=p.ell + 1)
+            p._replace(threshold=p.ell + 1)
         return
     elif fault == "float":
         syms[-1] = 1.5  # in the last chunk, after the others coded

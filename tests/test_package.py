@@ -162,6 +162,32 @@ def test_coding_never_imports_numpy(tmp_path):
         """, tmp_path)
 
 
+def test_a_cold_coding_child_loads_only_what_codes(tmp_path):
+    # counted against what a bare interpreter loaded before the first import;
+    # analysis, json and dataclasses (which brings inspect) load on first use
+    _fresh_interpreter("""
+        import sys
+        bare = set(sys.modules)
+        avoid = {'swsc.analysis', 'dataclasses', 'inspect', 'json', 'numpy'}
+        loaded = lambda: sorted(avoid & (set(sys.modules) - bare))
+        import swsc
+        assert loaded() == [], loaded()
+        import swsc.cli
+        open('raw.bin', 'wb').write(bytes(range(200)) * 30)
+        for argv in (['encode', 'raw.bin', 'p.swsc', '--sigma', '256'],
+                     ['decode', 'p.swsc', 'out.bin']):
+            assert swsc.cli.run(argv) == 0
+        assert loaded() == [], loaded()
+        assert swsc.analysis.check_bound is swsc.check_bound
+        for argv in (['encode', 'raw.bin', 'q.swsc', '--sigma', '256', '--json'],
+                     ['decode', 'q.swsc', 'out.bin', '--json'],
+                     ['encode', 'raw.bin', 'q.swsc', '--sigma', '256', '--verify-bound'],
+                     ['stats', 'raw.bin', '--sigma', '256'],
+                     ['params', '--sigma', '256']):
+            assert swsc.cli.run(argv) == 0
+        """, tmp_path)
+
+
 def test_encode_stream_with_numpy_loaded_never_steps(monkeypatch):
     # the block encoder codes the whole stream; the loop stays for the
     # stepping API, the decoder and a process without numpy

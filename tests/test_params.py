@@ -1,6 +1,5 @@
 """Derived coder constants: frozen values, invariants, rejection paths."""
 
-import dataclasses
 import math
 
 import pytest
@@ -95,7 +94,7 @@ def test_sigma_limit_is_the_u32_header_field():
         with pytest.raises(ParameterError, match="exceeds the stream limit"):
             derive_params(sigma, 2.0, 10)
         with pytest.raises(ParameterError, match="exceeds the stream limit"):
-            dataclasses.replace(p, sigma=sigma, width=(sigma - 1).bit_length())
+            p._replace(sigma=sigma, width=(sigma - 1).bit_length())
 
 
 def test_from_frozen_roundtrip():
@@ -133,13 +132,25 @@ def test_from_frozen_roundtrip():
 ])
 def test_from_frozen_rejects_inconsistent_fields(patch):
     p = derive_params(4096, 2.0, 10)
-    bad = dataclasses.asdict(p)
+    bad = p._asdict()
     bad.update(patch)
     # a CoderParams is checked when it is built, however it is built
     with pytest.raises(ParameterError):
         CoderParams(**bad)
     with pytest.raises(ParameterError):
-        dataclasses.replace(p, **patch)
+        p._replace(**patch)
+    with pytest.raises(ParameterError):
+        CoderParams._make(bad.values())
+
+
+def test_params_are_immutable_and_hash_by_value():
+    p = derive_params(4096, 2.0, 10)
+    for field in ("ell", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, 1)
+    q = CoderParams(**p._asdict())
+    assert q is not p and q == p and hash(q) == hash(p)
+    assert p._replace(c=11) != p
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,7 +175,7 @@ def test_derived_invariants(sigma, lam, c):
 def test_validate_passes_for_all_frozen_rows():
     for sigma, lam, c, _ in FROZEN:
         p = derive_params(sigma, lam, c)
-        assert CoderParams(**dataclasses.asdict(p)) == p
+        assert CoderParams(**p._asdict()) == p
 
 
 def test_threshold_bump_preserves_length_cap():
