@@ -406,15 +406,18 @@ class Encoder:
     before the first; finish writes the last byte and ends the stream. Any
     split of the symbols into feeds writes the same bytes and returns the same
     reports. With numpy already imported, the block encoder of swsc.vector
-    codes each feed whole, with no dictionary, but sorts the whole carried
-    window once per feed, so feed it at least vector._BLOCK (65,536) symbols at
-    a time: on a 2-vCPU host zipf64k coded at 0.555 us/symbol in one feed and
-    0.809 in 4,096-symbol feeds. Otherwise CoderState codes each feed _CHUNK
-    symbols at a time, so the loop holds O(ell + _CHUNK) Python objects. A feed
-    past n symbols, or a finish short of them, raises ParameterError and
-    changes nothing. A feed that fails while it codes writes nothing of itself.
-    After it, after a failed write to out, or after finish, every later feed or
-    finish raises ParameterError and writes nothing.
+    codes each feed whole, with no dictionary. While no symbol is coded, a
+    feed that a bound on the window's counts proves to be all literals sorts
+    only itself, and the carried window only to renew that bound. Any other
+    feed sorts the whole carried window, so feed it at least vector._BLOCK
+    (65,536) symbols at a time: on a 2-vCPU host zipf64k coded at 0.555
+    us/symbol in one feed and 0.809 in 4,096-symbol feeds. Otherwise
+    CoderState codes each feed _CHUNK symbols at a time, so the loop holds
+    O(ell + _CHUNK) Python objects. A feed past n symbols, or a finish short
+    of them, raises ParameterError and changes nothing. A feed that fails
+    while it codes writes nothing of itself. After it, after a failed write
+    to out, or after finish, every later feed or finish raises
+    ParameterError and writes nothing.
     """
 
     def __init__(self, params: CoderParams, out, n: int):
@@ -485,10 +488,11 @@ class Decoder:
     is checked before the last chunk is yielded, so its report is the whole
     stream's. backend is as for choose_backend, whatever the header's flag
     says, and never changes the result. With numpy already imported, the
-    block decoder of swsc.vector decodes whole chunks of literals in numpy
-    and hands off to CoderState at the start of the first chunk that
-    inserts into the codebook or holds any other code; otherwise CoderState
-    decodes every chunk.
+    block decoder of swsc.vector decodes whole chunks of literals in numpy,
+    counting a chunk's window only when a bound on the counts cannot rule
+    out an insert, and hands off to CoderState at the start of the first
+    chunk that inserts into the codebook or holds any other code; otherwise
+    CoderState decodes every chunk.
     """
 
     def __init__(self, source, backend: str | None = None):

@@ -4,18 +4,19 @@ In the encoder only the codebook has to run in input order. A symbol's
 window count, and with it whether the symbol is coded and when it crosses a
 threshold or a length class, follows from the input alone: a coded record
 always sits in the class codeword_length(ell, count), and a count moves by
-one per event. So each block of _BLOCK steps is counted in numpy, the
-carried window entering as leading events, and only the codebook work runs
-in Python: one time-ordered action list, in the order of CoderState._steps
-(each step's codeword query, then its evicted and its incoming symbol's
-insert, move or remove), closing each step with Codebook.end_step. It
-answers and credits queries as the loop does, so the codebook's counters,
-and with them every report field but n and the bits, come out the same.
+one per event. So each block of _BLOCK steps that _skip cannot prove to be
+literals alone is counted in numpy, the carried window entering as leading
+events, and only the codebook work runs in Python: one time-ordered action
+list, in the order of CoderState._steps (each step's codeword query, then
+its evicted and its incoming symbol's insert, move or remove), closing each
+step with Codebook.end_step. It answers and credits queries as the loop
+does, so the codebook's counters, and with them every report field but n
+and the bits, come out the same.
 
 The decoder must run the codebook to parse a code, but while the codebook
 is empty every code is a flag 0 and a width-bit literal. So block_decoder
 slices a chunk's codes as fixed fields, out of the reader's window of the
-payload, and counts the window the same way, and commits the chunk only
+payload, and skips or counts the window the same way, and commits it only
 when every code is such a literal and no step inserts. The first chunk that
 is not commits nothing: a CoderState takes the window at that chunk's
 start, and its loop decodes the rest of the stream.
@@ -73,7 +74,7 @@ class BlockEncoder:
         call that raises may have coded the blocks before it.
         """
         params = self.params
-        sigma, ell, threshold = params.sigma, params.ell, params.threshold
+        sigma, ell, threshold, w1 = params.sigma, params.ell, params.threshold, params.width + 1
         crossings, insert_length = self._crossings, self._insert_length
         cb = self.codebook
         insert, remove, move, codeword, end_step, bases, stamps = (
@@ -85,6 +86,11 @@ class BlockEncoder:
         for lo in range(0, len(symbols), _BLOCK):
             blk = _checked(symbols[lo:lo + _BLOCK], sigma, self.position + lo, self._dtype)
             size = len(blk)
+            skipped = None if cb.size else _skip(self._window, blk, ell, threshold)
+            if skipped:  # every code a literal, and no action
+                self._window = skipped
+                _emit(writer.write_bits, blk.astype(np.uint64), np.full(size, w1, np.int64))
+                continue
             self._window, gone, evicts, fe, fa = _slide(self._window, blk, ell)
             fb = fa - 1 + (evicts & (gone == blk))  # the incoming count before the step
             # each step's actions, coded 0 for none: 1 its codeword query; then
@@ -133,7 +139,7 @@ class BlockEncoder:
             # a literal is flag 0 then the width-bit symbol; a code is flag 1 then
             # its codeword, at most 33 bits, so frexp gives its exact bit length
             vals = blk.astype(np.uint64)
-            lens = np.full(size, params.width + 1, np.int64)
+            lens = np.full(size, w1, np.int64)
             vals[queried] = values
             lens[queried] = np.frexp(vals[queried])[1]
             _emit(writer.write_bits, vals, lens)
@@ -169,8 +175,11 @@ def block_decoder(state):
         lits = _literals(reader, count, w1, sigma)
         if count and lits is not None:  # an empty stream goes to the loop: no empty _slide
             lits = lits.astype(dtype)
-            after, _, _, _, fa = _slide(window, lits, ell)
-            if fa.max() < threshold:
+            after = _skip(window, lits, ell, threshold)
+            if after is None:  # no proof: count every step
+                after, _, _, _, fa = _slide(window, lits, ell)
+                after = after if fa.max() < threshold else None
+            if after is not None:
                 window, position = after, position + count
                 reader.position += count * w1
                 return lits.tolist(), make_report(p, position, position * w1, state.codebook)
@@ -224,19 +233,47 @@ def _checked(chunk, sigma, position, dtype):
 
 
 def _empty_window(dtype):
-    """The window before any step, as _slide takes it."""
-    return np.empty(0, dtype), np.empty(0, dtype), np.empty(0, np.int64)
+    """The window before any step, as _skip and _slide take it."""
+    return np.empty(0, dtype), np.empty(0, dtype), np.empty(0, np.int64), 0
+
+
+def _skip(window, blk, ell, threshold):
+    """The window after the steps blk if its bound proves them all literals, else None.
+
+    No count in blk exceeds the bound, at least the window's largest count,
+    plus the most times one symbol occurs in blk. Below the threshold, no
+    step of blk can act on an empty codebook. A skip leaves the window's
+    counts stale; a stale bound that fails is recounted from the ring.
+    """
+    ring, wsyms, _, bound = window
+    most = _most(blk)
+    if bound + most >= threshold and wsyms is None:
+        bound = _most(ring)
+    if bound + most < threshold:
+        return np.concatenate((ring, blk))[-ell:], None, None, bound + most
+    return None
+
+
+def _most(a):
+    """The most times one value occurs in the array a; 0 if a is empty."""
+    # stable is a radix sort for 8- and 16-bit values but a 20x slower timsort for 32
+    a = np.sort(a, kind="stable" if a.itemsize < 4 else None)
+    heads = np.flatnonzero(np.append(True, a[1:] != a[:-1]))
+    return int(np.diff(heads, append=len(a)).max())
 
 
 def _slide(window, blk, ell):
     """Slide the window over the steps blk; returns the next window and, per step,
     its evicted symbol, whether it evicts and the evicted and incoming counts after it.
 
-    window is (ring, symbols, counts): the last ell symbols, oldest first, and
-    its distinct symbols, ascending, with how often each occurs. A step that
-    evicts nothing names its incoming symbol as the evicted one.
+    window is (ring, symbols, counts, bound): the last ell symbols, oldest
+    first, its distinct symbols, ascending, with how often each occurs (None
+    after _skip), and the largest count. A step that evicts nothing names
+    its incoming symbol as the evicted one.
     """
-    ring, wsyms, wcounts = window
+    ring, wsyms, wcounts, _ = window
+    if wsyms is None:  # stale after _skip
+        wsyms, wcounts = np.unique(ring, return_counts=True)
     size = len(blk)
     seq = np.concatenate((ring, blk))
     first = max(0, ell - len(ring))  # the first step that evicts
@@ -250,7 +287,7 @@ def _slide(window, blk, ell):
         ev[2 * first::2] = seq[len(ring) + first - ell:len(seq) - ell]
         delta[2 * first::2] = -1
     after, wsyms, wcounts = _count(wsyms, wcounts, ev, delta)
-    window = seq[max(0, len(seq) - ell):], wsyms, wcounts
+    window = seq[max(0, len(seq) - ell):], wsyms, wcounts, int(wcounts.max(initial=0))
     return window, ev[0::2], np.arange(size) >= first, after[0::2], after[1::2]
 
 

@@ -394,6 +394,57 @@ def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam
             CorruptStreamError, f"symbol {8 * cut // w1}: bit stream truncated")
 
 
+@pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", [
+    (256, 1.0, 1, "zipf", {}, 59),
+    (4096, 2.0, 1, "markov", {"states": 1024}, 213),
+    (70000, 3.0, 1, "zipf", {}, 229),
+    (2, 1.0, 1, "uniform", {}, 0),
+])
+@pytest.mark.parametrize("chunk", [7, 100, None, "insert"])
+def test_the_block_decoder_hands_off_at_the_chunk_of_the_first_insert(monkeypatch, sigma, lam,
+                                                                     c, dist, kw, insert,
+                                                                     chunk):
+    # chunks before the first insert are all committed in numpy, whether
+    # _skip proves them literals or _slide counts them
+    p = derive_params(sigma, lam, c)
+    symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
+    if chunk == "insert":
+        chunk = max(insert, 1)
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    calls = []
+    steps = CoderState._steps
+
+    def recorded_steps(self, symbols, count, writer=None, reader=None):
+        calls.append(self.position)
+        return steps(self, symbols, count, writer=writer, reader=reader)
+
+    monkeypatch.setattr(CoderState, "_steps", recorded_steps)
+    blob, _ = encode_to_bytes(p, symbols)
+    _outcome(blob)
+    assert calls[0] == (insert // coder._CHUNK) * coder._CHUNK
+
+
+@pytest.mark.parametrize("chunk", [100, None])
+def test_the_block_decoder_counts_a_window_held_one_below_the_threshold(monkeypatch, chunk):
+    # symbol 0 every 274 steps puts 15 of them in every 4,096-step window,
+    # never 16: no chunk is provably literal, so each falls back to the exact
+    # count, which commits it, and the loop never runs
+    p = derive_params(65536, 2.0, 1)
+    assert (p.ell, p.threshold) == (4096, 16)
+    rng = random.Random(11)
+    symbols = [0 if i % 274 == 0 else rng.randrange(1, p.sigma) for i in range(70000)]
+    assert _first_insert(p, symbols) is None
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    blob, _ = encode_to_bytes(p, symbols)
+    with mock.patch.object(CoderState, "_steps", side_effect=AssertionError("the loop ran")):
+        block = _outcome(blob)
+    assert [a for chunk_symbols, _ in block for a in chunk_symbols] == symbols
+    with _numpy_hidden():
+        assert block == _outcome(blob)
+
+
 def test_resume_after_literals_takes_the_loops_state():
     # a uniform prefix that codes nothing, then one symbol until it is coded:
     # a state resumed inside the prefix, its ring empty, part full or full,

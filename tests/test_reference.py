@@ -191,6 +191,67 @@ def test_block_encoder_short_and_empty_inputs():
         check_block_encoder(p, symbols, block=7)
 
 
+def _skips_expected(p, symbols, block):
+    """Per block, whether the window's largest count at its start plus the most
+    times one symbol occurs in the block stays below the threshold."""
+    counts, out = Counter(), []
+    for lo in range(0, len(symbols), block):
+        blk = symbols[lo:lo + block]
+        out.append(max(counts.values(), default=0) + max(Counter(blk).values()) < p.threshold)
+        for i in range(lo, lo + len(blk)):
+            if i >= p.ell:
+                gone = symbols[i - p.ell]
+                counts[gone] -= 1
+                if not counts[gone]:
+                    del counts[gone]
+            counts[symbols[i]] += 1
+    return out
+
+
+@pytest.mark.parametrize("knobs", [(256, 2.0, 1), (65536, 3.0, 1), (MAX_SIGMA, 8.0, 1)])
+@pytest.mark.parametrize("block", [1, 7, 1000, None])
+def test_literal_blocks_skip_the_window_count(knobs, block):
+    # literals, then a hot symbol that enters the codebook, then literals
+    # until it has left the window and the codebook is empty again: each
+    # block skips _slide exactly when its literals are provable from the
+    # window's largest count, and the bytes and report stay the loop's
+    p = derive_params(*knobs)  # u1, u2 and u4 symbols
+    assert p.ell < p.sigma and p.ell < 1000
+    hot = p.sigma - 1
+    head, tail = p.ell + 1500, 2 * p.ell + 2500
+    fresh = [i % p.sigma for i in range(head + tail)]  # never threshold in a window
+    symbols = fresh[:head] + [hot] * (p.threshold + 3) + fresh[head:]
+    decided = []  # per block: True when _skip took it, False when _slide counted it
+    skip, slide = vector._skip, vector._slide
+
+    def spied_skip(*args):
+        window = skip(*args)
+        if window is not None:
+            decided.append(True)
+        return window
+
+    def spied_slide(*args):
+        decided.append(False)
+        return slide(*args)
+
+    with mock.patch.object(vector, "_skip", spied_skip), \
+            mock.patch.object(vector, "_slide", spied_slide):
+        check_block_encoder(p, symbols, block)
+    assert decided == _skips_expected(p, symbols, block or vector._BLOCK)
+    if block:  # the first blocks skip, the hot ones count, and the skip resumes
+        assert decided[0] and decided[-1] and not all(decided)
+
+
+@pytest.mark.parametrize("dtype, top", [("u1", 2**8), ("u2", 2**16), ("u4", 2**32)])
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 3000])
+def test_most_counts_the_commonest_value(dtype, top, n):
+    rng = random.Random(n)
+    pool = [0, top - 1] + [rng.randrange(top) for _ in range(5)]
+    for values in ([rng.choice(pool) for _ in range(n)], [rng.randrange(top) for _ in range(n)]):
+        want = max(Counter(values).values(), default=0)
+        assert vector._most(np.array(values, dtype)) == want
+
+
 @pytest.mark.parametrize("n", [10**3, 10**5])
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_block_encoder_over_the_acceptance_grid(sigma, n):
