@@ -240,10 +240,9 @@ def _empty_window(dtype):
 def _skip(window, blk, ell, threshold):
     """The window after the steps blk if its bound proves them all literals, else None.
 
-    No count in blk exceeds the bound, at least the window's largest count,
-    plus the most times one symbol occurs in blk. Below the threshold, no
-    step of blk can act on an empty codebook. A skip leaves the window's
-    counts stale; a stale bound that fails is recounted from the ring.
+    No count in blk exceeds the bound plus the most times one symbol occurs
+    in blk; below the threshold, no step can act on an empty codebook. A skip
+    leaves the counts stale; a stale bound that fails is recounted from the ring.
     """
     ring, wsyms, _, bound = window
     most = _most(blk)

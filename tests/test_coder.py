@@ -427,9 +427,10 @@ def test_the_block_decoder_hands_off_at_the_chunk_of_the_first_insert(monkeypatc
 
 @pytest.mark.parametrize("chunk", [100, None])
 def test_the_block_decoder_counts_a_window_held_one_below_the_threshold(monkeypatch, chunk):
-    # symbol 0 every 274 steps puts 15 of them in every 4,096-step window,
-    # never 16: no chunk is provably literal, so each falls back to the exact
-    # count, which commits it, and the loop never runs
+    # symbol 0 every 274 steps puts 15 of them in every full 4,096-step
+    # window, never 16: once the window is full no chunk is provably literal,
+    # so each falls back to the exact count, which commits it; the loop
+    # never runs
     p = derive_params(65536, 2.0, 1)
     assert (p.ell, p.threshold) == (4096, 16)
     rng = random.Random(11)
