@@ -29,6 +29,18 @@ def window(data, pos: int) -> tuple[int, int]:
     return int.from_bytes(chunk, "big") << (hi - 8 * (q + len(chunk))), hi
 
 
+def read_fields(data, pos: int, count: int, width: int) -> list[int]:
+    """The count width-bit fields from bit pos of data, 64 per int.from_bytes; data holds them."""
+    mask, end, step = (1 << width) - 1, pos + count * width, 64 * width
+    out = []
+    for at in range(pos, end, step):
+        stop = min(at + step, end)
+        q, r = at >> 3, (stop + 7) >> 3
+        v = int.from_bytes(data[q:r], "big") >> (8 * r - stop)
+        out += [v >> s & mask for s in range(stop - at - width, -1, -width)]
+    return out
+
+
 class BitWriter:
     """Accumulates bits MSB-first; it holds back < _FLUSH_BITS + 64 bits until take or finish."""
 
@@ -55,6 +67,17 @@ class BitWriter:
         self._nbits = n = self._nbits + count
         if n >= _FLUSH_BITS:
             self._flush()
+
+    def write_fields(self, values, width: int) -> None:
+        """Write each of values as a width-bit field, in order; each must fit in width bits."""
+        for lo in range(0, len(values), 64):  # one big int per 64 fields
+            v = 0
+            for x in values[lo:lo + 64]:
+                v = v << width | x
+            k = width * min(64, len(values) - lo)
+            self._acc, self._nbits = self._acc << k | v, self._nbits + k
+            if self._nbits >= _FLUSH_BITS:
+                self._flush()
 
     def _flush(self) -> None:
         """Emit the whole bytes held at once, keeping the nbits % 8 low bits."""

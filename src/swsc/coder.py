@@ -34,14 +34,15 @@ piece: encode_stream feeds an Encoder its whole input, the CLI a file's
 symbols a chunk at a time, and decode_stream and the CLI iterate a Decoder,
 which reads any source's payload one chunk's span at a time. Encode
 and decode each have two paths, which give the same bytes, symbols, reports
-and errors. CoderState._steps is the online loop: the stepping API and the
-CLI run on it, and so do Encoder and Decoder when numpy is not loaded. When
-numpy is already imported, Encoder hands each feed to the block encoder in
-swsc.vector, which counts the window in numpy and runs only the codebook in
-Python; Decoder decodes whole chunks of literals with no codebook insert
-with the block decoder there, and the loop decodes the first chunk that is
-not, from its first symbol, and the rest. Both read a repeat query's answer
-off the codebook until an event at its length class or below.
+and errors. CoderState._steps is the online loop, and the stepping API runs
+on it. When numpy is already imported, Encoder hands each feed to the block
+encoder in swsc.vector, which counts the window in numpy and runs only the
+codebook in Python. Otherwise, as in the CLI, and in Decoder either way,
+LiteralPrefix codes whole chunks of literals with no codebook insert as
+fixed fields, bounding the window's counts in pure Python or, when numpy is
+loaded, in swsc.vector; the loop codes the first chunk that is not, from its
+first symbol, and the rest. Both read a repeat query's answer off the
+codebook until an event at its length class or below.
 """
 
 import io
@@ -50,7 +51,7 @@ import sys
 from array import array
 from collections import Counter, deque
 
-from .bitio import WRITE_BATCH, BitReader, BitWriter, window
+from .bitio import WRITE_BATCH, BitReader, BitWriter, read_fields, window
 from .codebook import NO_PEEK, Codebook, codeword_length, length_bounds
 from .dictionary import (BACKENDS, CodeRecord, TrieDictionary, choose_backend,
                          make_dictionary, symbol_model_bytes)
@@ -84,8 +85,8 @@ class CoderState:
 
         window holds the last min(position, ell) of those symbols, oldest
         first. No symbol may occur threshold times in it, or it would have
-        been coded: the codebook stays empty. The block decoder hands off to
-        the loop through this.
+        been coded: the codebook stays empty. LiteralPrefix hands off to the
+        loop through this.
         """
         p = self.params
         window = check_symbols(window, p.sigma, position - len(window))
@@ -399,6 +400,79 @@ def read_header(data: bytes) -> tuple[CoderParams, int]:
     return params, n
 
 
+class LiteralPrefix:
+    """A new CoderState's coding, with the chunks before its first insert coded whole.
+
+    While the codebook is empty every code is a flag 0 and a width-bit
+    literal, and no step inserts while the window's largest count plus the
+    most times one symbol occurs in the chunk stays below the threshold.
+    literals(window, reader, count) gives a chunk's symbols and the window
+    after it if it proves that, every code such a literal, else None; a
+    window's first item ends with its last ell symbols. The first chunk not
+    proved commits nothing: the state takes the window at its start, and the
+    loop codes the rest, so every byte, report and error is the loop's.
+    """
+
+    def __init__(self, state: CoderState, window=None, literals=None):
+        self.state, self._n = state, 0  # symbols coded before the hand-off
+        self._window = window or (array(_raw_typecode(state.params.sigma, None)), 0)
+        self._literals = literals or self._read
+
+    position = property(lambda self: self.state.position if self._window is None else self._n)
+
+    def encode_chunk(self, symbols, writer: BitWriter) -> "CoderReport":
+        if self._window is not None:
+            p = self.state.params
+            symbols = check_symbols(symbols, p.sigma, self._n)
+            window = self._advance(self._window, symbols)
+            if window is not None:
+                writer.write_fields(symbols, p.width + 1)
+                return self._commit(window, len(symbols))
+            self._hand_off()
+        return self.state.encode_chunk(symbols, writer)
+
+    def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
+        if self._window is not None and count:
+            got = self._literals(self._window, reader, count)
+            if got is not None:
+                reader.position += count * (self.state.params.width + 1)
+                return got[0], self._commit(got[1], count)
+            self._hand_off()
+        return self.state.decode_chunk(reader, count)
+
+    def _commit(self, window, count):
+        p = self.state.params
+        self._window, self._n = window, self._n + count
+        return make_report(p, self._n, self._n * (p.width + 1), self.state.codebook)
+
+    def _hand_off(self):
+        self.state.resume_after_literals(self._n, self._window[0][-self.state.params.ell:])
+        self._window = None
+
+    def _read(self, window, reader, count):
+        p = self.state.params
+        if reader.position + count * (p.width + 1) <= reader.limit:  # else None
+            symbols = read_fields(reader.data, reader.position, count, p.width + 1)
+            window = None if max(symbols) >= p.sigma else self._advance(window, symbols)
+            return None if window is None else (symbols, window)
+
+    def _advance(self, window, symbols):
+        """The window (ring, bound) after symbols if no step inserts; the bound may be stale."""
+        p = self.state.params
+        ring, bound = window
+        bound += max(Counter(symbols).values(), default=0)
+        if bound >= p.threshold:  # recount: no count passes its window count plus chunk count
+            counts = Counter(ring[-p.ell:])
+            counts.update(symbols)
+            bound = max(counts.values(), default=0)
+            if bound >= p.threshold:
+                return None
+        ring.extend(symbols)
+        if len(ring) > 2 * p.ell:  # raw symbols, cut at 2 ell: O(1) amortized per symbol
+            del ring[:-p.ell]
+        return ring, bound
+
+
 class Encoder:
     """Encode a stream of n symbols to the binary sink out, fed piece by piece.
 
@@ -410,8 +484,9 @@ class Encoder:
     feed that a bound on the window's counts proves to be all literals sorts
     only itself, and the carried window only to renew that bound. Any other
     feed sorts the whole carried window, so feed it at least vector._BLOCK
-    (65,536) symbols at a time. Otherwise CoderState codes each feed _CHUNK
-    symbols at a time, so the loop holds O(ell + _CHUNK) Python objects. A
+    (65,536) symbols at a time. Otherwise LiteralPrefix codes each feed
+    _CHUNK symbols at a time, as fixed fields until a chunk may insert, and
+    then CoderState's loop, which holds O(ell + _CHUNK) Python objects. A
     feed past n symbols, or a finish short of them, raises ParameterError
     and changes nothing. A feed that fails while it codes writes nothing of
     itself. After it, after a failed write to out, or after finish, every
@@ -431,7 +506,7 @@ class Encoder:
 
             self._coder, self._piece = BlockEncoder(params), None
         else:
-            self._coder, self._piece = CoderState(params), _CHUNK
+            self._coder, self._piece = LiteralPrefix(CoderState(params)), _CHUNK
 
     def feed(self, symbols) -> "CoderReport":
         """Encode the next symbols; returns the report of all fed so far."""
@@ -485,12 +560,12 @@ class Decoder:
     the payload's bits is rejected before any chunk. The end of the stream
     is checked before the last chunk is yielded, so its report is the whole
     stream's. backend is as for choose_backend, whatever the header's flag
-    says, and never changes the result. With numpy already imported, the
-    block decoder of swsc.vector decodes whole chunks of literals in numpy,
-    counting a chunk's window only when a bound on the counts cannot rule
-    out an insert, and hands off to CoderState at the start of the first
-    chunk that inserts into the codebook or holds any other code; otherwise
-    CoderState decodes every chunk.
+    says, and never changes the result. LiteralPrefix decodes whole chunks
+    of literals, in numpy when it is already imported, counting a chunk's
+    window only when a bound on the counts cannot rule out an insert, and
+    in pure Python otherwise, handing off to CoderState when it cannot. It
+    hands off at the start of the first chunk that inserts into the
+    codebook or holds any other code, which the loop decodes with the rest.
     """
 
     def __init__(self, source, backend: str | None = None):
@@ -508,11 +583,12 @@ class Decoder:
         if n > reader.limit:
             raise CorruptStreamError(f"{n} symbols cannot fit in {reader.limit} payload bits")
         state = CoderState(self.params, backend=self._backend)
-        decode = state.decode_chunk
+        kernel = ()
         if "numpy" in sys.modules:  # never import numpy just to decode
-            from .vector import block_decoder
+            from .vector import block_literals
 
-            decode = block_decoder(state)
+            kernel = block_literals(self.params)
+        decode = LiteralPrefix(state, *kernel).decode_chunk
         for lo in range(0, n or 1, _CHUNK):
             count = min(_CHUNK, n - lo)
             self._fill(reader, count)

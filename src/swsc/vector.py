@@ -14,12 +14,11 @@ does, so the codebook's counters, and with them every report field but n
 and the bits, come out the same.
 
 The decoder must run the codebook to parse a code, but while the codebook
-is empty every code is a flag 0 and a width-bit literal. So block_decoder
-slices a chunk's codes as fixed fields, out of the reader's window of the
-payload, and skips or counts the window the same way, and commits it only
-when every code is such a literal and no step inserts. The first chunk that
-is not commits nothing: a CoderState takes the window at that chunk's
-start, and its loop decodes the rest of the stream.
+is empty every code is a flag 0 and a width-bit literal. So block_literals
+gives swsc.coder's LiteralPrefix a kernel that slices a chunk's codes as
+fixed fields and skips or counts the window the same way; the prefix
+commits the chunk only when every code is such a literal and no step
+inserts, and hands the first chunk that is not to the loop.
 
 Working memory is O(ell + _BLOCK): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
@@ -149,49 +148,28 @@ class BlockEncoder:
         return make_report(params, self.position, self._bits, cb)
 
 
-def block_decoder(state):
-    """state.decode_chunk for a new state, with the chunks before the first insert in numpy.
+def block_literals(params):
+    """LiteralPrefix's window before any step and literals kernel, in numpy.
 
-    While the codebook is empty every code is a flag 0 and a width-bit
-    literal, so numpy slices a chunk's codes as fixed fields and counts the
-    window as BlockEncoder does. It commits a chunk only whole: each of its
-    codes such a literal (flag bit 0, a value below sigma, within the
-    payload) and no incoming count reaching the threshold, the first
-    codebook insert. The first chunk that fails this commits nothing: the
-    state takes the window at that chunk's start, once, through
-    resume_after_literals, and decodes that chunk and every later one in
-    CoderState._steps, so a corrupt stream fails as it does there.
+    It slices a chunk's codes as fixed fields and skips or counts the window
+    over them as BlockEncoder does, the window ring an array of ell symbols.
     """
-    p = state.params
-    sigma, ell, threshold, w1 = p.sigma, p.ell, p.threshold, p.width + 1
+    sigma, ell, threshold, w1 = params.sigma, params.ell, params.threshold, params.width + 1
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
-    window = _empty_window(dtype)
-    position = 0  # symbols decoded, all of them literals
 
-    def decode(reader, count):
-        nonlocal window, position
-        if window is None:  # handed off
-            return state.decode_chunk(reader, count)
-        lits = _literals(reader, count, w1, sigma)
-        if count and lits is not None:  # an empty stream goes to the loop: no empty _slide
-            lits = lits.astype(dtype)
-            after = _skip(window, lits, ell, threshold)
-            if after is None:  # no proof: count every step
-                after, _, _, _, fa = _slide(window, lits, ell)
-                after = after if fa.max() < threshold else None
-            if after is not None:
-                window, position = after, position + count
-                reader.position += count * w1
-                return lits.tolist(), make_report(p, position, position * w1, state.codebook)
-        state.resume_after_literals(position, window[0])
-        window = None
-        return state.decode_chunk(reader, count)
+    def literals(window, reader, count):
+        lits = _literals(reader, count, w1, sigma, dtype)
+        after = None if lits is None else _skip(window, lits, ell, threshold)
+        if lits is not None and after is None:  # no proof: count every step
+            after, _, _, _, fa = _slide(window, lits, ell)
+            after = after if fa.max() < threshold else None
+        return None if after is None else (lits.tolist(), after)
 
-    return decode
+    return _empty_window(dtype), literals
 
 
-def _literals(reader, count, w1, sigma):
-    """The w1-bit fields of reader's next count codes, or None if any is no literal.
+def _literals(reader, count, w1, sigma, dtype):
+    """The w1-bit fields of reader's next count codes as dtype, or None if any is no literal.
 
     A code is a literal when its bits lie in the payload and its field, the
     flag bit then the width-bit value, is below sigma: sigma <= 2**width, so
@@ -210,7 +188,7 @@ def _literals(reader, count, w1, sigma):
     for j in range(1, 5):
         v = (v << np.uint64(8)) | buf[first + np.uint64(j)]
     v = (v >> (np.uint64(40 - w1) - (at & np.uint64(7)))) & np.uint64((1 << w1) - 1)
-    return None if (v >= sigma).any() else v
+    return None if (v >= sigma).any() else v.astype(dtype)
 
 
 def _checked(chunk, sigma, position, dtype):
@@ -300,7 +278,9 @@ def _count(wsyms, wcounts, ev, delta):
     gives the next window.
     """
     syms = np.concatenate((wsyms, ev))
-    order = np.argsort(syms, kind="stable")
+    order = np.argsort(syms.astype(np.uint16) if syms.itemsize == 4 else syms, kind="stable")
+    if syms.itemsize == 4:  # a stable 32-bit sort is timsort: radix the high half after the low
+        order = order[np.argsort((syms[order] >> 16).astype(np.uint16), kind="stable")]
     syms, d = syms[order], np.concatenate((wcounts, delta))[order]
     starts = np.flatnonzero(np.append(True, syms[1:] != syms[:-1]))  # group heads
     final = np.add.reduceat(d, starts)

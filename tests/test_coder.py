@@ -304,16 +304,18 @@ def test_a_mutated_stream_decodes_or_raises_only_swsc_errors(data):
         del blob[data.draw(st.integers(0, len(blob) - 1)):]
     else:
         blob.insert(data.draw(st.integers(0, len(blob))), data.draw(st.integers(0, 255)))
-    # the block decoder under both dictionaries, then the loop alone
+    # the block decoder under both dictionaries, the pure-Python literal
+    # prefix, then the loop alone
     outcomes = [_outcome(bytes(blob), backend) for backend in (None, "hashed")]
     with _numpy_hidden():
         outcomes.append(_outcome(bytes(blob)))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    outcomes.append(_loop_outcome(bytes(blob)))
+    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
 
 
 @contextlib.contextmanager
 def _numpy_hidden():
-    """numpy out of sys.modules, so the coders take the loop."""
+    """numpy out of sys.modules, so the coders take the pure-Python paths."""
     saved = sys.modules.pop("numpy")
     try:
         yield
@@ -329,6 +331,30 @@ def _outcome(blob, backend=None):
         return type(exc), str(exc)
     assert all(isinstance(symbols, list) for symbols, _ in pairs)
     return pairs
+
+
+def _loop_outcome(blob, backend=None):
+    """_outcome of CoderState.decode_chunk alone, chunked and checked as a Decoder does."""
+    try:
+        p, n = read_header(blob)
+        reader, state, pairs = BitReader(blob[HEADER_BYTES:]), CoderState(p, backend), []
+        if n > reader.limit:
+            raise CorruptStreamError(f"{n} symbols cannot fit in {reader.limit} payload bits")
+        for lo in range(0, n or 1, coder._CHUNK):
+            pairs.append(state.decode_chunk(reader, min(coder._CHUNK, n - lo)))
+        reader.finish()
+    except SwscError as exc:
+        return type(exc), str(exc)
+    return pairs
+
+
+def _loop_stream(p, symbols, cuts=()):
+    """The stream CoderState.encode_chunk alone writes, fed at cuts, and its reports."""
+    out, state, writer = io.BytesIO(), CoderState(p), BitWriter()
+    write_header(out, p, len(symbols))
+    reports = [state.encode_chunk(symbols[lo:hi], writer)
+               for lo, hi in zip([0, *cuts], [*cuts, len(symbols)])]
+    return out.getvalue() + writer.finish(), reports
 
 
 def _first_insert(p, symbols):
@@ -380,6 +406,7 @@ def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam
         assert count == min(coder._CHUNK, read_header(stream)[1] - at)
         with _numpy_hidden():
             assert block == _outcome(stream)
+        assert block == _loop_outcome(stream)
         return block
 
     blob, _ = encode_to_bytes(p, symbols)
@@ -446,6 +473,99 @@ def test_the_block_decoder_counts_a_window_held_one_below_the_threshold(monkeypa
         assert block == _outcome(blob)
 
 
+HAND_OFF_STREAMS = [(256, 1.0, 1, "zipf", {}, 59), (4096, 2.0, 1, "markov", {"states": 1024}, 213),
+                    (70000, 3.0, 1, "zipf", {}, 229), (2, 1.0, 1, "uniform", {}, 0)]
+
+
+@pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", HAND_OFF_STREAMS)
+@pytest.mark.parametrize("chunk", [7, 100, None, "insert"])
+def test_the_literal_prefix_hands_off_at_the_chunk_of_the_first_insert(monkeypatch, sigma, lam,
+                                                                      c, dist, kw, insert,
+                                                                      chunk):
+    # with numpy hidden, both ends code the chunks before the first insert
+    # as fixed fields, at any bit offset, and the loop starts at that chunk
+    p = derive_params(sigma, lam, c)
+    symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
+    if chunk == "insert":
+        chunk = max(insert, 1)
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    calls = []
+    steps = CoderState._steps
+
+    def recorded_steps(self, symbols, count, writer=None, reader=None):
+        calls.append(self.position)
+        return steps(self, symbols, count, writer=writer, reader=reader)
+
+    blob, _ = _loop_stream(p, symbols)
+    monkeypatch.setattr(CoderState, "_steps", recorded_steps)
+    with _numpy_hidden():
+        assert encode_to_bytes(p, symbols)[0] == blob
+        assert calls[0] == (insert // coder._CHUNK) * coder._CHUNK
+        calls.clear()
+        assert _outcome(blob) == _loop_outcome(blob)
+    assert calls[0] == (insert // coder._CHUNK) * coder._CHUNK
+
+
+def _literals_then_coded(p, seed):
+    """A uniform run that codes nothing for over two windows, then zipf symbols that code."""
+    head = generate("uniform", sigma=p.sigma, n=2 * p.ell + 300, seed=seed).tolist()
+    assert _first_insert(p, head) is None
+    tail = generate("zipf", sigma=p.sigma, n=1500, seed=seed).tolist()
+    return head + tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_any_split_of_a_literal_prefix_gives_the_loops_bytes_and_reports(data):
+    p = derive_params(data.draw(st.sampled_from([256, 4096, 70000])), 2.0, 1)
+    symbols = _literals_then_coded(p, seed=p.sigma % 13)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(symbols)), max_size=4)))
+    chunk = data.draw(st.sampled_from([7, 100, 333, coder._CHUNK]))
+    blob, reports = _loop_stream(p, symbols, cuts)
+    with mock.patch.object(coder, "_CHUNK", chunk), _numpy_hidden():
+        out = io.BytesIO()
+        encoder = Encoder(p, out, len(symbols))
+        got = [encoder.feed(symbols[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, len(symbols)])]
+        assert got == reports
+        assert encoder.finish() == reports[-1]
+        assert out.getvalue() == blob
+        assert _outcome(blob) == _loop_outcome(blob)
+
+
+@pytest.mark.parametrize("chunk", [100, None])
+def test_the_literal_prefix_hands_a_window_held_one_below_the_threshold_to_the_loop(
+        monkeypatch, chunk):
+    # the block decoder's case: a bound on the counts cannot prove these
+    # chunks literals, so the pure-Python prefix gives them to the loop
+    p = derive_params(65536, 2.0, 1)
+    rng = random.Random(11)
+    symbols = [0 if i % 274 == 0 else rng.randrange(1, p.sigma) for i in range(70000)]
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    blob, _ = _loop_stream(p, symbols)
+    with _numpy_hidden():
+        assert encode_to_bytes(p, symbols)[0] == blob
+        assert _outcome(blob) == _loop_outcome(blob)
+
+
+@pytest.mark.parametrize("chunk", [7, 100, 333, None])
+def test_a_payload_cut_inside_the_literal_prefix_fails_at_the_loops_symbol(monkeypatch, chunk):
+    p = derive_params(4096, 2.0, 1)
+    symbols = generate("uniform", sigma=4096, n=3000, seed=6).tolist()
+    assert _first_insert(p, symbols) is None
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    blob, _ = encode_to_bytes(p, symbols)
+    w1 = p.width + 1
+    cut = 2 * (len(blob) - HEADER_BYTES) // 3 - 1
+    assert 8 * cut % w1  # the payload ends inside a literal
+    want = (CorruptStreamError, f"symbol {8 * cut // w1}: bit stream truncated")
+    with _numpy_hidden():
+        assert _outcome(blob[:HEADER_BYTES + cut]) == want
+    assert _loop_outcome(blob[:HEADER_BYTES + cut]) == want
+
+
 def test_resume_after_literals_takes_the_loops_state():
     # a uniform prefix that codes nothing, then one symbol until it is coded:
     # a state resumed inside the prefix, its ring empty, part full or full,
@@ -506,8 +626,9 @@ def test_coded_flag_with_empty_codebook_is_corrupt():
     buf = io.BytesIO()
     write_header(buf, p, 1)
     buf.write(b"\x80")  # flag 1, but no symbol has ever been coded
-    with pytest.raises(CorruptStreamError, match="symbol 0"):
-        decode_stream(buf.getvalue())
+    for numpy_state in (contextlib.nullcontext(), _numpy_hidden()):
+        with numpy_state, pytest.raises(CorruptStreamError, match="symbol 0"):
+            decode_stream(buf.getvalue())
 
 
 def test_literal_outside_alphabet_is_corrupt():
@@ -515,8 +636,9 @@ def test_literal_outside_alphabet_is_corrupt():
     buf = io.BytesIO()
     write_header(buf, p, 1)
     buf.write(b"\x60")  # flag 0, literal 0b11 = 3 >= sigma
-    with pytest.raises(CorruptStreamError, match="literal 3"):
-        decode_stream(buf.getvalue())
+    for numpy_state in (contextlib.nullcontext(), _numpy_hidden()):
+        with numpy_state, pytest.raises(CorruptStreamError, match="literal 3"):
+            decode_stream(buf.getvalue())
 
 
 def test_encode_rejects_out_of_range_symbol_with_position():
@@ -848,20 +970,39 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
             finally:
                 tracemalloc.stop()
             payloads.append(encoder.finish().payload_bytes)
-        # measured at 116-171 B per slot
+        # measured at 53-93 B per slot
         assert peaks[-1] < 300 * slots + 2 * payloads[-1]
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
 
-def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path=None):
+def test_the_window_count_orders_u4_events_as_numpys_stable_argsort():
+    # u4 symbols sort by two 16-bit radix passes, low half then high; int64
+    # ones still take np.argsort(kind="stable"), so both give the same counts
+    rng = random.Random(3)
+    pool = [0, 1, 0xFFFF, 0x10000, 0x1FFFF, 0xFFFF0000, 0xFFFF0001, 2**32 - 1]
+    pool += [rng.randrange(2**32) for _ in range(8)]
+    wsyms = np.array(sorted(pool[::2]), np.uint32)
+    wcounts = np.array([rng.randrange(1, 5) for _ in wsyms], np.int64)
+    ev = np.array([rng.choice(pool) for _ in range(5000)], np.uint32)
+    delta = np.array([rng.choice((-1, 0, 1)) for _ in ev], np.int64)
+    got = vector._count(wsyms, wcounts, ev, delta)
+    want = vector._count(wsyms.astype(np.int64), wcounts, ev.astype(np.int64), delta)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path=None, coded=False):
     # a tracemalloc peak above the start while the chunks are drained, the
     # stream already in memory, or, given tmp_path, in a file the Decoder
-    # reads; it must not grow with n
+    # reads; it must not grow with n. A coded stream's first threshold
+    # symbols are one symbol, so the loop decodes it from its first chunk.
     p = derive_params(sigma, lam, 1)
     slots = p.ell + coder._CHUNK
     peaks = []
     for chunks in (2, 6):
         symbols = generate("uniform", sigma=sigma, n=p.ell + chunks * coder._CHUNK, seed=chunks)
+        if coded:
+            symbols[:p.threshold] = 0
         blob, _ = encode_to_bytes(p, symbols)
         if tmp_path is not None:
             path = tmp_path / f"{chunks}.swsc"
@@ -880,7 +1021,7 @@ def _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded, tmp_path=None):
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        # measured at 100-122 B per slot
+        # measured at 88-111 B per slot, and 101-125 when coded
         assert peaks[-1] < 300 * slots
     assert peaks[1] - peaks[0] <= 1 << 20
 
@@ -893,7 +1034,13 @@ def test_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
 
 @pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
 def test_loop_decoder_memory_is_bounded_by_the_window_and_one_chunk(sigma, lam):
+    # the pure-Python literal prefix decodes these literal streams
     _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded=False)
+
+
+@pytest.mark.parametrize("sigma, lam", [(65536, 2.0), (2**32 - 1, 4.0)])
+def test_loop_decoder_memory_is_bounded_when_it_codes_from_the_first_chunk(sigma, lam):
+    _assert_decoder_memory_is_bounded(sigma, lam, numpy_loaded=False, coded=True)
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])
