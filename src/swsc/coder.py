@@ -461,12 +461,12 @@ class LiteralPrefix:
         p = self.state.params
         ring, bound = window
         bound += max(Counter(symbols).values(), default=0)
-        if bound >= p.threshold:  # recount: no count passes its window count plus chunk count
+        if bound >= p.threshold and ring:  # recount: no count passes window plus chunk count
             counts = Counter(ring[-p.ell:])
             counts.update(symbols)
             bound = max(counts.values(), default=0)
-            if bound >= p.threshold:
-                return None
+        if bound >= p.threshold:
+            return None
         ring.extend(symbols)
         if len(ring) > 2 * p.ell:  # raw symbols, cut at 2 ell: O(1) amortized per symbol
             del ring[:-p.ell]
