@@ -563,9 +563,9 @@ class Decoder:
     says, and never changes the result. LiteralPrefix decodes whole chunks
     of literals, in numpy when it is already imported, counting a chunk's
     window only when a bound on the counts cannot rule out an insert, and
-    in pure Python otherwise, handing off to CoderState when it cannot. It
-    hands off at the start of the first chunk that inserts into the
-    codebook or holds any other code, which the loop decodes with the rest.
+    in pure Python otherwise, from the bound alone. It hands CoderState the
+    first chunk that may insert into the codebook or holds any other code,
+    and the loop decodes that chunk and the rest.
     """
 
     def __init__(self, source, backend: str | None = None):

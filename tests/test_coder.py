@@ -333,11 +333,11 @@ def _outcome(blob, backend=None):
     return pairs
 
 
-def _loop_outcome(blob, backend=None):
+def _loop_outcome(blob):
     """_outcome of CoderState.decode_chunk alone, chunked and checked as a Decoder does."""
     try:
         p, n = read_header(blob)
-        reader, state, pairs = BitReader(blob[HEADER_BYTES:]), CoderState(p, backend), []
+        reader, state, pairs = BitReader(blob[HEADER_BYTES:]), CoderState(p), []
         if n > reader.limit:
             raise CorruptStreamError(f"{n} symbols cannot fit in {reader.limit} payload bits")
         for lo in range(0, n or 1, coder._CHUNK):
