@@ -27,7 +27,6 @@ from .coder import (
     encode_stream,
     encode_to_bytes,
     read_header,
-    read_symbol_array,
     read_symbol_chunks,
     write_header,
     write_symbols,
@@ -85,7 +84,6 @@ __all__ = [
     "naive_table_bytes",
     "oracle_state",
     "read_header",
-    "read_symbol_array",
     "read_symbol_chunks",
     "splitmix64",
     "symbol_model_bytes",

@@ -32,17 +32,18 @@ Raw symbol files are fixed-width little-endian unsigned integers of 1, 2 or
 Every whole stream goes through Encoder and Decoder, which code it piece by
 piece: encode_stream feeds an Encoder its whole input, the CLI a file's
 symbols a chunk at a time, and decode_stream and the CLI iterate a Decoder,
-which reads any source's payload one chunk's span at a time. Encode
-and decode each have two paths, which give the same bytes, symbols, reports
-and errors. CoderState._steps is the online loop, and the stepping API runs
-on it. When numpy is already imported, Encoder hands each feed to the block
-encoder in swsc.vector, which counts the window in numpy and runs only the
-codebook in Python. Otherwise, as in the CLI, and in Decoder either way,
-LiteralPrefix codes whole chunks of literals with no codebook insert as
-fixed fields, bounding the window's counts in pure Python or, when numpy is
-loaded, in swsc.vector; the loop codes the first chunk that is not, from its
-first symbol, and the rest. Both read a repeat query's answer off the
-codebook until an event at its length class or below.
+which reads any source's payload one chunk's span at a time. Both code
+_CHUNK symbols at a time. Encode and decode each have two paths, which give
+the same bytes, symbols, reports and errors. CoderState._steps is the online
+loop, and the stepping API runs on it. When numpy is already imported,
+Encoder hands each chunk to the block encoder in swsc.vector, which counts
+the window in numpy and runs only the codebook in Python. Otherwise, as in
+the CLI, and in Decoder either way, LiteralPrefix codes a chunk as fixed
+fields while no symbol's count in the window plus its count in the chunk
+reaches the threshold, counting in pure Python or, when numpy is loaded, in
+swsc.vector; the loop codes the first chunk that is not, from its first
+symbol, and the rest. Both read a repeat query's answer off the codebook
+until an event at its length class or below.
 """
 
 import io
@@ -404,8 +405,9 @@ class LiteralPrefix:
     """A new CoderState's coding, with the chunks before its first insert coded whole.
 
     While the codebook is empty every code is a flag 0 and a width-bit
-    literal, and no step inserts while the window's largest count plus the
-    most times one symbol occurs in the chunk stays below the threshold.
+    literal, and no step of a chunk inserts if no symbol's count in the
+    window plus its count in the chunk reaches the threshold; a bound on the
+    window's counts proves that without a count when it can.
     literals(window, reader, count) gives a chunk's symbols and the window
     after it if it proves that, every code such a literal, else None; a
     window's first item ends with its last ell symbols. The first chunk not
@@ -457,7 +459,7 @@ class LiteralPrefix:
             return None if window is None else (symbols, window)
 
     def _advance(self, window, symbols):
-        """The window (ring, bound) after symbols if no step inserts; the bound may be stale."""
+        """The window (ring, bound) after symbols if no step can insert, else None."""
         p = self.state.params
         ring, bound = window
         bound += max(Counter(symbols).values(), default=0)
@@ -479,14 +481,11 @@ class Encoder:
     Each feed codes its symbols and writes their whole bytes to out, the header
     before the first; finish writes the last byte and ends the stream. Any
     split of the symbols into feeds writes the same bytes and returns the same
-    reports. With numpy already imported, the block encoder of swsc.vector
-    codes each feed whole, with no dictionary. While no symbol is coded, a
-    feed that a bound on the window's counts proves to be all literals sorts
-    only itself, and the carried window only to renew that bound. Any other
-    feed sorts the whole carried window, so feed it at least vector._BLOCK
-    (65,536) symbols at a time. Otherwise LiteralPrefix codes each feed
-    _CHUNK symbols at a time, as fixed fields until a chunk may insert, and
-    then CoderState's loop, which holds O(ell + _CHUNK) Python objects. A
+    reports. Each feed is coded _CHUNK symbols at a time: with numpy already
+    imported, by the block encoder of swsc.vector, which counts the window in
+    numpy and keeps no dictionary; otherwise by LiteralPrefix, as fixed
+    fields until a chunk may insert, and then by CoderState's loop, which
+    holds O(ell + _CHUNK) Python objects. A
     feed past n symbols, or a finish short of them, raises ParameterError
     and changes nothing. A feed that fails while it codes writes nothing of
     itself. After it, after a failed write to out, or after finish, every
@@ -504,9 +503,9 @@ class Encoder:
         if "numpy" in sys.modules:  # never import numpy just to encode
             from .vector import BlockEncoder
 
-            self._coder, self._piece = BlockEncoder(params), None
+            self._coder = BlockEncoder(params)
         else:
-            self._coder, self._piece = LiteralPrefix(CoderState(params)), _CHUNK
+            self._coder = LiteralPrefix(CoderState(params))
 
     def feed(self, symbols) -> "CoderReport":
         """Encode the next symbols; returns the report of all fed so far."""
@@ -515,14 +514,14 @@ class Encoder:
         total = self._coder.position + len(symbols)
         if total > self.n:
             raise ParameterError(f"{total} symbols fed to a stream of {self.n}")
-        code, writer, piece = self._coder.encode_chunk, self._writer, self._piece
+        code, writer = self._coder.encode_chunk, self._writer
         first = self._report is None
         self._ended = "a feed failed, so the stream cannot go on"  # until it is all out
-        if piece is None or len(symbols) <= piece:  # one call: no copy of the symbols
+        if len(symbols) <= _CHUNK:  # one call: no copy of the symbols
             self._report = code(symbols, writer)
         else:
-            for lo in range(0, len(symbols), piece):
-                self._report = code(symbols[lo:lo + piece], writer)
+            for lo in range(0, len(symbols), _CHUNK):
+                self._report = code(symbols[lo:lo + _CHUNK], writer)
         if first:
             write_header(self._out, self.params, self.n)
         self._out.write(writer.take())
@@ -561,11 +560,11 @@ class Decoder:
     is checked before the last chunk is yielded, so its report is the whole
     stream's. backend is as for choose_backend, whatever the header's flag
     says, and never changes the result. LiteralPrefix decodes whole chunks
-    of literals, in numpy when it is already imported, counting a chunk's
-    window only when a bound on the counts cannot rule out an insert, and
-    in pure Python otherwise, from the bound alone. It hands CoderState the
-    first chunk that may insert into the codebook or holds any other code,
-    and the loop decodes that chunk and the rest.
+    of literals, in numpy when it is already imported and in pure Python
+    otherwise, by one rule: no symbol's count in the window plus its count
+    in the chunk reaches the threshold. It hands CoderState the first chunk
+    that breaks the rule or holds any other code, and the loop decodes that
+    chunk and the rest.
     """
 
     def __init__(self, source, backend: str | None = None):
@@ -688,8 +687,9 @@ def read_symbol_chunks(source, sigma: int, sym_bytes: int | None = None):
 
     source is a seekable binary file, read from its position to its end.
     Its length must be a multiple of the symbol width, which is checked
-    first; then each chunk of up to _CHUNK symbols is read, and checked, as
-    read_symbol_array reads it.
+    first; then each chunk of up to _CHUNK symbols is read into an
+    array.array, sym_bytes per symbol, and a symbol of sigma or more is
+    rejected as the encoders reject it, by check_symbols.
     """
     typecode = _raw_typecode(sigma, sym_bytes)
     width = array(typecode).itemsize
@@ -704,17 +704,8 @@ def read_symbol_chunks(source, sigma: int, sym_bytes: int | None = None):
     return size // width, chunks()
 
 
-def read_symbol_array(data, sigma: int, sym_bytes: int | None = None) -> array:
-    """Unpack a raw fixed-width little-endian symbol file into an array.array.
-
-    The array holds sym_bytes per symbol, not a Python int. A symbol of
-    sigma or more is rejected as the encoders reject it, by check_symbols.
-    """
-    return _unpacked(data, _raw_typecode(sigma, sym_bytes), sigma, 0)
-
-
 def _unpacked(data, typecode: str, sigma: int, position: int) -> array:
-    """read_symbol_array of data, whose first symbol is at the stream's position."""
+    """The raw symbols data as an array of typecode, the first at the stream's position."""
     arr = array(typecode)
     if len(data) % arr.itemsize:
         raise ParameterError(

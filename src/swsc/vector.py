@@ -4,23 +4,22 @@ In the encoder only the codebook has to run in input order. A symbol's
 window count, and with it whether the symbol is coded and when it crosses a
 threshold or a length class, follows from the input alone: a coded record
 always sits in the class codeword_length(ell, count), and a count moves by
-one per event. So each block of _BLOCK steps that _skip cannot prove to be
-literals alone is counted in numpy, the carried window entering as leading
-events, and only the codebook work runs in Python: one time-ordered action
-list, in the order of CoderState._steps (each step's codeword query, then
-its evicted and its incoming symbol's insert, move or remove), closing each
-step with Codebook.end_step. It answers and credits queries as the loop
-does, so the codebook's counters, and with them every report field but n
-and the bits, come out the same.
+one per event. So each block, one encode_chunk call, that _skip cannot
+prove to be literals alone is counted in numpy, the carried window entering
+as leading events, and only the codebook work runs in Python: one
+time-ordered action list, in the order of CoderState._steps (each step's
+codeword query, then its evicted and its incoming symbol's insert, move or
+remove), closing each step with Codebook.end_step. It answers and credits
+queries as the loop does, so the codebook's counters, and with them every
+report field but n and the bits, come out the same.
 
 The decoder must run the codebook to parse a code, but while the codebook
 is empty every code is a flag 0 and a width-bit literal. So block_literals
 gives swsc.coder's LiteralPrefix a kernel that slices a chunk's codes as
-fixed fields and skips or counts the window the same way; the prefix
-commits the chunk only when every code is such a literal and no step
-inserts, and hands the first chunk that is not to the loop.
+fixed fields and proves them literals by _skip's rule, the pure-Python
+kernel's; the prefix hands the first chunk not proved to the loop.
 
-Working memory is O(ell + _BLOCK): the window ring holds 1, 2 or 4 bytes per
+Working memory is O(ell + block): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
 indexed by symbol. Symbols are only compared and sorted, never combined into
 wider keys, so sigma up to 2**32 - 1 cannot overflow. Both carry their
@@ -38,18 +37,15 @@ from .codebook import Codebook, codeword_length, length_bounds
 from .coder import all_ints, check_symbols, make_report
 from .dictionary import CodeRecord, symbol_model_bytes
 
-_BLOCK = 1 << 16  # steps counted per numpy pass
-
-
 class BlockEncoder:
     """CoderState.encode_chunk's bits and reports, the window counted in numpy.
 
     It carries the window, the codebook and the coded symbols' records from
     one call to the next, so any split of a stream into calls gives the same
-    bits and reports. Each call's codebook work is one time-ordered action
-    list per block, run in one loop; a query answered from Codebook.bases is
-    credited, not closed, and the credits are handed over before the call
-    returns its report.
+    bits and reports. Each call is one block: its codebook work is one
+    time-ordered action list, run in one loop; a query answered from
+    Codebook.bases is credited, not closed, and the credits are handed over
+    before the call returns its report.
     """
 
     def __init__(self, params):
@@ -62,18 +58,18 @@ class BlockEncoder:
         self._insert_length = codeword_length(params.ell, params.threshold)
         self.codebook = Codebook(params.l_max)
         self._coded = {}  # symbol -> record, for coded symbols only
-        self._window = _empty_window(self._dtype)
+        self._window = np.empty(0, self._dtype), 0  # as _skip takes it
+        self._counts = None  # the window's counts as _slide takes them; None when stale
         self.position = 0  # symbols encoded
         self._bits = 0  # payload bits, carried across calls for the report
 
     def encode_chunk(self, symbols, writer):
-        """Encode symbols to writer; returns the report of all encoded so far.
+        """Encode symbols to writer as one block; returns the report of all encoded so far.
 
-        A symbol the encoder rejects raises before its block is coded, so a
-        call that raises may have coded the blocks before it.
+        A symbol the encoder rejects raises before any symbol is coded.
         """
         params = self.params
-        sigma, ell, threshold, w1 = params.sigma, params.ell, params.threshold, params.width + 1
+        ell, threshold, w1 = params.ell, params.threshold, params.width + 1
         crossings, insert_length = self._crossings, self._insert_length
         cb = self.codebook
         insert, remove, move, codeword, end_step, bases, stamps = (
@@ -82,15 +78,15 @@ class BlockEncoder:
         coded = self._coded
         get, pop = coded.__getitem__, coded.pop
         start = writer.bit_length
-        for lo in range(0, len(symbols), _BLOCK):
-            blk = _checked(symbols[lo:lo + _BLOCK], sigma, self.position + lo, self._dtype)
-            size = len(blk)
-            skipped = None if cb.size else _skip(self._window, blk, ell, threshold)
-            if skipped:  # every code a literal, and no action
-                self._window = skipped
-                _emit(writer.write_bits, blk.astype(np.uint64), np.full(size, w1, np.int64))
-                continue
-            self._window, gone, evicts, fe, fa = _slide(self._window, blk, ell)
+        blk = _checked(symbols, params.sigma, self.position, self._dtype)
+        size = len(blk)
+        skipped = None if cb.size or not size else _skip(self._window, blk, ell, threshold)
+        if skipped:  # every code a literal, and no action
+            self._window, self._counts = skipped, None
+            _emit(writer.write_bits, blk.astype(np.uint64), np.full(size, w1, np.int64))
+        elif size:
+            self._window, self._counts, gone, evicts, fe, fa = _slide(
+                self._window[0], self._counts, blk, ell)
             fb = fa - 1 + (evicts & (gone == blk))  # the incoming count before the step
             # each step's actions, coded 0 for none: 1 its codeword query; then
             # 2 or 3 when the evicted count falls below the threshold or into a
@@ -143,7 +139,7 @@ class BlockEncoder:
             lens[queried] = np.frexp(vals[queried])[1]
             _emit(writer.write_bits, vals, lens)
         cb.credit(hits, spent)
-        self.position += len(symbols)
+        self.position += size
         self._bits += writer.bit_length - start
         return make_report(params, self.position, self._bits, cb)
 
@@ -151,8 +147,8 @@ class BlockEncoder:
 def block_literals(params):
     """LiteralPrefix's window before any step and literals kernel, in numpy.
 
-    It slices a chunk's codes as fixed fields and skips or counts the window
-    over them as BlockEncoder does, the window ring an array of ell symbols.
+    It slices a chunk's codes as fixed fields and proves them literals by
+    _skip, the window (ring, bound) with the ring an array of ell symbols.
     """
     sigma, ell, threshold, w1 = params.sigma, params.ell, params.threshold, params.width + 1
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
@@ -160,12 +156,9 @@ def block_literals(params):
     def literals(window, reader, count):
         lits = _literals(reader, count, w1, sigma, dtype)
         after = None if lits is None else _skip(window, lits, ell, threshold)
-        if lits is not None and after is None:  # no proof: count every step
-            after, _, _, _, fa = _slide(window, lits, ell)
-            after = after if fa.max() < threshold else None
         return None if after is None else (lits.tolist(), after)
 
-    return _empty_window(dtype), literals
+    return (np.empty(0, dtype), 0), literals
 
 
 def _literals(reader, count, w1, sigma, dtype):
@@ -210,25 +203,21 @@ def _checked(chunk, sigma, position, dtype):
     return np.fromiter(chunk, dtype, len(chunk))
 
 
-def _empty_window(dtype):
-    """The window before any step, as _skip and _slide take it."""
-    return np.empty(0, dtype), np.empty(0, dtype), np.empty(0, np.int64), 0
-
-
 def _skip(window, blk, ell, threshold):
-    """The window after the steps blk if its bound proves them all literals, else None.
+    """The window (ring, bound) after the steps blk if none can insert, else None.
 
-    No count in blk exceeds the bound plus the most times one symbol occurs
-    in blk; below the threshold, no step can act on an empty codebook. A skip
-    leaves the counts stale; a stale bound that fails is recounted from the ring.
+    ring holds the window's last ell symbols, oldest first, and no window
+    count exceeds bound. No step inserts when no symbol's count in the ring
+    plus its count in blk reaches the threshold: the bound plus the most
+    times one symbol occurs in blk proves that, and when it cannot, one
+    count of the ring and blk together decides it.
     """
-    ring, wsyms, _, bound = window
-    most = _most(blk)
-    if bound + most >= threshold and wsyms is None:
-        bound = _most(ring)
-    if bound + most < threshold:
-        return np.concatenate((ring, blk))[-ell:], None, None, bound + most
-    return None
+    ring, bound = window
+    seq = np.concatenate((ring, blk))
+    bound += _most(blk)
+    if bound >= threshold and len(ring):  # recount; an empty ring adds nothing
+        bound = _most(seq)
+    return None if bound >= threshold else (seq[-ell:], bound)
 
 
 def _most(a):
@@ -239,18 +228,17 @@ def _most(a):
     return int(np.diff(heads, append=len(a)).max())
 
 
-def _slide(window, blk, ell):
-    """Slide the window over the steps blk; returns the next window and, per step,
-    its evicted symbol, whether it evicts and the evicted and incoming counts after it.
+def _slide(ring, counts, blk, ell):
+    """Slide the window over the steps blk; returns the next window (ring, bound) and
+    counts, then per step its evicted symbol, whether it evicts and the evicted and
+    incoming counts after it.
 
-    window is (ring, symbols, counts, bound): the last ell symbols, oldest
-    first, its distinct symbols, ascending, with how often each occurs (None
-    after _skip), and the largest count. A step that evicts nothing names
-    its incoming symbol as the evicted one.
+    ring holds the window's last ell symbols, oldest first; counts is its
+    distinct symbols, ascending, with how often each occurs, or None to
+    count them from the ring; bound is the largest count. A step that
+    evicts nothing names its incoming symbol as the evicted one.
     """
-    ring, wsyms, wcounts, _ = window
-    if wsyms is None:  # stale after _skip
-        wsyms, wcounts = np.unique(ring, return_counts=True)
+    wsyms, wcounts = np.unique(ring, return_counts=True) if counts is None else counts
     size = len(blk)
     seq = np.concatenate((ring, blk))
     first = max(0, ell - len(ring))  # the first step that evicts
@@ -264,8 +252,8 @@ def _slide(window, blk, ell):
         ev[2 * first::2] = seq[len(ring) + first - ell:len(seq) - ell]
         delta[2 * first::2] = -1
     after, wsyms, wcounts = _count(wsyms, wcounts, ev, delta)
-    window = seq[max(0, len(seq) - ell):], wsyms, wcounts, int(wcounts.max(initial=0))
-    return window, ev[0::2], np.arange(size) >= first, after[0::2], after[1::2]
+    window = seq[max(0, len(seq) - ell):], int(wcounts.max(initial=0))
+    return window, (wsyms, wcounts), ev[0::2], np.arange(size) >= first, after[0::2], after[1::2]
 
 
 def _count(wsyms, wcounts, ev, delta):

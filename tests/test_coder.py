@@ -22,7 +22,7 @@ from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import Codebook, codeword_length
 from swsc.coder import (HEADER_BYTES, CoderReport, CoderState, Decoder, Encoder,
                         decode_stream, encode_stream, encode_to_bytes, read_header,
-                        read_symbol_array, write_header, write_symbols)
+                        read_symbol_chunks, write_header, write_symbols)
 from swsc.corpus import generate
 from swsc.dictionary import CodeRecord, TrieDictionary, choose_backend
 from swsc.errors import (CorruptStreamError, InternalInconsistencyError, ParameterError,
@@ -106,15 +106,15 @@ def _conformance_digits(monkeypatch, p, symbols):
     They hash the block encoder's bytes and report, the loop's report after
     each 7-symbol encode_chunk, and the Decoder outcome of the stream
     whole, with each of three payload bit flips and cut at 2/3 of its
-    payload, at _CHUNK 7 and at the default. The block encoder at _BLOCK 7
+    payload, at _CHUNK 7 and at the default. The block encoder at _CHUNK 7
     and the decoders with numpy hidden must give the same.
     """
     h = hashlib.sha256()
     blob, report = encode_to_bytes(p, symbols)  # numpy is loaded: the block encoder
     h.update(blob + repr(report).encode())
     with monkeypatch.context() as m:
-        m.setattr(vector, "_BLOCK", 7)
-        assert encode_to_bytes(p, symbols) == (blob, report), "the block encoder at _BLOCK 7"
+        m.setattr(coder, "_CHUNK", 7)
+        assert encode_to_bytes(p, symbols) == (blob, report), "the block encoder at _CHUNK 7"
     state, writer = CoderState(p), BitWriter()
     for lo in range(0, len(symbols), 7):
         h.update(repr(state.encode_chunk(symbols[lo:lo + 7], writer)).encode())
@@ -421,24 +421,11 @@ def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam
             CorruptStreamError, f"symbol {8 * cut // w1}: bit stream truncated")
 
 
-@pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", [
-    (256, 1.0, 1, "zipf", {}, 59),
-    (4096, 2.0, 1, "markov", {"states": 1024}, 213),
-    (70000, 3.0, 1, "zipf", {}, 229),
-    (2, 1.0, 1, "uniform", {}, 0),
-])
-@pytest.mark.parametrize("chunk", [7, 100, None, "insert"])
-def test_the_block_decoder_hands_off_at_the_chunk_of_the_first_insert(monkeypatch, sigma, lam,
-                                                                     c, dist, kw, insert,
-                                                                     chunk):
-    # chunks before the first insert are all committed in numpy, whether
-    # _skip proves them literals or _slide counts them
-    p = derive_params(sigma, lam, c)
-    symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
-    if chunk == "insert":
-        chunk = max(insert, 1)
-    if chunk is not None:
-        monkeypatch.setattr(coder, "_CHUNK", chunk)
+def _first_loop_calls(p, symbols, numpy_loaded):
+    """Where the first CoderState._steps call starts in encode_to_bytes and in
+    a Decoder, with numpy loaded or hidden; None where the loop never runs.
+    Either way the stream and the decode outcome must be the loop's."""
+    blob, _ = _loop_stream(p, symbols)
     calls = []
     steps = CoderState._steps
 
@@ -446,35 +433,41 @@ def test_the_block_decoder_hands_off_at_the_chunk_of_the_first_insert(monkeypatc
         calls.append(self.position)
         return steps(self, symbols, count, writer=writer, reader=reader)
 
-    monkeypatch.setattr(CoderState, "_steps", recorded_steps)
-    blob, _ = encode_to_bytes(p, symbols)
-    _outcome(blob)
-    assert calls[0] == (insert // coder._CHUNK) * coder._CHUNK
-
-
-@pytest.mark.parametrize("chunk", [100, None])
-def test_the_block_decoder_counts_a_window_held_one_below_the_threshold(monkeypatch, chunk):
-    # symbol 0 every 274 steps puts 15 of them in every full 4,096-step
-    # window, never 16: once the window is full no chunk is provably literal,
-    # so each falls back to the exact count, which commits it; the loop
-    # never runs
-    p = derive_params(65536, 2.0, 1)
-    assert (p.ell, p.threshold) == (4096, 16)
-    rng = random.Random(11)
-    symbols = [0 if i % 274 == 0 else rng.randrange(1, p.sigma) for i in range(70000)]
-    assert _first_insert(p, symbols) is None
-    if chunk is not None:
-        monkeypatch.setattr(coder, "_CHUNK", chunk)
-    blob, _ = encode_to_bytes(p, symbols)
-    with mock.patch.object(CoderState, "_steps", side_effect=AssertionError("the loop ran")):
-        block = _outcome(blob)
-    assert [a for chunk_symbols, _ in block for a in chunk_symbols] == symbols
-    with _numpy_hidden():
-        assert block == _outcome(blob)
+    with mock.patch.object(CoderState, "_steps", recorded_steps), \
+            (contextlib.nullcontext() if numpy_loaded else _numpy_hidden()):
+        assert encode_to_bytes(p, symbols)[0] == blob
+        first = [calls[0] if calls else None]
+        calls.clear()
+        got = _outcome(blob)
+        first.append(calls[0] if calls else None)
+    assert got == _loop_outcome(blob)
+    return first
 
 
 HAND_OFF_STREAMS = [(256, 1.0, 1, "zipf", {}, 59), (4096, 2.0, 1, "markov", {"states": 1024}, 213),
                     (70000, 3.0, 1, "zipf", {}, 229), (2, 1.0, 1, "uniform", {}, 0)]
+
+
+def _check_hand_off(monkeypatch, numpy_loaded, sigma, lam, c, dist, kw, insert, chunk):
+    # both kernels code the chunks before the first insert as fixed fields,
+    # at any bit offset, and the loop starts at that chunk; the block
+    # encoder never runs the loop
+    p = derive_params(sigma, lam, c)
+    symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
+    if chunk == "insert":
+        chunk = max(insert, 1)
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    at = (insert // coder._CHUNK) * coder._CHUNK
+    assert _first_loop_calls(p, symbols, numpy_loaded) == [None if numpy_loaded else at, at]
+
+
+@pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", HAND_OFF_STREAMS)
+@pytest.mark.parametrize("chunk", [7, 100, None, "insert"])
+def test_the_block_decoder_hands_off_at_the_chunk_of_the_first_insert(monkeypatch, sigma, lam,
+                                                                     c, dist, kw, insert,
+                                                                     chunk):
+    _check_hand_off(monkeypatch, True, sigma, lam, c, dist, kw, insert, chunk)
 
 
 @pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", HAND_OFF_STREAMS)
@@ -482,29 +475,34 @@ HAND_OFF_STREAMS = [(256, 1.0, 1, "zipf", {}, 59), (4096, 2.0, 1, "markov", {"st
 def test_the_literal_prefix_hands_off_at_the_chunk_of_the_first_insert(monkeypatch, sigma, lam,
                                                                       c, dist, kw, insert,
                                                                       chunk):
-    # with numpy hidden, both ends code the chunks before the first insert
-    # as fixed fields, at any bit offset, and the loop starts at that chunk
-    p = derive_params(sigma, lam, c)
-    symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
-    if chunk == "insert":
-        chunk = max(insert, 1)
+    _check_hand_off(monkeypatch, False, sigma, lam, c, dist, kw, insert, chunk)
+
+
+def _fifteen_of_sixteen(p):
+    """Symbol 0 every 274 steps: 15 of them in every full 4,096-step window, never 16."""
+    assert (p.ell, p.threshold) == (4096, 16)
+    rng = random.Random(11)
+    symbols = [0 if i % 274 == 0 else rng.randrange(1, p.sigma) for i in range(70000)]
+    assert _first_insert(p, symbols) is None
+    return symbols
+
+
+@pytest.mark.parametrize("chunk", [100, None])
+def test_the_block_decoder_counts_a_window_held_one_below_the_threshold(monkeypatch, chunk):
+    # nothing is coded, but once the window is full a chunk holding a 0 may
+    # insert by its window and chunk counts: both kernels hand the same
+    # chunk to the loop
+    p = derive_params(65536, 2.0, 1)
+    symbols = _fifteen_of_sixteen(p)
     if chunk is not None:
         monkeypatch.setattr(coder, "_CHUNK", chunk)
-    calls = []
-    steps = CoderState._steps
-
-    def recorded_steps(self, symbols, count, writer=None, reader=None):
-        calls.append(self.position)
-        return steps(self, symbols, count, writer=writer, reader=reader)
-
-    blob, _ = _loop_stream(p, symbols)
-    monkeypatch.setattr(CoderState, "_steps", recorded_steps)
+    blob, _ = encode_to_bytes(p, symbols)
+    block = _outcome(blob)
+    assert [a for chunk_symbols, _ in block for a in chunk_symbols] == symbols
     with _numpy_hidden():
-        assert encode_to_bytes(p, symbols)[0] == blob
-        assert calls[0] == (insert // coder._CHUNK) * coder._CHUNK
-        calls.clear()
-        assert _outcome(blob) == _loop_outcome(blob)
-    assert calls[0] == (insert // coder._CHUNK) * coder._CHUNK
+        assert block == _outcome(blob)
+    loaded, hidden = (_first_loop_calls(p, symbols, numpy_loaded) for numpy_loaded in (True, False))
+    assert loaded[1] == hidden[1] is not None and hidden[1] % coder._CHUNK == 0
 
 
 def _literals_then_coded(p, seed):
@@ -513,6 +511,19 @@ def _literals_then_coded(p, seed):
     assert _first_insert(p, head) is None
     tail = generate("zipf", sigma=p.sigma, n=1500, seed=seed).tolist()
     return head + tail
+
+
+@pytest.mark.parametrize("sigma", [256, 4096, 70000])
+@pytest.mark.parametrize("chunk", [7, 100, None])
+def test_both_kernels_hand_a_literal_run_to_the_loop_at_the_same_chunk(monkeypatch, sigma,
+                                                                       chunk):
+    p = derive_params(sigma, 2.0, 1)
+    symbols = _literals_then_coded(p, seed=sigma % 13)
+    if chunk is not None:
+        monkeypatch.setattr(coder, "_CHUNK", chunk)
+    loaded, hidden = (_first_loop_calls(p, symbols, numpy_loaded) for numpy_loaded in (True, False))
+    assert loaded == [None, hidden[1]] and hidden[0] == hidden[1] is not None
+    assert hidden[1] <= _first_insert(p, symbols) < hidden[1] + coder._CHUNK
 
 
 @settings(max_examples=40, deadline=None)
@@ -536,11 +547,10 @@ def test_any_split_of_a_literal_prefix_gives_the_loops_bytes_and_reports(data):
 @pytest.mark.parametrize("chunk", [100, None])
 def test_the_literal_prefix_hands_a_window_held_one_below_the_threshold_to_the_loop(
         monkeypatch, chunk):
-    # the block decoder's case: a bound on the counts cannot prove these
-    # chunks literals, so the pure-Python prefix gives them to the loop
+    # the block decoder's case: the literal rule cannot prove these chunks
+    # literals, so the pure-Python prefix gives them to the loop
     p = derive_params(65536, 2.0, 1)
-    rng = random.Random(11)
-    symbols = [0 if i % 274 == 0 else rng.randrange(1, p.sigma) for i in range(70000)]
+    symbols = _fifteen_of_sixteen(p)
     if chunk is not None:
         monkeypatch.setattr(coder, "_CHUNK", chunk)
     blob, _ = _loop_stream(p, symbols)
@@ -942,7 +952,6 @@ def test_a_rejected_encode_writes_nothing(monkeypatch, numpy_loaded, fault):
 
         monkeypatch.setattr(coder, "BitWriter", no_coding)
     monkeypatch.setattr(coder, "_CHUNK", 100)
-    monkeypatch.setattr(vector, "_BLOCK", 100)
     if not numpy_loaded:  # encode_stream then runs the loop encoder
         monkeypatch.delitem(sys.modules, "numpy")
     out = io.BytesIO()
@@ -956,10 +965,10 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
     # a tracemalloc peak above the start, which numpy's buffers count in;
     # only the payload may grow with n, and the writer may over-allocate it 2x
     p = derive_params(sigma, lam, c)
-    slots = p.ell + vector._BLOCK
+    slots = p.ell + coder._CHUNK
     peaks, payloads = [], []
     for blocks in (3, 9):
-        symbols = generate("uniform", sigma=sigma, n=p.ell + blocks * vector._BLOCK, seed=blocks)
+        symbols = generate("uniform", sigma=sigma, n=p.ell + blocks * 65536, seed=blocks)
         with open(os.devnull, "wb") as out:  # one feed: the payload is written at its end
             tracemalloc.start()
             try:
@@ -970,7 +979,7 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
             finally:
                 tracemalloc.stop()
             payloads.append(encoder.finish().payload_bytes)
-        # measured at 53-93 B per slot
+        # measured at 32-131 B per slot, the payload in it
         assert peaks[-1] < 300 * slots + 2 * payloads[-1]
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
@@ -1403,18 +1412,26 @@ def test_roundtrip_any_sequence(case):
     assert out == syms
 
 
+def _read_raw(data, sigma, sym_bytes=None):
+    """The one chunk read_symbol_chunks reads from the raw symbol file data."""
+    n, chunks = read_symbol_chunks(io.BytesIO(data), sigma, sym_bytes)
+    [arr] = chunks
+    assert len(arr) == n
+    return arr
+
+
 def test_raw_symbol_file_roundtrip():
     for sigma, width in ((200, 1), (4096, 2), (70000, 4)):
         syms = generate("uniform", sigma=sigma, n=400, seed=1).tolist()
         data = write_symbols(syms, sigma)
-        arr = read_symbol_array(data, sigma)
+        arr = _read_raw(data, sigma)
         assert arr.itemsize == width  # the smallest fit, as written
         assert arr.tolist() == syms
 
 
 def test_raw_symbol_file_length_must_divide():
     with pytest.raises(ParameterError):
-        read_symbol_array(b"\x00\x01\x02", 4096)  # 2-byte symbols
+        _read_raw(b"\x00\x01\x02", 4096)  # 2-byte symbols
 
 
 @pytest.mark.parametrize("sigma, syms, want", [
@@ -1427,7 +1444,7 @@ def test_raw_symbol_bytes_frozen(sigma, syms, want):
     # little-endian, 1, 2 and 4 bytes per symbol, whatever the host
     data = write_symbols(syms, sigma)
     assert data.hex() == want
-    arr = read_symbol_array(data, sigma)
+    arr = _read_raw(data, sigma)
     assert arr.itemsize == {256: 1, 65536: 2, 2**32 - 1: 4}[sigma]
     assert arr.tolist() == syms
 
@@ -1447,7 +1464,7 @@ def test_raw_symbol_width_must_hold_the_alphabet():
         with pytest.raises(ParameterError, match="symbol width"):
             write_symbols([299], 300, sym_bytes)
         with pytest.raises(ParameterError, match="symbol width"):
-            read_symbol_array(b"\x00" * 12, 300, sym_bytes)
+            _read_raw(b"\x00" * 12, 300, sym_bytes)
     # a wider forced width is kept, not narrowed to the smallest fit
-    arr = read_symbol_array(b"\x2b\x01\x00\x00" * 3, 300, 4)
+    arr = _read_raw(b"\x2b\x01\x00\x00" * 3, 300, 4)
     assert arr.itemsize == 4 and arr.tolist() == [299] * 3

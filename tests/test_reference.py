@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swsc import vector
+from swsc import coder, vector
 from swsc.bitio import BitReader, BitWriter
 from swsc.codebook import codeword_length
 from swsc.coder import HEADER_BYTES, CoderState, encode_stream, write_symbols
@@ -141,9 +141,9 @@ def loop_encode(p, symbols):
 
 
 def block_encode(p, symbols, block=None):
-    """Payload and report of encode_stream's block encoder, _BLOCK set to block."""
+    """Payload and report of encode_stream's block encoder, _CHUNK set to block."""
     out = io.BytesIO()
-    with mock.patch.object(vector, "_BLOCK", block or vector._BLOCK):
+    with mock.patch.object(coder, "_CHUNK", block or coder._CHUNK):
         report = encode_stream(p, symbols, out)
     return out.getvalue()[HEADER_BYTES:], report
 
@@ -192,12 +192,12 @@ def test_block_encoder_short_and_empty_inputs():
 
 
 def _skips_expected(p, symbols, block):
-    """Per block, whether the window's largest count at its start plus the most
-    times one symbol occurs in the block stays below the threshold."""
+    """Per block, whether every symbol's count in the window at its start plus
+    its count in the block stays below the threshold."""
     counts, out = Counter(), []
     for lo in range(0, len(symbols), block):
         blk = symbols[lo:lo + block]
-        out.append(max(counts.values(), default=0) + max(Counter(blk).values()) < p.threshold)
+        out.append(max((counts + Counter(blk)).values()) < p.threshold)
         for i in range(lo, lo + len(blk)):
             if i >= p.ell:
                 gone = symbols[i - p.ell]
@@ -213,8 +213,9 @@ def _skips_expected(p, symbols, block):
 def test_literal_blocks_skip_the_window_count(knobs, block):
     # literals, then a hot symbol that enters the codebook, then literals
     # until it has left the window and the codebook is empty again: each
-    # block skips _slide exactly when its literals are provable from the
-    # window's largest count, and the bytes and report stay the loop's
+    # block skips _slide exactly when no symbol's window count plus its
+    # count in the block reaches the threshold, and the bytes and report
+    # stay the loop's
     p = derive_params(*knobs)  # u1, u2 and u4 symbols
     assert p.ell < p.sigma and p.ell < 1000
     hot = p.sigma - 1
@@ -237,7 +238,7 @@ def test_literal_blocks_skip_the_window_count(knobs, block):
     with mock.patch.object(vector, "_skip", spied_skip), \
             mock.patch.object(vector, "_slide", spied_slide):
         check_block_encoder(p, symbols, block)
-    assert decided == _skips_expected(p, symbols, block or vector._BLOCK)
+    assert decided == _skips_expected(p, symbols, block or coder._CHUNK)
     if block:  # the first blocks skip, the hot ones count, and the skip resumes
         assert decided[0] and decided[-1] and not all(decided)
 
@@ -281,7 +282,7 @@ def test_block_encoder_rejects_what_the_loop_rejects(sigma, bad, at):
         symbols = [1] * at + bad
     with pytest.raises(ParameterError) as loop_error:
         CoderState(p).encode_chunk(symbols, BitWriter())
-    with mock.patch.object(vector, "_BLOCK", 7):
+    with mock.patch.object(coder, "_CHUNK", 7):
         with pytest.raises(ParameterError) as block_error:
             encode_stream(p, symbols, io.BytesIO())
     assert str(block_error.value) == str(loop_error.value)
