@@ -33,17 +33,16 @@ Every whole stream goes through Encoder and Decoder, which code it piece by
 piece: encode_stream feeds an Encoder its whole input, the CLI a file's
 symbols a chunk at a time, and decode_stream and the CLI iterate a Decoder,
 which reads any source's payload one chunk's span at a time. Both code
-_CHUNK symbols at a time. Encode and decode each have two paths, which give
-the same bytes, symbols, reports and errors. CoderState._steps is the online
-loop, and the stepping API runs on it. When numpy is already imported,
-Encoder hands each chunk to the block encoder in swsc.vector, which counts
-the window in numpy and runs only the codebook in Python. Otherwise, as in
-the CLI, and in Decoder either way, LiteralPrefix codes a chunk as fixed
+_CHUNK symbols at a time, through LiteralPrefix: it codes a chunk as fixed
 fields while no symbol's count in the window plus its count in the chunk
-reaches the threshold, counting in pure Python or, when numpy is loaded, in
-swsc.vector; the loop codes the first chunk that is not, from its first
-symbol, and the rest. Both read a repeat query's answer off the codebook
-until an event at its length class or below.
+reaches the threshold, counting in pure Python or, when numpy is already
+imported, in swsc.vector. A stepping coder codes the first chunk that is
+not, from its first symbol, and the rest: CoderState._steps, the online loop
+the stepping API runs on, or, to encode with numpy imported, the block
+encoder in swsc.vector, which counts the window in numpy and runs only the
+codebook in Python. Either way the bytes, symbols, reports and errors are
+the same, and both read a repeat query's answer off the codebook until an
+event at its length class or below.
 """
 
 import io
@@ -402,39 +401,37 @@ def read_header(data: bytes) -> tuple[CoderParams, int]:
 
 
 class LiteralPrefix:
-    """A new CoderState's coding, with the chunks before its first insert coded whole.
+    """A new stepping coder's coding, with the chunks before its first insert coded whole.
 
-    While the codebook is empty every code is a flag 0 and a width-bit
-    literal, and no step of a chunk inserts if no symbol's count in the
-    window plus its count in the chunk reaches the threshold; a bound on the
-    window's counts proves that without a count when it can.
-    literals(window, reader, count) gives a chunk's symbols and the window
-    after it if it proves that, every code such a literal, else None; a
-    window's first item ends with its last ell symbols. The first chunk not
-    proved commits nothing: the state takes the window at its start, and the
-    loop codes the rest, so every byte, report and error is the loop's.
+    state is a CoderState, or to encode a swsc.vector.BlockEncoder. While its
+    codebook is empty every code is a flag 0 and a width-bit literal, and no
+    step of a chunk inserts if no symbol's count in the window plus its count
+    in the chunk reaches the threshold. Each kernel gives the window after a
+    chunk that keeps to this, else None: literals(window, reader, count) with
+    its symbols, all such literals, and write(window, symbols, position,
+    writer) once it has checked and written them. A window is (ring, bound),
+    the ring an array.array at first that ends with the last ell symbols. The
+    first chunk not proved commits nothing: the state takes the window at its
+    start and codes the rest, so every byte, report and error is the loop's.
     """
 
-    def __init__(self, state: CoderState, window=None, literals=None):
+    def __init__(self, state, literals=None, write=None):
         self.state, self._n = state, 0  # symbols coded before the hand-off
-        self._window = window or (array(_raw_typecode(state.params.sigma, None)), 0)
-        self._literals = literals or self._read
+        self._window = array(_raw_typecode(state.params.sigma, None)), 0
+        self._literals, self._write = literals or self._read, write or self._write_fields
 
     position = property(lambda self: self.state.position if self._window is None else self._n)
 
     def encode_chunk(self, symbols, writer: BitWriter) -> "CoderReport":
         if self._window is not None:
-            p = self.state.params
-            symbols = check_symbols(symbols, p.sigma, self._n)
-            window = self._advance(self._window, symbols)
+            window = self._write(self._window, symbols, self._n, writer)
             if window is not None:
-                writer.write_fields(symbols, p.width + 1)
                 return self._commit(window, len(symbols))
             self._hand_off()
         return self.state.encode_chunk(symbols, writer)
 
     def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
-        if self._window is not None and count:
+        if self._window is not None:
             got = self._literals(self._window, reader, count)
             if got is not None:
                 reader.position += count * (self.state.params.width + 1)
@@ -455,8 +452,15 @@ class LiteralPrefix:
         p = self.state.params
         if reader.position + count * (p.width + 1) <= reader.limit:  # else None
             symbols = read_fields(reader.data, reader.position, count, p.width + 1)
-            window = None if max(symbols) >= p.sigma else self._advance(window, symbols)
+            window = None if max(symbols, default=0) >= p.sigma else self._advance(window, symbols)
             return None if window is None else (symbols, window)
+
+    def _write_fields(self, window, symbols, position, writer):
+        symbols = check_symbols(symbols, self.state.params.sigma, position)
+        window = self._advance(window, symbols)
+        if window is not None:
+            writer.write_fields(symbols, self.state.params.width + 1)
+        return window
 
     def _advance(self, window, symbols):
         """The window (ring, bound) after symbols if no step can insert, else None."""
@@ -481,15 +485,15 @@ class Encoder:
     Each feed codes its symbols and writes their whole bytes to out, the header
     before the first; finish writes the last byte and ends the stream. Any
     split of the symbols into feeds writes the same bytes and returns the same
-    reports. Each feed is coded _CHUNK symbols at a time: with numpy already
-    imported, by the block encoder of swsc.vector, which counts the window in
-    numpy and keeps no dictionary; otherwise by LiteralPrefix, as fixed
-    fields until a chunk may insert, and then by CoderState's loop, which
-    holds O(ell + _CHUNK) Python objects. A
-    feed past n symbols, or a finish short of them, raises ParameterError
-    and changes nothing. A feed that fails while it codes writes nothing of
-    itself. After it, after a failed write to out, or after finish, every
-    later feed or finish raises ParameterError and writes nothing.
+    reports. Each feed is coded _CHUNK symbols at a time by LiteralPrefix, as
+    fixed fields until a chunk may insert, and then by the block encoder of
+    swsc.vector with numpy already imported, which counts the window in numpy
+    and keeps no dictionary, or else by CoderState's loop, which holds
+    O(ell + _CHUNK) Python objects. A feed past n symbols, or a finish short
+    of them, raises ParameterError and changes nothing. A feed that fails
+    while it codes writes nothing of itself. After it, after a failed write
+    to out, or after finish, every later feed or finish raises ParameterError
+    and writes nothing.
     """
 
     def __init__(self, params: CoderParams, out, n: int):
@@ -501,9 +505,9 @@ class Encoder:
         self._report = None  # the report after the last feed
         self._ended = None  # once no feed or finish may follow, why not
         if "numpy" in sys.modules:  # never import numpy just to encode
-            from .vector import BlockEncoder
+            from .vector import BlockEncoder, block_literals
 
-            self._coder = BlockEncoder(params)
+            self._coder = LiteralPrefix(BlockEncoder(params), *block_literals(params))
         else:
             self._coder = LiteralPrefix(CoderState(params))
 

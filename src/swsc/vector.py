@@ -4,20 +4,21 @@ In the encoder only the codebook has to run in input order. A symbol's
 window count, and with it whether the symbol is coded and when it crosses a
 threshold or a length class, follows from the input alone: a coded record
 always sits in the class codeword_length(ell, count), and a count moves by
-one per event. So each block, one encode_chunk call, that _skip cannot
-prove to be literals alone is counted in numpy, the carried window entering
-as leading events, and only the codebook work runs in Python: one
+one per event. So BlockEncoder counts each block, one encode_chunk call,
+in numpy, the carried window entering as leading events, and only the
+codebook work runs in Python: one
 time-ordered action list, in the order of CoderState._steps (each step's
 codeword query, then its evicted and its incoming symbol's insert, move or
 remove), closing each step with Codebook.end_step. It answers and credits
 queries as the loop does, so the codebook's counters, and with them every
 report field but n and the bits, come out the same.
 
-The decoder must run the codebook to parse a code, but while the codebook
-is empty every code is a flag 0 and a width-bit literal. So block_literals
-gives swsc.coder's LiteralPrefix a kernel that slices a chunk's codes as
-fixed fields and proves them literals by _skip's rule, the pure-Python
-kernel's; the prefix hands the first chunk not proved to the loop.
+While the codebook is empty every code is a flag 0 and a width-bit literal,
+so swsc.coder's LiteralPrefix codes the chunks before the first insert
+whole, on both sides. block_literals gives it two kernels that prove a chunk
+literals by _skip's rule, the pure-Python kernel's: one reads its codes as
+fixed fields, the other screens its symbols and packs them. The prefix hands
+the first chunk not proved to the loop to decode and to BlockEncoder to encode.
 
 Working memory is O(ell + block): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
@@ -40,12 +41,13 @@ from .dictionary import CodeRecord, symbol_model_bytes
 class BlockEncoder:
     """CoderState.encode_chunk's bits and reports, the window counted in numpy.
 
-    It carries the window, the codebook and the coded symbols' records from
-    one call to the next, so any split of a stream into calls gives the same
-    bits and reports. Each call is one block: its codebook work is one
-    time-ordered action list, run in one loop; a query answered from
-    Codebook.bases is credited, not closed, and the credits are handed over
-    before the call returns its report.
+    Each call is one counted block: LiteralPrefix codes the chunks before the
+    first insert, then hands off through resume_after_literals, which comes
+    before the first call. The window, the codebook and the coded records
+    carry from call to call, so any split of a stream into calls gives the
+    same bits and reports. A block's codebook work is one time-ordered action
+    list, run in one loop; a query answered from Codebook.bases is credited,
+    not closed, and billed before the call returns its report.
     """
 
     def __init__(self, params):
@@ -58,10 +60,12 @@ class BlockEncoder:
         self._insert_length = codeword_length(params.ell, params.threshold)
         self.codebook = Codebook(params.l_max)
         self._coded = {}  # symbol -> record, for coded symbols only
-        self._window = np.empty(0, self._dtype), 0  # as _skip takes it
-        self._counts = None  # the window's counts as _slide takes them; None when stale
-        self.position = 0  # symbols encoded
-        self._bits = 0  # payload bits, carried across calls for the report
+
+    def resume_after_literals(self, position, window):
+        """Take a new encoder past position literals, window the last ell of them."""
+        self._ring = np.asarray(window, self._dtype)  # the window's last ell symbols, oldest first
+        self._counts = np.unique(self._ring, return_counts=True)  # as _slide takes them
+        self.position, self._bits = position, position * (self.params.width + 1)
 
     def encode_chunk(self, symbols, writer):
         """Encode symbols to writer as one block; returns the report of all encoded so far.
@@ -80,13 +84,9 @@ class BlockEncoder:
         start = writer.bit_length
         blk = _checked(symbols, params.sigma, self.position, self._dtype)
         size = len(blk)
-        skipped = None if cb.size or not size else _skip(self._window, blk, ell, threshold)
-        if skipped:  # every code a literal, and no action
-            self._window, self._counts = skipped, None
-            _emit(writer.write_bits, blk.astype(np.uint64), np.full(size, w1, np.int64))
-        elif size:
-            self._window, self._counts, gone, evicts, fe, fa = _slide(
-                self._window[0], self._counts, blk, ell)
+        if size:
+            self._ring, self._counts, gone, evicts, fe, fa = _slide(
+                self._ring, self._counts, blk, ell)
             fb = fa - 1 + (evicts & (gone == blk))  # the incoming count before the step
             # each step's actions, coded 0 for none: 1 its codeword query; then
             # 2 or 3 when the evicted count falls below the threshold or into a
@@ -145,10 +145,11 @@ class BlockEncoder:
 
 
 def block_literals(params):
-    """LiteralPrefix's window before any step and literals kernel, in numpy.
+    """LiteralPrefix's literals and write kernels, in numpy.
 
-    It slices a chunk's codes as fixed fields and proves them literals by
-    _skip, the window (ring, bound) with the ring an array of ell symbols.
+    literals slices a chunk's codes as fixed fields; write screens a chunk's
+    symbols by _checked and packs them by _emit, in write_bits calls. Both
+    prove the chunk literals by _skip, from the prefix's array ring at first.
     """
     sigma, ell, threshold, w1 = params.sigma, params.ell, params.threshold, params.width + 1
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
@@ -158,7 +159,14 @@ def block_literals(params):
         after = None if lits is None else _skip(window, lits, ell, threshold)
         return None if after is None else (lits.tolist(), after)
 
-    return (np.empty(0, dtype), 0), literals
+    def write(window, symbols, position, writer):
+        blk = _checked(symbols, sigma, position, dtype)
+        after = _skip(window, blk, ell, threshold)
+        if after is not None and len(blk):  # _emit takes at least one code
+            _emit(writer.write_bits, blk.astype(np.uint64), np.full(len(blk), w1, np.int64))
+        return after
+
+    return literals, write
 
 
 def _literals(reader, count, w1, sigma, dtype):
@@ -229,16 +237,14 @@ def _most(a):
 
 
 def _slide(ring, counts, blk, ell):
-    """Slide the window over the steps blk; returns the next window (ring, bound) and
-    counts, then per step its evicted symbol, whether it evicts and the evicted and
-    incoming counts after it.
+    """Slide the window over the steps blk; returns the next ring and counts, then per
+    step its evicted symbol, whether it evicts and the evicted and incoming counts after it.
 
     ring holds the window's last ell symbols, oldest first; counts is its
-    distinct symbols, ascending, with how often each occurs, or None to
-    count them from the ring; bound is the largest count. A step that
+    distinct symbols, ascending, with how often each occurs. A step that
     evicts nothing names its incoming symbol as the evicted one.
     """
-    wsyms, wcounts = np.unique(ring, return_counts=True) if counts is None else counts
+    wsyms, wcounts = counts
     size = len(blk)
     seq = np.concatenate((ring, blk))
     first = max(0, ell - len(ring))  # the first step that evicts
@@ -252,8 +258,8 @@ def _slide(ring, counts, blk, ell):
         ev[2 * first::2] = seq[len(ring) + first - ell:len(seq) - ell]
         delta[2 * first::2] = -1
     after, wsyms, wcounts = _count(wsyms, wcounts, ev, delta)
-    window = seq[max(0, len(seq) - ell):], int(wcounts.max(initial=0))
-    return window, (wsyms, wcounts), ev[0::2], np.arange(size) >= first, after[0::2], after[1::2]
+    return (seq[max(0, len(seq) - ell):], (wsyms, wcounts), ev[0::2], np.arange(size) >= first,
+            after[0::2], after[1::2])
 
 
 def _count(wsyms, wcounts, ev, delta):

@@ -422,21 +422,30 @@ def test_the_block_decoder_hands_off_to_the_loop_exactly(monkeypatch, sigma, lam
 
 
 def _first_loop_calls(p, symbols, numpy_loaded):
-    """Where the first CoderState._steps call starts in encode_to_bytes and in
-    a Decoder, with numpy loaded or hidden; None where the loop never runs.
-    Either way the stream and the decode outcome must be the loop's."""
+    """Where the stepping coder takes over in encode_to_bytes and in a
+    Decoder, with numpy loaded or hidden; None where it never runs. It is
+    the first CoderState._steps call, or with numpy loaded the encoder's one
+    BlockEncoder.resume_after_literals call, and the encoder then never
+    steps. Either way the stream and the decode outcome must be the loop's."""
     blob, _ = _loop_stream(p, symbols)
-    calls = []
-    steps = CoderState._steps
+    calls, resumed = [], []
+    steps, resume = CoderState._steps, vector.BlockEncoder.resume_after_literals
 
     def recorded_steps(self, symbols, count, writer=None, reader=None):
         calls.append(self.position)
         return steps(self, symbols, count, writer=writer, reader=reader)
 
+    def recorded_resume(self, position, window):
+        resumed.append(position)
+        return resume(self, position, window)
+
     with mock.patch.object(CoderState, "_steps", recorded_steps), \
+            mock.patch.object(vector.BlockEncoder, "resume_after_literals", recorded_resume), \
             (contextlib.nullcontext() if numpy_loaded else _numpy_hidden()):
         assert encode_to_bytes(p, symbols)[0] == blob
-        first = [calls[0] if calls else None]
+        assert not (numpy_loaded and calls) and len(resumed) <= 1
+        encoded = resumed if numpy_loaded else calls
+        first = [encoded[0] if encoded else None]
         calls.clear()
         got = _outcome(blob)
         first.append(calls[0] if calls else None)
@@ -450,8 +459,7 @@ HAND_OFF_STREAMS = [(256, 1.0, 1, "zipf", {}, 59), (4096, 2.0, 1, "markov", {"st
 
 def _check_hand_off(monkeypatch, numpy_loaded, sigma, lam, c, dist, kw, insert, chunk):
     # both kernels code the chunks before the first insert as fixed fields,
-    # at any bit offset, and the loop starts at that chunk; the block
-    # encoder never runs the loop
+    # at any bit offset, and the stepping coder starts at that chunk
     p = derive_params(sigma, lam, c)
     symbols = generate(dist, sigma=sigma, n=3000, seed=2, **kw).tolist()
     if chunk == "insert":
@@ -459,7 +467,7 @@ def _check_hand_off(monkeypatch, numpy_loaded, sigma, lam, c, dist, kw, insert, 
     if chunk is not None:
         monkeypatch.setattr(coder, "_CHUNK", chunk)
     at = (insert // coder._CHUNK) * coder._CHUNK
-    assert _first_loop_calls(p, symbols, numpy_loaded) == [None if numpy_loaded else at, at]
+    assert _first_loop_calls(p, symbols, numpy_loaded) == [at, at]
 
 
 @pytest.mark.parametrize("sigma, lam, c, dist, kw, insert", HAND_OFF_STREAMS)
@@ -502,7 +510,8 @@ def test_the_block_decoder_counts_a_window_held_one_below_the_threshold(monkeypa
     with _numpy_hidden():
         assert block == _outcome(blob)
     loaded, hidden = (_first_loop_calls(p, symbols, numpy_loaded) for numpy_loaded in (True, False))
-    assert loaded[1] == hidden[1] is not None and hidden[1] % coder._CHUNK == 0
+    assert loaded == hidden and hidden[0] == hidden[1] is not None
+    assert hidden[1] % coder._CHUNK == 0
 
 
 def _literals_then_coded(p, seed):
@@ -522,7 +531,7 @@ def test_both_kernels_hand_a_literal_run_to_the_loop_at_the_same_chunk(monkeypat
     if chunk is not None:
         monkeypatch.setattr(coder, "_CHUNK", chunk)
     loaded, hidden = (_first_loop_calls(p, symbols, numpy_loaded) for numpy_loaded in (True, False))
-    assert loaded == [None, hidden[1]] and hidden[0] == hidden[1] is not None
+    assert loaded == hidden and hidden[0] == hidden[1] is not None
     assert hidden[1] <= _first_insert(p, symbols) < hidden[1] + coder._CHUNK
 
 
@@ -609,6 +618,24 @@ def test_resume_after_literals_rejects_a_state_it_cannot_take():
     state.resume_after_literals(2, [1, 2])
     with pytest.raises(ParameterError, match="new state"):
         state.resume_after_literals(2, [1, 2])
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_a_count_0_decode_inside_the_literal_prefix_reports_the_symbols_so_far(numpy_loaded):
+    # a call that decodes nothing partway through the prefix reports the
+    # symbols decoded so far, as the loop does
+    p = derive_params(65536, 2.0, 1)
+    symbols = generate("uniform", sigma=65536, n=2000, seed=5).tolist()
+    assert _first_insert(p, symbols) is None
+    payload = encode_to_bytes(p, symbols)[0][HEADER_BYTES:]
+    with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
+        kernel = vector.block_literals(p) if numpy_loaded else ()
+        loop, prefix = CoderState(p), coder.LiteralPrefix(CoderState(p), *kernel)
+        loop_reader, reader = BitReader(payload), BitReader(payload)
+        for count in (1000, 0, 1000):
+            assert prefix.decode_chunk(reader, count) == loop.decode_chunk(loop_reader, count)
+            assert reader.position == loop_reader.position
+    assert prefix.position == len(symbols)
 
 
 def _stream_with_partial_last_byte():
@@ -979,7 +1006,7 @@ def test_block_encoder_memory_is_bounded_by_the_window_and_one_block(sigma, lam,
             finally:
                 tracemalloc.stop()
             payloads.append(encoder.finish().payload_bytes)
-        # measured at 32-131 B per slot, the payload in it
+        # measured at 36-133 B per slot, the payload in it
         assert peaks[-1] < 300 * slots + 2 * payloads[-1]
     assert peaks[1] - peaks[0] <= 2 * (payloads[1] - payloads[0]) + (1 << 20)
 
