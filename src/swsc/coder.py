@@ -35,14 +35,14 @@ symbols a chunk at a time, and decode_stream and the CLI iterate a Decoder,
 which reads any source's payload one chunk's span at a time. Both code
 _CHUNK symbols at a time, through LiteralPrefix: it codes a chunk as fixed
 fields while no symbol's count in the window plus its count in the chunk
-reaches the threshold, counting in pure Python or, when numpy is already
-imported, in swsc.vector. A stepping coder codes the first chunk that is
-not, from its first symbol, and the rest: CoderState._steps, the online loop
-the stepping API runs on, or, to encode with numpy imported, the block
-encoder in swsc.vector, which counts the window in numpy and runs only the
-codebook in Python. Either way the bytes, symbols, reports and errors are
-the same, and both read a repeat query's answer off the codebook until an
-event at its length class or below.
+reaches the threshold, by kernels it picks itself: swsc.vector's when numpy
+is already imported, pure Python otherwise. A stepping coder codes the first
+chunk that is not, from its first symbol, and the rest: CoderState._steps,
+the online loop the stepping API runs on, or, to encode with numpy imported,
+the block encoder in swsc.vector, which counts the window in numpy and runs
+only the codebook in Python. Either way the bytes, symbols, reports and
+errors are the same, and both read a repeat query's answer off the codebook
+until an event at its length class or below.
 """
 
 import io
@@ -406,35 +406,44 @@ class LiteralPrefix:
     state is a CoderState, or to encode a swsc.vector.BlockEncoder. While its
     codebook is empty every code is a flag 0 and a width-bit literal, and no
     step of a chunk inserts if no symbol's count in the window plus its count
-    in the chunk reaches the threshold. Each kernel gives the window after a
-    chunk that keeps to this, else None: literals(window, reader, count) with
-    its symbols, all such literals, and write(window, symbols, position,
-    writer) once it has checked and written them. A window is (ring, bound),
-    the ring an array.array at first that ends with the last ell symbols. The
-    first chunk not proved commits nothing: the state takes the window at its
-    start and codes the rest, so every byte, report and error is the loop's.
+    in the chunk reaches the threshold. Its kernels, swsc.vector.block_literals'
+    when numpy is already imported and else its own methods, give a chunk that
+    keeps to this with the window after it, else None: _read(window, reader,
+    count) its symbols, all such literals, once the prefix has checked that
+    their fields lie in the payload, and _prove(window, symbols, position) the
+    checked symbols, which _write(symbols, writer) writes after the prefix
+    commits the window, so the old ring is gone. A window is (ring, bound), the
+    ring an array.array at first that ends with the last ell symbols. The first
+    chunk not proved commits nothing: the state takes the window at its start
+    and codes the rest, so every byte, report and error is the loop's.
     """
 
-    def __init__(self, state, literals=None, write=None):
+    def __init__(self, state):
         self.state, self._n = state, 0  # symbols coded before the hand-off
         self._window = array(_raw_typecode(state.params.sigma, None)), 0
-        self._literals, self._write = literals or self._read, write or self._write_fields
+        if "numpy" in sys.modules:  # never import numpy just to code; its kernels shadow ours
+            from .vector import block_literals
+
+            self._read, self._prove, self._write = block_literals(state.params)
 
     position = property(lambda self: self.state.position if self._window is None else self._n)
 
     def encode_chunk(self, symbols, writer: BitWriter) -> "CoderReport":
         if self._window is not None:
-            window = self._write(self._window, symbols, self._n, writer)
-            if window is not None:
-                return self._commit(window, len(symbols))
+            got = self._prove(self._window, symbols, self._n)
+            if got is not None:
+                report = self._commit(got[1], len(symbols))
+                self._write(got[0], writer)
+                return report
             self._hand_off()
         return self.state.encode_chunk(symbols, writer)
 
     def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
         if self._window is not None:
-            got = self._literals(self._window, reader, count)
+            end = reader.position + count * (self.state.params.width + 1)
+            got = self._read(self._window, reader, count) if end <= reader.limit else None
             if got is not None:
-                reader.position += count * (self.state.params.width + 1)
+                reader.position = end
                 return got[0], self._commit(got[1], count)
             self._hand_off()
         return self.state.decode_chunk(reader, count)
@@ -450,20 +459,17 @@ class LiteralPrefix:
 
     def _read(self, window, reader, count):
         p = self.state.params
-        if reader.position + count * (p.width + 1) <= reader.limit:  # else None
-            symbols = read_fields(reader.data, reader.position, count, p.width + 1)
-            window = None if max(symbols, default=0) >= p.sigma else self._advance(window, symbols)
-            return None if window is None else (symbols, window)
+        symbols = read_fields(reader.data, reader.position, count, p.width + 1)
+        return None if max(symbols, default=0) >= p.sigma else self._advance(window, symbols)
 
-    def _write_fields(self, window, symbols, position, writer):
-        symbols = check_symbols(symbols, self.state.params.sigma, position)
-        window = self._advance(window, symbols)
-        if window is not None:
-            writer.write_fields(symbols, self.state.params.width + 1)
-        return window
+    def _prove(self, window, symbols, position):
+        return self._advance(window, check_symbols(symbols, self.state.params.sigma, position))
+
+    def _write(self, symbols, writer):
+        writer.write_fields(symbols, self.state.params.width + 1)
 
     def _advance(self, window, symbols):
-        """The window (ring, bound) after symbols if no step can insert, else None."""
+        """symbols and the window (ring, bound) after them if no step can insert, else None."""
         p = self.state.params
         ring, bound = window
         bound += max(Counter(symbols).values(), default=0)
@@ -476,7 +482,7 @@ class LiteralPrefix:
         ring.extend(symbols)
         if len(ring) > 2 * p.ell:  # raw symbols, cut at 2 ell: O(1) amortized per symbol
             del ring[:-p.ell]
-        return ring, bound
+        return symbols, (ring, bound)
 
 
 class Encoder:
@@ -485,15 +491,15 @@ class Encoder:
     Each feed codes its symbols and writes their whole bytes to out, the header
     before the first; finish writes the last byte and ends the stream. Any
     split of the symbols into feeds writes the same bytes and returns the same
-    reports. Each feed is coded _CHUNK symbols at a time by LiteralPrefix, as
-    fixed fields until a chunk may insert, and then by the block encoder of
-    swsc.vector with numpy already imported, which counts the window in numpy
-    and keeps no dictionary, or else by CoderState's loop, which holds
-    O(ell + _CHUNK) Python objects. A feed past n symbols, or a finish short
-    of them, raises ParameterError and changes nothing. A feed that fails
-    while it codes writes nothing of itself. After it, after a failed write
-    to out, or after finish, every later feed or finish raises ParameterError
-    and writes nothing.
+    reports. Every feed is cut into _CHUNK-symbol slices, coded by
+    LiteralPrefix as fixed fields until a slice may insert, and then by the
+    block encoder of swsc.vector with numpy already imported, which counts the
+    window in numpy and keeps no dictionary, or else by CoderState's loop,
+    which holds O(ell + _CHUNK) Python objects. A feed past n symbols, or a
+    finish short of them, raises ParameterError and changes nothing. A feed
+    that fails while it codes writes nothing of itself. After it, after a
+    failed write to out, or after finish, every later feed or finish raises
+    ParameterError and writes nothing.
     """
 
     def __init__(self, params: CoderParams, out, n: int):
@@ -504,12 +510,10 @@ class Encoder:
         self._writer = BitWriter()
         self._report = None  # the report after the last feed
         self._ended = None  # once no feed or finish may follow, why not
+        stepping = CoderState
         if "numpy" in sys.modules:  # never import numpy just to encode
-            from .vector import BlockEncoder, block_literals
-
-            self._coder = LiteralPrefix(BlockEncoder(params), *block_literals(params))
-        else:
-            self._coder = LiteralPrefix(CoderState(params))
+            from .vector import BlockEncoder as stepping
+        self._coder = LiteralPrefix(stepping(params))
 
     def feed(self, symbols) -> "CoderReport":
         """Encode the next symbols; returns the report of all fed so far."""
@@ -521,11 +525,8 @@ class Encoder:
         code, writer = self._coder.encode_chunk, self._writer
         first = self._report is None
         self._ended = "a feed failed, so the stream cannot go on"  # until it is all out
-        if len(symbols) <= _CHUNK:  # one call: no copy of the symbols
-            self._report = code(symbols, writer)
-        else:
-            for lo in range(0, len(symbols), _CHUNK):
-                self._report = code(symbols[lo:lo + _CHUNK], writer)
+        for lo in range(0, len(symbols) or 1, _CHUNK):  # an empty feed codes one empty chunk
+            self._report = code(symbols[lo:lo + _CHUNK], writer)
         if first:
             write_header(self._out, self.params, self.n)
         self._out.write(writer.take())
@@ -564,9 +565,8 @@ class Decoder:
     is checked before the last chunk is yielded, so its report is the whole
     stream's. backend is as for choose_backend, whatever the header's flag
     says, and never changes the result. LiteralPrefix decodes whole chunks
-    of literals, in numpy when it is already imported and in pure Python
-    otherwise, by one rule: no symbol's count in the window plus its count
-    in the chunk reaches the threshold. It hands CoderState the first chunk
+    of literals, with the kernels it picks, by one rule: no symbol's count
+    in the window plus its count in the chunk reaches the threshold. It hands CoderState the first chunk
     that breaks the rule or holds any other code, and the loop decodes that
     chunk and the rest.
     """
@@ -585,13 +585,7 @@ class Decoder:
         n = self.n
         if n > reader.limit:
             raise CorruptStreamError(f"{n} symbols cannot fit in {reader.limit} payload bits")
-        state = CoderState(self.params, backend=self._backend)
-        kernel = ()
-        if "numpy" in sys.modules:  # never import numpy just to decode
-            from .vector import block_literals
-
-            kernel = block_literals(self.params)
-        decode = LiteralPrefix(state, *kernel).decode_chunk
+        decode = LiteralPrefix(CoderState(self.params, backend=self._backend)).decode_chunk
         for lo in range(0, n or 1, _CHUNK):
             count = min(_CHUNK, n - lo)
             self._fill(reader, count)

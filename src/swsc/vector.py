@@ -15,10 +15,11 @@ report field but n and the bits, come out the same.
 
 While the codebook is empty every code is a flag 0 and a width-bit literal,
 so swsc.coder's LiteralPrefix codes the chunks before the first insert
-whole, on both sides. block_literals gives it two kernels that prove a chunk
-literals by _skip's rule, the pure-Python kernel's: one reads its codes as
-fixed fields, the other screens its symbols and packs them. The prefix hands
-the first chunk not proved to the loop to decode and to BlockEncoder to encode.
+whole, on both sides, and with numpy loaded it takes block_literals' kernels.
+read and prove show a chunk literals by _skip's rule, the pure-Python one:
+read takes its codes as fixed fields, prove screens its symbols, and write
+packs them once the prefix has committed the window. The prefix hands the
+first chunk not proved to the loop to decode and to BlockEncoder to encode.
 
 Working memory is O(ell + block): the window ring holds 1, 2 or 4 bytes per
 slot and the distinct window symbols sit in sorted arrays, never in an array
@@ -32,6 +33,7 @@ already loaded; the CLI and `import swsc` never do.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitio import WRITE_BATCH
 from .codebook import Codebook, codeword_length, length_bounds
@@ -145,50 +147,49 @@ class BlockEncoder:
 
 
 def block_literals(params):
-    """LiteralPrefix's literals and write kernels, in numpy.
+    """LiteralPrefix's read, prove and write kernels, in numpy.
 
-    literals slices a chunk's codes as fixed fields; write screens a chunk's
-    symbols by _checked and packs them by _emit, in write_bits calls. Both
-    prove the chunk literals by _skip, from the prefix's array ring at first.
+    read slices a chunk's codes as fixed fields, and prove screens a chunk's
+    symbols by _checked; both prove the chunk literals by _skip, from the
+    prefix's array ring at first, and hand it back with the window after it.
+    write packs a proved chunk by _emit, in write_bits calls.
     """
     sigma, ell, threshold, w1 = params.sigma, params.ell, params.threshold, params.width + 1
     dtype = np.dtype(f"u{symbol_model_bytes(sigma)}")
 
-    def literals(window, reader, count):
+    def read(window, reader, count):
         lits = _literals(reader, count, w1, sigma, dtype)
         after = None if lits is None else _skip(window, lits, ell, threshold)
         return None if after is None else (lits.tolist(), after)
 
-    def write(window, symbols, position, writer):
+    def prove(window, symbols, position):
         blk = _checked(symbols, sigma, position, dtype)
         after = _skip(window, blk, ell, threshold)
-        if after is not None and len(blk):  # _emit takes at least one code
-            _emit(writer.write_bits, blk.astype(np.uint64), np.full(len(blk), w1, np.int64))
-        return after
+        return None if after is None else (blk, after)
 
-    return literals, write
+    def write(blk, writer):
+        if len(blk):  # _emit takes at least one code
+            _emit(writer.write_bits, blk.astype(np.uint64), np.full(len(blk), w1, np.int64))
+
+    return read, prove, write
 
 
 def _literals(reader, count, w1, sigma, dtype):
     """The w1-bit fields of reader's next count codes as dtype, or None if any is no literal.
 
-    A code is a literal when its bits lie in the payload and its field, the
-    flag bit then the width-bit value, is below sigma: sigma <= 2**width, so
-    one comparison checks both. Reads only the bytes those codes span.
+    A code is a literal when its field, the flag bit then the width-bit
+    value, is below sigma: sigma <= 2**width, so one comparison checks both.
+    The caller has checked that the codes lie in the payload. Reads only the
+    bytes those codes span.
     """
     pos = reader.position
-    if pos + count * w1 > reader.limit:
-        return None
     lo, hi = pos >> 3, (pos + count * w1 + 7) >> 3
-    # a field spans at most 40 bits from its first byte: 7 + 33
-    buf = np.zeros(hi - lo + 4, np.uint64)
+    # a field spans at most 40 bits from its first byte, 7 + 33: each is read as 8 bytes
+    buf = np.zeros(hi - lo + 8, np.uint8)
     buf[:hi - lo] = np.frombuffer(reader.data[lo:hi], np.uint8)
     at = np.arange(count, dtype=np.uint64) * np.uint64(w1) + np.uint64(pos & 7)
-    first = at >> np.uint64(3)
-    v = buf[first]
-    for j in range(1, 5):
-        v = (v << np.uint64(8)) | buf[first + np.uint64(j)]
-    v = (v >> (np.uint64(40 - w1) - (at & np.uint64(7)))) & np.uint64((1 << w1) - 1)
+    v = sliding_window_view(buf, 8)[at >> np.uint64(3)].view(">u8")[:, 0]
+    v = (v >> (np.uint64(64 - w1) - (at & np.uint64(7)))) & np.uint64((1 << w1) - 1)
     return None if (v >= sigma).any() else v.astype(dtype)
 
 

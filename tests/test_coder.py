@@ -629,8 +629,7 @@ def test_a_count_0_decode_inside_the_literal_prefix_reports_the_symbols_so_far(n
     assert _first_insert(p, symbols) is None
     payload = encode_to_bytes(p, symbols)[0][HEADER_BYTES:]
     with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
-        kernel = vector.block_literals(p) if numpy_loaded else ()
-        loop, prefix = CoderState(p), coder.LiteralPrefix(CoderState(p), *kernel)
+        loop, prefix = CoderState(p), coder.LiteralPrefix(CoderState(p))
         loop_reader, reader = BitReader(payload), BitReader(payload)
         for count in (1000, 0, 1000):
             assert prefix.decode_chunk(reader, count) == loop.decode_chunk(loop_reader, count)

@@ -207,21 +207,27 @@ def test_encode_stream_with_numpy_loaded_never_steps(monkeypatch):
 
 
 def test_decode_of_a_literal_stream_with_numpy_loaded_never_steps(monkeypatch):
-    # no uniform symbol reaches the threshold, so the block decoder decodes
-    # the whole stream with no loop step and no dictionary
+    # no uniform symbol reaches the threshold, so with numpy loaded the
+    # prefix's numpy kernels code the whole stream both ways, with no loop
+    # step, no dictionary and none of the pure-Python kernels' field calls
     p = swsc.derive_params(65536, 2.0, 1)
     symbols = generate("uniform", sigma=65536, n=3 * p.ell, seed=3).tolist()
-    blob, _ = swsc.encode_to_bytes(p, symbols)
-    want = swsc.CoderState(p).decode_chunk(swsc.BitReader(blob[swsc.coder.HEADER_BYTES:]),
-                                            len(symbols))
-    assert want[0] == symbols
+    writer = swsc.BitWriter()
+    report = swsc.CoderState(p).encode_chunk(symbols, writer)
+    payload = writer.finish()
+    want = swsc.CoderState(p).decode_chunk(swsc.BitReader(payload), len(symbols))
+    assert want == (symbols, report)
 
     def no_steps(*args, **kwargs):
-        raise AssertionError("a loop step or a dictionary put ran")
+        raise AssertionError("a loop step, a dictionary put or a pure-Python kernel ran")
 
     monkeypatch.setattr(swsc.CoderState, "_steps", no_steps)
     monkeypatch.setattr(swsc.TrieDictionary, "put", no_steps)
     monkeypatch.setattr(swsc.HashedDictionary, "put", no_steps)
+    monkeypatch.setattr(swsc.coder, "read_fields", no_steps)
+    monkeypatch.setattr(swsc.BitWriter, "write_fields", no_steps)
+    blob, got = swsc.encode_to_bytes(p, symbols)
+    assert blob[swsc.coder.HEADER_BYTES:] == payload and got == report
     for backend in ("trie", "hashed"):
         assert swsc.decode_stream(blob, backend=backend) == want
 
