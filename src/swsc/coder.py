@@ -441,7 +441,8 @@ class LiteralPrefix:
     def decode_chunk(self, reader: BitReader, count: int) -> tuple[list, "CoderReport"]:
         if self._window is not None:
             end = reader.position + count * (self.state.params.width + 1)
-            got = self._read(self._window, reader, count) if end <= reader.limit else None
+            fits = reader.position <= end <= reader.limit  # count >= 0, its fields in the payload
+            got = self._read(self._window, reader, count) if fits else None
             if got is not None:
                 reader.position = end
                 return got[0], self._commit(got[1], count)
@@ -566,9 +567,9 @@ class Decoder:
     stream's. backend is as for choose_backend, whatever the header's flag
     says, and never changes the result. LiteralPrefix decodes whole chunks
     of literals, with the kernels it picks, by one rule: no symbol's count
-    in the window plus its count in the chunk reaches the threshold. It hands CoderState the first chunk
-    that breaks the rule or holds any other code, and the loop decodes that
-    chunk and the rest.
+    in the window plus its count in the chunk reaches the threshold. It
+    hands CoderState the first chunk that breaks the rule or holds any other
+    code, and the loop decodes that chunk and the rest.
     """
 
     def __init__(self, source, backend: str | None = None):

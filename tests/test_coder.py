@@ -637,6 +637,20 @@ def test_a_count_0_decode_inside_the_literal_prefix_reports_the_symbols_so_far(n
     assert prefix.position == len(symbols)
 
 
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+def test_a_negative_count_decode_inside_the_literal_prefix_is_rejected_as_the_loop_rejects_it(
+        numpy_loaded):
+    p = derive_params(256, 2.0, 10)
+    payload = encode_to_bytes(p, [1, 2, 3, 4, 5, 6])[0][HEADER_BYTES:]
+    with contextlib.nullcontext() if numpy_loaded else _numpy_hidden():
+        prefix, reader = coder.LiteralPrefix(CoderState(p)), BitReader(payload)
+        assert prefix.decode_chunk(reader, 2)[0] == [1, 2]
+        with pytest.raises(ParameterError, match="cannot decode -1 symbols"):
+            prefix.decode_chunk(reader, -1)
+        assert prefix.position == 2 and reader.position == 18
+        assert prefix.decode_chunk(reader, 4)[0] == [3, 4, 5, 6]
+
+
 def _stream_with_partial_last_byte():
     p = derive_params(256, 2.0, 10)
     blob, report = encode_to_bytes(p, [5, 7, 5])  # three 9-bit literals
