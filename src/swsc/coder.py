@@ -432,7 +432,7 @@ class LiteralPrefix:
         if self._window is not None:
             got = self._prove(self._window, symbols, self._n)
             if got is not None:
-                report = self._commit(got[1], len(symbols))
+                report = self._commit(got[1], len(symbols))  # the old ring goes before the writes
                 self._write(got[0], writer)
                 return report
             self._hand_off()
